@@ -10,6 +10,15 @@ from .errors import AlphaOutOfRange, OrderingViolation
 __all__ = ["TriFuzzy", "Interval", "make_trifuzzy"]
 
 
+def toward_modal(end: float, modal: float, level: float) -> float:
+    """(1 - level) * end + level * modal: a support end moved toward modal.
+
+    A side without spread stays exactly at modal; the convex combination
+    of two equal values can miss them by one ulp.
+    """
+    return modal if end == modal else (1.0 - level) * end + level * modal
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed real interval [lo, hi]."""
@@ -77,9 +86,10 @@ class TriFuzzy:
             raise AlphaOutOfRange(f"alpha must lie in [0, 1], got {alpha}")
         # Convex-combination form: exact at alpha 0/1 and lo <= hi holds
         # under rounding (the offset form can cross by one ulp at alpha=1).
-        lo = (1.0 - alpha) * self.lower + alpha * self.modal
-        hi = (1.0 - alpha) * self.upper + alpha * self.modal
-        return Interval(lo, hi)
+        return Interval(
+            toward_modal(self.lower, self.modal, alpha),
+            toward_modal(self.upper, self.modal, alpha),
+        )
 
     def scaled(self, factor: float) -> "TriFuzzy":
         """Scale all three bounds by a positive factor."""

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -118,6 +119,18 @@ class TestAlphaInterval:
         if f.modal < f.upper:
             slack = 4 * math.ulp(f.upper) / (f.upper - f.modal)
             assert f.membership(cut.hi) == pytest.approx(alpha, abs=1e-9 + slack)
+
+    def test_crisp_side_stays_modal(self):
+        # (1 - a) * m + a * m misses m by one ulp for about 5% of draws
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            m = rng.uniform(0.01, 1000.0)
+            alpha = rng.random()
+            cut = TriFuzzy(m, m, m).alpha_interval(alpha)
+            assert cut.lo == m and cut.hi == m
+            left = TriFuzzy(m, m, 2.0 * m).alpha_interval(alpha)
+            right = TriFuzzy(0.5 * m, m, m).alpha_interval(alpha)
+            assert left.lo == m and right.hi == m
 
     def test_scaled(self):
         f = TriFuzzy(1.0, 2.0, 3.0).scaled(2.0)
