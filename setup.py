@@ -1,26 +1,42 @@
 """Build script: compiles the optional simplex pivot kernel.
 
-The extension is a twin of fuzzydea._speedups.pure; if the toolchain is
-missing the package still installs and falls back to the pure kernel.
+The extension is a twin of fuzzydea._speedups.pure.  With Cython it is
+generated from fast.pyx; without it the committed fast.c is compiled, so
+a C compiler is all an offline build needs.  If the compiler is missing
+too the package still installs and falls back to the pure kernel.
 """
-
-import sys
 
 from setuptools import Extension, setup
 
-ext_modules = []
+SOURCE = "src/fuzzydea/_speedups/fast"
+# -ffp-contract=off keeps the compiled arithmetic bit-identical to the
+# interpreted kernel (no fused multiply-add).
+COMPILE_ARGS = ["-O3", "-ffp-contract=off"]
+
 try:
     from Cython.Build import cythonize
+except ImportError:
+    cythonize = None
 
-    ext = Extension(
-        "fuzzydea._speedups.fast",
-        ["src/fuzzydea/_speedups/fast.pyx"],
-        # -ffp-contract=off keeps the compiled arithmetic bit-identical to
-        # the interpreted kernel (no fused multiply-add).
-        extra_compile_args=["-O3", "-ffp-contract=off"],
-    )
+if cythonize is None:
+    ext_modules = [
+        Extension(
+            "fuzzydea._speedups.fast",
+            [SOURCE + ".c"],
+            extra_compile_args=COMPILE_ARGS,
+            optional=True,
+        )
+    ]
+else:
     ext_modules = cythonize(
-        [ext],
+        [
+            Extension(
+                "fuzzydea._speedups.fast",
+                [SOURCE + ".pyx"],
+                extra_compile_args=COMPILE_ARGS,
+                optional=True,
+            )
+        ],
         compiler_directives={
             "language_level": "3",
             "boundscheck": False,
@@ -29,7 +45,5 @@ try:
             "initializedcheck": False,
         },
     )
-except Exception as exc:  # pragma: no cover - toolchain-dependent
-    sys.stderr.write(f"warning: building without compiled kernel ({exc})\n")
 
 setup(ext_modules=ext_modules)
