@@ -14,9 +14,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .ccr import CcrResult, CrispDataset, SelfPolicy, ccr_efficiency
+from .ccr import CrispDataset, SelfPolicy, _check_index, ccr_efficiency
 from .dataio import FuzzyDataset
-from .errors import DataError
+from .trifuzzy import check_alpha, toward_modal
 
 __all__ = [
     "AlphaScore",
@@ -36,41 +36,43 @@ class AlphaScore:
     policy: SelfPolicy
 
 
-def _reduce(data: FuzzyDataset, p: int, alpha: float, favor_p: bool) -> CrispDataset:
-    n, m, s = data.n_dmus, data.n_inputs, data.n_outputs
-    inputs = np.empty((m, n), dtype=np.float64)
-    outputs = np.empty((s, n), dtype=np.float64)
-    for j, dmu in enumerate(data.dmus):
-        favored = (j == p) == favor_p
-        for i, tri in enumerate(dmu.inputs):
-            cut = tri.alpha_interval(alpha)
-            inputs[i, j] = cut.lo if favored else cut.hi
-        for r, tri in enumerate(dmu.outputs):
-            cut = tri.alpha_interval(alpha)
-            outputs[r, j] = cut.hi if favored else cut.lo
-    return CrispDataset(data.dmu_names, inputs, outputs)
+def reduce_at(
+    data: FuzzyDataset, p: int, level: float, favor_p: bool = True
+) -> CrispDataset:
+    """Crisp data at membership level `level` as seen from DMU p.
 
-
-def _check_index(data: FuzzyDataset, p: int) -> int:
-    p = int(p)
-    if not 0 <= p < data.n_dmus:
-        raise DataError(f"DMU index {p} out of range for {data.n_dmus} DMUs")
-    return p
+    Every value moves from a support end toward modal by toward_modal.
+    With favor_p, p starts from its favorable ends (low inputs, high
+    outputs) and its peers from the unfavorable ones; without, the roles
+    swap.  The alpha-cut, the mo model's beta level and the modal data
+    are all this one reduction.
+    """
+    p = _check_index(data, p)
+    check_alpha(level)
+    lower, modal, upper = data.bounds
+    m = data.n_inputs
+    good = np.concatenate((lower[:m], upper[m:]))
+    bad = np.concatenate((upper[:m], lower[m:]))
+    if not favor_p:
+        good, bad = bad, good
+    bad[:, p] = good[:, p]
+    crisp = toward_modal(bad, modal, level)
+    return CrispDataset(data.dmu_names, crisp[:m], crisp[m:])
 
 
 def alphacut_reduce(data: FuzzyDataset, p: int, alpha: float) -> CrispDataset:
     """Optimistic crisp reduction at level alpha for evaluated DMU p."""
-    return _reduce(data, _check_index(data, p), alpha, favor_p=True)
+    return reduce_at(data, p, alpha)
 
 
 def pessimistic_reduce(data: FuzzyDataset, p: int, alpha: float) -> CrispDataset:
     """Role-swapped reduction: p at its worst endpoints, peers at their best."""
-    return _reduce(data, _check_index(data, p), alpha, favor_p=False)
+    return reduce_at(data, p, alpha, favor_p=False)
 
 
 def modal_reduce(data: FuzzyDataset) -> CrispDataset:
     """Crisp dataset of modal values (the alpha = 1 cut, any viewpoint)."""
-    return _reduce(data, 0, 1.0, favor_p=True)
+    return reduce_at(data, 0, 1.0)
 
 
 def alphacut_scores(

@@ -14,9 +14,12 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .errors import DataError, OrderingViolation, ParseError, SchemaError
 from .trifuzzy import TriFuzzy
@@ -117,6 +120,17 @@ class FuzzyDataset:
             if d.name == name:
                 return j
         raise DataError(f"unknown DMU {name!r}")
+
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """Read-only lower, modal and upper values: (3, inputs + outputs, DMUs)."""
+        cells = [
+            [(t.lower, t.modal, t.upper) for t in d.inputs + d.outputs]
+            for d in self.dmus
+        ]
+        arr = np.ascontiguousarray(np.array(cells, dtype=np.float64).transpose(2, 1, 0))
+        arr.flags.writeable = False
+        return arr
 
 
 def _tri_from_cell(value, where: str) -> TriFuzzy:

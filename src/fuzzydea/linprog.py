@@ -108,43 +108,34 @@ def _run(kernel, T: np.ndarray, basis: np.ndarray, tol: float, phase: str):
     return status
 
 
-def solve(
-    problem: LpProblem,
-    tol: float = 1e-9,
-    kernel: Optional[Callable] = None,
-) -> LpOutcome:
-    """Solve an LpProblem; returns LpOutcome, raises NumericalBreakdown.
+def _tableau(objective, A: np.ndarray, rels: Sequence[str], b: Sequence[float]):
+    """Starting tableau of maximize objective @ x s.t. A x (rels) b, x >= 0.
 
-    The kernel argument picks the pivot implementation (defaults to the
-    backend chosen at import); pass _speedups.pure_pivot_loop to force
-    the interpreter twin.
+    Rows with a negative right-hand side are negated first.  Returns the
+    tableau, its basis and the numbers of slack and artificial columns.
+    With artificials the last row holds the phase-1 reduced costs,
+    without them the phase-2 ones.
     """
-    if kernel is None:
-        kernel = default_pivot_loop
-    n = problem.n_vars
-    m = len(problem.rows)
-
+    m, n = A.shape
+    rels, rhs = list(rels), list(b)
     # Normalize to nonnegative right-hand sides.
-    norm_rows = []
-    for coeffs, rel, rhs in problem.rows:
-        if rhs < 0.0:
-            coeffs = tuple(-c for c in coeffs)
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        norm_rows.append((coeffs, rel, rhs))
+    flipped = [i for i in range(m) if rhs[i] < 0.0]
+    for i in flipped:
+        rhs[i] = -rhs[i]
+        rels[i] = {"<=": ">=", ">=": "<=", "=": "="}[rels[i]]
 
-    n_slack = sum(1 for _, rel, _ in norm_rows if rel != "=")
-    art_rows = [i for i, (_, rel, _) in enumerate(norm_rows) if rel != "<="]
+    n_slack = sum(1 for rel in rels if rel != "=")
+    art_rows = [i for i, rel in enumerate(rels) if rel != "<="]
     n_art = len(art_rows)
-    ncols = n + n_slack + n_art + 1
-
-    T = np.zeros((m + 1, ncols), dtype=np.float64)
+    T = np.zeros((m + 1, n + n_slack + n_art + 1), dtype=np.float64)
+    T[:m, :n] = A
+    for i in flipped:
+        T[i, :n] = -T[i, :n]
+    T[:m, -1] = rhs
     basis = np.zeros(m, dtype=np.int64)
     slack_at = n
     art_at = n + n_slack
-    for i, (coeffs, rel, rhs) in enumerate(norm_rows):
-        T[i, :n] = coeffs
-        T[i, -1] = rhs
+    for i, rel in enumerate(rels):
         if rel != "=":
             T[i, slack_at] = 1.0 if rel == "<=" else -1.0
             if rel == "<=":
@@ -161,6 +152,31 @@ def solve(
         for i in art_rows:
             T[m, :] -= T[i, :]
         T[m, n + n_slack : n + n_slack + n_art] = 0.0
+    else:
+        # All-slack start: reduced costs are just the negated objective.
+        T[m, :n] = [-c for c in objective]
+    return T, basis, n_slack, n_art
+
+
+def _simplex(
+    T: np.ndarray,
+    basis: np.ndarray,
+    objective: Sequence[float],
+    n_slack: int,
+    n_art: int,
+    tol: float,
+    kernel: Optional[Callable] = None,
+) -> LpOutcome:
+    """Both simplex phases on a starting tableau from _tableau, in place.
+
+    The kernel defaults to default_pivot_loop, looked up at call time.
+    """
+    if kernel is None:
+        kernel = default_pivot_loop
+    n = len(objective)
+    m = len(basis)
+
+    if n_art:
         if _run(kernel, T, basis, tol, "phase 1") == _UNBOUNDED:
             # The phase-1 objective is bounded above by 0; treat as breakdown.
             raise NumericalBreakdown("phase 1 reported an unbounded tableau")
@@ -168,13 +184,14 @@ def solve(
             return LpOutcome(LpStatus.INFEASIBLE)
 
         # Purge leftover basic artificials (degenerate at zero).
+        n_real = n + n_slack
         keep = []
-        for i in range(m):
-            if basis[i] < n + n_slack:
+        for i, b in enumerate(basis.tolist()):
+            if b < n_real:
                 keep.append(i)
                 continue
             piv_col = -1
-            for j in range(n + n_slack):
+            for j in range(n_real):
                 if abs(T[i, j]) > tol:
                     piv_col = j
                     break
@@ -183,33 +200,54 @@ def solve(
                 keep.append(i)
             # else: redundant constraint, drop the row
 
-        cols = list(range(n + n_slack)) + [ncols - 1]
-        T = np.ascontiguousarray(T[keep + [m]][:, cols])
-        basis = basis[keep].copy()
+        T = np.concatenate((T[:, :n_real], T[:, -1:]), axis=1)
+        if len(keep) < m:
+            T = T[keep + [m]]
+        basis = basis[keep]
         m = len(keep)
 
         # Rebuild the reduced-cost row for the real objective.
         T[m, :] = 0.0
-        T[m, :n] = [-c for c in problem.objective]
-        for i in range(m):
-            if basis[i] < n:
-                f = T[m, basis[i]]
+        T[m, :n] = [-c for c in objective]
+        for i, b in enumerate(basis.tolist()):
+            if b < n:
+                f = T[m, b]
                 if f != 0.0:
                     T[m] -= f * T[i]
-                    T[m, basis[i]] = 0.0
-    else:
-        # All-slack start: reduced costs are just the negated objective.
-        T[m, :n] = [-c for c in problem.objective]
+                    T[m, b] = 0.0
 
     status = _run(kernel, T, basis, tol, "phase 2")
     if status == _UNBOUNDED:
         return LpOutcome(LpStatus.UNBOUNDED)
 
     x = [0.0] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = float(T[i, -1])
+    rhs = T[:, -1].tolist()
+    for i, b in enumerate(basis.tolist()):
+        if b < n:
+            x[b] = rhs[i]
     value = 0.0
-    for c, xi in zip(problem.objective, x):
+    for c, xi in zip(objective, x):
         value += c * xi
     return LpOutcome(LpStatus.OPTIMAL, value=value, solution=tuple(x))
+
+
+def solve(
+    problem: LpProblem,
+    tol: float = 1e-9,
+    kernel: Optional[Callable] = None,
+) -> LpOutcome:
+    """Solve an LpProblem; returns LpOutcome, raises NumericalBreakdown.
+
+    The kernel argument picks the pivot implementation (defaults to the
+    backend chosen at import); pass _speedups.pure_pivot_loop to force
+    the interpreter twin.
+    """
+    rows = problem.rows
+    A = np.array([coeffs for coeffs, _, _ in rows], dtype=np.float64)
+    T, basis, n_slack, n_art = _tableau(
+        problem.objective,
+        A.reshape(len(rows), problem.n_vars),
+        [rel for _, rel, _ in rows],
+        [rhs for _, _, rhs in rows],
+    )
+    return _simplex(T, basis, problem.objective, n_slack, n_art, tol, kernel)

@@ -35,9 +35,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-import numpy as np
-
-from .ccr import CrispDataset, SelfPolicy, ccr_efficiency
+from .alphacut import reduce_at
+from .ccr import CcrTemplate, CrispDataset, SelfPolicy, _check_index, ccr_efficiency
 from .dataio import FuzzyDataset
 from .errors import AlphaOutOfRange, DataError, DegenerateZStar, RangeError
 
@@ -123,28 +122,23 @@ def reduced_data(
     the modal values as the effective level rises; peers move in from
     the unfavorable endpoints.  At level 1 everything is modal.
     """
-    p = int(p)
-    if not 0 <= p < data.n_dmus:
-        raise DataError(f"DMU index {p} out of range for {data.n_dmus} DMUs")
-    beta = beta_level(h, alpha, mode)
-    keep = 1.0 - beta  # convex weights: exact modal collapse at beta = 1
+    p = _check_index(data, p)
+    return reduce_at(data, p, beta_level(h, alpha, mode))
 
-    def toward_modal(end: float, modal: float) -> float:
-        # a side without spread stays exactly modal; the convex
-        # combination of two equal values can miss them by one ulp
-        return modal if end == modal else keep * end + beta * modal
 
-    n, m, s = data.n_dmus, data.n_inputs, data.n_outputs
-    inputs = np.empty((m, n), dtype=np.float64)
-    outputs = np.empty((s, n), dtype=np.float64)
-    for j, dmu in enumerate(data.dmus):
-        for i, tri in enumerate(dmu.inputs):
-            end = tri.lower if j == p else tri.upper
-            inputs[i, j] = toward_modal(end, tri.modal)
-        for r, tri in enumerate(dmu.outputs):
-            end = tri.upper if j == p else tri.lower
-            outputs[r, j] = toward_modal(end, tri.modal)
-    return CrispDataset(data.dmu_names, inputs, outputs)
+def _ideal_level(alpha: float, mode: str) -> float:
+    """Data level of the ideal z*: the alpha-cut under rescale, else 0."""
+    beta_level(0.0, alpha, mode)  # validates alpha and mode
+    return alpha if mode == "rescale" else 0.0
+
+
+def _checked_ideal(value: float, tol: float, name: str) -> float:
+    if value <= tol:
+        raise DegenerateZStar(
+            f"ideal score for DMU {name!r} is {value}; "
+            "the ratio target is undefined"
+        )
+    return value
 
 
 def z_star(
@@ -162,17 +156,11 @@ def z_star(
     "floor" it is the full support (beta = 0) whatever alpha is.  At
     alpha = 0 both modes give the full-support ideal.
     """
-    beta_level(0.0, alpha, mode)  # validates alpha and mode
-    level = alpha if mode == "rescale" else 0.0
+    level = _ideal_level(alpha, mode)
     value = ccr_efficiency(
         reduced_data(data, p, level), int(p), policy=policy, tol=tol
     ).efficiency
-    if value <= tol:
-        raise DegenerateZStar(
-            f"ideal score for DMU {data.dmus[int(p)].name!r} is {value}; "
-            "the ratio target is undefined"
-        )
-    return value
+    return _checked_ideal(value, tol, data.dmus[int(p)].name)
 
 
 def eff_at(data: FuzzyDataset, p: int, h: float, cfg: MoConfig = MoConfig()) -> float:
@@ -187,44 +175,39 @@ def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult
     Bisects g(h) = eff(h)/z* - h on [0, 1]; g(0) > 0 always, so h* = 1
     exactly when g(1) >= 0.  The returned h_star is the last evaluated
     midpoint, so |efficiency / z_star - h_star| stays within a few h_tol.
+    Every LP, z* included, is solved from one CcrTemplate between p's
+    data at level 0 and at level 1; the scores equal z_star and eff_at
+    bit for bit.
     """
     p = int(p)
-    z = z_star(data, p, cfg.policy, cfg.lp_tol, cfg.alpha, cfg.alpha_mode)
+    template = CcrTemplate(
+        reduced_data(data, p, 0.0), reduced_data(data, p, 1.0), p, cfg.policy, cfg.lp_tol
+    )
     name = data.dmus[p].name
+    z = _checked_ideal(
+        template.solve(_ideal_level(cfg.alpha, cfg.alpha_mode)).efficiency,
+        cfg.lp_tol,
+        name,
+    )
 
     def crisp_at(h):
-        reduced = reduced_data(data, p, h, cfg.alpha, cfg.alpha_mode)
-        return reduced, ccr_efficiency(reduced, p, policy=cfg.policy, tol=cfg.lp_tol)
+        return template.solve(beta_level(h, cfg.alpha, cfg.alpha_mode))
 
-    reduced, top = crisp_at(1.0)
-    if top.efficiency / z - 1.0 >= 0.0:
-        return MoResult(
-            dmu=name,
-            h_star=1.0,
-            efficiency=top.efficiency,
-            z_star=z,
-            u=top.u,
-            v=top.v,
-            reduced=reduced,
-            iterations=0,
-            alpha=cfg.alpha,
-            policy=cfg.policy,
-        )
-
-    lo, hi = 0.0, 1.0
-    mid, res, g = 0.0, None, 0.0
+    mid, res = 1.0, crisp_at(1.0)
     iterations = 0
-    for _ in range(cfg.max_bisect):
-        mid = 0.5 * (lo + hi)
-        reduced, res = crisp_at(mid)
-        g = res.efficiency / z - mid
-        iterations += 1
-        if g >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= cfg.h_tol and abs(g) <= 5.0 * cfg.h_tol:
-            break
+    if not res.efficiency / z - 1.0 >= 0.0:
+        lo, hi = 0.0, 1.0
+        for _ in range(cfg.max_bisect):
+            mid = 0.5 * (lo + hi)
+            res = crisp_at(mid)
+            g = res.efficiency / z - mid
+            iterations += 1
+            if g >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= cfg.h_tol and abs(g) <= 5.0 * cfg.h_tol:
+                break
     return MoResult(
         dmu=name,
         h_star=mid,
@@ -232,7 +215,7 @@ def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult
         z_star=z,
         u=res.u,
         v=res.v,
-        reduced=reduced,
+        reduced=reduced_data(data, p, mid, cfg.alpha, cfg.alpha_mode),
         iterations=iterations,
         alpha=cfg.alpha,
         policy=cfg.policy,

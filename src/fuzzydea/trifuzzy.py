@@ -5,18 +5,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AlphaOutOfRange, OrderingViolation
 
 __all__ = ["TriFuzzy", "Interval", "make_trifuzzy"]
 
 
-def toward_modal(end: float, modal: float, level: float) -> float:
-    """(1 - level) * end + level * modal: a support end moved toward modal.
+def toward_modal(end, modal, level):
+    """(1 - level) * end + level * modal, entrywise on floats or arrays.
 
-    A side without spread stays exactly at modal; the convex combination
-    of two equal values can miss them by one ulp.
+    The package's one reduction formula: alpha-cuts, the mo model's beta
+    level and modal data all move support ends toward modal with it, on
+    data arrays and on LP tableaus alike.  An end without spread stays
+    exactly at modal; the convex combination of two equal values can
+    miss them by one ulp.
     """
-    return modal if end == modal else (1.0 - level) * end + level * modal
+    return np.where(end == modal, modal, (1.0 - level) * end + level * modal)
+
+
+def check_alpha(alpha) -> None:
+    """Raise AlphaOutOfRange unless alpha is a number in [0, 1]."""
+    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
+        raise AlphaOutOfRange(f"alpha must be a finite number, got {alpha!r}")
+    if alpha < 0.0 or alpha > 1.0:
+        raise AlphaOutOfRange(f"alpha must lie in [0, 1], got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -80,15 +93,12 @@ class TriFuzzy:
 
         Raises AlphaOutOfRange unless 0 <= alpha <= 1.
         """
-        if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
-            raise AlphaOutOfRange(f"alpha must be a finite number, got {alpha!r}")
-        if alpha < 0.0 or alpha > 1.0:
-            raise AlphaOutOfRange(f"alpha must lie in [0, 1], got {alpha}")
+        check_alpha(alpha)
         # Convex-combination form: exact at alpha 0/1 and lo <= hi holds
         # under rounding (the offset form can cross by one ulp at alpha=1).
         return Interval(
-            toward_modal(self.lower, self.modal, alpha),
-            toward_modal(self.upper, self.modal, alpha),
+            float(toward_modal(self.lower, self.modal, alpha)),
+            float(toward_modal(self.upper, self.modal, alpha)),
         )
 
     def scaled(self, factor: float) -> "TriFuzzy":
