@@ -203,8 +203,8 @@ def _simplex(
         T = np.concatenate((T[:, :n_real], T[:, -1:]), axis=1)
         if len(keep) < m:
             T = T[keep + [m]]
-        basis = basis[keep]
-        m = len(keep)
+            basis = basis[keep]
+            m = len(keep)
 
         # Rebuild the reduced-cost row for the real objective.
         T[m, :] = 0.0
