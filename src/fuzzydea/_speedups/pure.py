@@ -1,6 +1,6 @@
 """Pure-Python simplex pivot kernel.
 
-Twin of the compiled kernel in fast.pyx: same operations in the same
+Twin of the compiled kernel in fast.c: same operations in the same
 order on IEEE doubles, so results are bit-identical between the two.
 """
 
@@ -17,13 +17,16 @@ def pivot_loop(T_arr, basis_arr, tol, max_iter):
 
     T_arr: (m+1) x (n+1) float64 array; row m is the reduced-cost row,
     column n is the RHS.  basis_arr: int64 array of m basic column
-    indices.  Returns (status, iterations).
+    indices.  Returns (status, iterations).  Raises ValueError unless
+    basis_arr has one entry per constraint row.
     """
     T = T_arr.tolist()
     basis = [int(b) for b in basis_arr]
     nrows = len(T)
-    ncols = len(T[0])
     m = nrows - 1
+    if len(basis) != m:
+        raise ValueError(f"basis has {len(basis)} entries for {m} rows")
+    ncols = len(T[0])
     n = ncols - 1
     obj = T[m]
 

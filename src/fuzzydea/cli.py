@@ -146,6 +146,12 @@ def _policy(args) -> SelfPolicy:
     return SelfPolicy.INCLUDE_SELF if args.include_self else SelfPolicy.EXCLUDE_SELF
 
 
+def _mo_by_name(data: FuzzyDataset, a: float, policy: SelfPolicy, args) -> dict:
+    """The mo model's results at alpha level a, keyed by DMU name."""
+    cfg = MoConfig(alpha=a, policy=policy, h_tol=args.tol_h, alpha_mode=args.alpha_mode)
+    return {r.dmu: r for r in evaluate_all(data, cfg)}
+
+
 def _eval_report(args) -> Report:
     data = _load(args.data)
     policy = _policy(args)
@@ -167,13 +173,9 @@ def _eval_report(args) -> Report:
         return Report("alpha", policy.value, tuple(alphas), tuple(rows))
 
     for a in alphas:
-        cfg = MoConfig(
-            alpha=a, policy=policy, h_tol=args.tol_h, alpha_mode=args.alpha_mode
-        )
-        ranked = evaluate_all(data, cfg)
-        by_name = {r.dmu: r for r in ranked}
+        mo = _mo_by_name(data, a, policy, args)
         for name in data.dmu_names:
-            r = by_name[name]
+            r = mo[name]
             rows.append(
                 ReportRow(
                     name, a, r.efficiency, h_star=r.h_star, z_star=r.z_star, rank=r.rank
@@ -202,11 +204,8 @@ def _compare_report(args) -> Report:
     alphas = _parse_alphas(args.alpha)
     rows = []
     for a in alphas:
-        cfg = MoConfig(
-            alpha=a, policy=policy, h_tol=args.tol_h, alpha_mode=args.alpha_mode
-        )
         cut = alphacut_scores(data, a, policy=policy)
-        mo = {r.dmu: r for r in evaluate_all(data, cfg)}
+        mo = _mo_by_name(data, a, policy, args)
         for sc in cut:
             rows.append(
                 ReportRow(sc.dmu, a, sc.score, mo_score=mo[sc.dmu].efficiency)
