@@ -23,7 +23,6 @@ from .alphacut import (
 )
 from .ccr import CcrResult, CrispDataset, SelfPolicy, ccr_efficiency, ccr_scores
 from .dataio import (
-    Deviation,
     FuzzyDataset,
     FuzzyDmu,
     Report,
@@ -102,7 +101,6 @@ __all__ = [
     "list_fixtures",
     "Report",
     "ReportRow",
-    "Deviation",
     "write_report",
     "read_report",
 ]

@@ -75,31 +75,23 @@ def modal_reduce(data: FuzzyDataset) -> CrispDataset:
     return reduce_at(data, 0, 1.0)
 
 
-def alphacut_scores(
-    data: FuzzyDataset,
-    alpha: float,
-    policy: SelfPolicy = SelfPolicy.EXCLUDE_SELF,
-    tol: float = 1e-9,
-) -> Tuple[AlphaScore, ...]:
-    """Optimistic alpha-cut score of every DMU at one alpha level."""
+def _scores(data: FuzzyDataset, alpha: float, policy: SelfPolicy, reduce):
     out = []
     for p in range(data.n_dmus):
-        res = ccr_efficiency(alphacut_reduce(data, p, alpha), p, policy=policy, tol=tol)
+        res = ccr_efficiency(reduce(data, p, alpha), p, policy=policy)
         out.append(AlphaScore(res.dmu, alpha, res.efficiency, policy))
     return tuple(out)
+
+
+def alphacut_scores(
+    data: FuzzyDataset, alpha: float, policy: SelfPolicy = SelfPolicy.EXCLUDE_SELF
+) -> Tuple[AlphaScore, ...]:
+    """Optimistic alpha-cut score of every DMU at one alpha level."""
+    return _scores(data, alpha, policy, alphacut_reduce)
 
 
 def pessimistic_scores(
-    data: FuzzyDataset,
-    alpha: float,
-    policy: SelfPolicy = SelfPolicy.EXCLUDE_SELF,
-    tol: float = 1e-9,
+    data: FuzzyDataset, alpha: float, policy: SelfPolicy = SelfPolicy.EXCLUDE_SELF
 ) -> Tuple[AlphaScore, ...]:
     """Pessimistic counterpart of alphacut_scores."""
-    out = []
-    for p in range(data.n_dmus):
-        res = ccr_efficiency(
-            pessimistic_reduce(data, p, alpha), p, policy=policy, tol=tol
-        )
-        out.append(AlphaScore(res.dmu, alpha, res.efficiency, policy))
-    return tuple(out)
+    return _scores(data, alpha, policy, pessimistic_reduce)

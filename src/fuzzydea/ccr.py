@@ -15,7 +15,9 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DataError, SolverFailure
-from .linprog import LpProblem, LpStatus, _simplex, _tableau, solve
+from .linprog import LP_TOL, LpStatus, _simplex
+# Unused here; perfbench/tracing.py rebinds them by name in this module.
+from .linprog import LpProblem, solve  # noqa: F401
 from .trifuzzy import toward_modal
 
 __all__ = [
@@ -108,35 +110,51 @@ def _check_index(data, p: int) -> int:
     return p
 
 
-def _multiplier_lp(data: CrispDataset, p: int, policy: SelfPolicy):
-    """Objective, rows, relations and right-hand sides of DMU p's LP.
+def _multiplier_tableau(data: CrispDataset, p: int, policy: SelfPolicy) -> np.ndarray:
+    """DMU p's two-phase starting tableau, with its objective as one more row.
 
-    Variables are u (one per output) then v (one per input).
+    Columns: u (one per output), v (one per input), one slack per peer,
+    the normalisation row's artificial, the right-hand side.  Rows: the
+    normalisation v @ x_p = 1, one u @ y_j - v @ x_j <= 0 per peer, the
+    phase-1 reduced costs, the objective.  Entry for entry this is what
+    linprog._tableau builds for the LP, the objective row appended.
     """
     s, m = data.n_outputs, data.n_inputs
     peers = [
         j for j in range(data.n_dmus)
         if not (policy is SelfPolicy.EXCLUDE_SELF and j == p)
     ]
-    c = np.zeros(s + m)
-    c[:s] = data.outputs[:, p]
-    A = np.zeros((1 + len(peers), s + m))
-    A[0, s:] = data.inputs[:, p]
-    A[1:, :s] = data.outputs[:, peers].T
-    A[1:, s:] = -data.inputs[:, peers].T
-    return c, A, ("=",) + ("<=",) * len(peers), (1.0,) + (0.0,) * len(peers)
+    k, n = len(peers), s + m
+    T = np.zeros((k + 3, n + k + 2))
+    T[0, s:n] = data.inputs[:, p]
+    T[0, n + k :] = 1.0  # the artificial and the right-hand side
+    T[1 : k + 1, :s] = data.outputs[:, peers].T
+    T[1 : k + 1, s:n] = -data.inputs[:, peers].T
+    T[range(1, k + 1), range(n, n + k)] = 1.0
+    # Phase 1 maximises minus the artificial; priced out against row 0,
+    # its reduced costs are minus row 0 with the artificial's entry zeroed.
+    T[k + 1, s:n] = -data.inputs[:, p]
+    T[k + 1, -1] = -1.0
+    T[k + 2, :s] = data.outputs[:, p]
+    return T
 
 
-def _result(names, p: int, policy: SelfPolicy, s: int, outcome) -> CcrResult:
+def _solve(X: np.ndarray, data: CrispDataset, p: int, policy: SelfPolicy) -> CcrResult:
+    """Both simplex phases on a _multiplier_tableau X (or a blend of two)."""
+    k = X.shape[0] - 3
+    n = X.shape[1] - k - 2
+    basis = np.arange(n - 1, n + k, dtype=np.int64)
+    basis[0] = n + k
+    outcome = _simplex(X[:-1], basis, X[-1, :n].tolist(), k, 1, LP_TOL)
     if outcome.status is not LpStatus.OPTIMAL:
         raise SolverFailure(
-            f"CCR multiplier model for DMU {names[p]!r} is "
+            f"CCR multiplier model for DMU {data.names[p]!r} is "
             f"{outcome.status.value}",
             status=outcome.status,
         )
-    sol = outcome.solution
+    sol, s = outcome.solution, data.n_outputs
     return CcrResult(
-        dmu=names[p],
+        dmu=data.names[p],
         efficiency=float(outcome.value),
         u=sol[:s],
         v=sol[s:],
@@ -148,7 +166,6 @@ def ccr_efficiency(
     data: CrispDataset,
     p: int,
     policy: SelfPolicy = SelfPolicy.INCLUDE_SELF,
-    tol: float = 1e-9,
 ) -> CcrResult:
     """CCR multiplier efficiency of DMU p under the given self policy.
 
@@ -156,9 +173,7 @@ def ccr_efficiency(
     unbounded (e.g. ExcludeSelf with no peer left).
     """
     p = _check_index(data, p)
-    c, A, rels, b = _multiplier_lp(data, p, policy)
-    problem = LpProblem(tuple(c.tolist()), tuple(zip(A.tolist(), rels, b)))
-    return _result(data.names, p, policy, data.n_outputs, solve(problem, tol=tol))
+    return _solve(_multiplier_tableau(data, p, policy), data, p, policy)
 
 
 class CcrTemplate:
@@ -178,29 +193,14 @@ class CcrTemplate:
         modal: CrispDataset,
         p: int,
         policy: SelfPolicy = SelfPolicy.INCLUDE_SELF,
-        tol: float = 1e-9,
     ):
         p = _check_index(end, p)
-        c_end, A_end, rels, b = _multiplier_lp(end, p, policy)
-        c_modal, A_modal, _, _ = _multiplier_lp(modal, p, policy)
-        T_end, self._basis, self._n_slack, self._n_art = _tableau(c_end, A_end, rels, b)
-        T_modal = _tableau(c_modal, A_modal, rels, b)[0]
-        # The objective rides along as one extra row, so each probe
-        # reduces, and checks, a single array.
-        self._end = self._stack(T_end, c_end)
-        self._modal = self._stack(T_modal, c_modal)
+        self._end = _multiplier_tableau(end, p, policy)
+        self._modal = _multiplier_tableau(modal, p, policy)
         # Data entries are nonzero at both ends, so a level at which one
         # reaches 0 shows as fewer nonzero entries.
         self._nonzero = np.count_nonzero(self._modal)
-        self._names, self._p, self._policy, self._tol = end.names, p, policy, tol
-        self._s, self._n = end.n_outputs, len(c_end)
-
-    @staticmethod
-    def _stack(T: np.ndarray, c: np.ndarray) -> np.ndarray:
-        out = np.zeros((T.shape[0] + 1, T.shape[1]))
-        out[:-1] = T
-        out[-1, : len(c)] = c
-        return out
+        self._data, self._p, self._policy = end, p, policy
 
     def solve(self, level: float) -> CcrResult:
         """ccr_efficiency of p on the data at level (0: end, 1: modal)."""
@@ -210,22 +210,15 @@ class CcrTemplate:
             or np.count_nonzero(np.isfinite(X)) != X.size
         ):
             raise DataError(
-                f"data at level {level} for DMU {self._names[self._p]!r} "
+                f"data at level {level} for DMU {self._data.names[self._p]!r} "
                 "must be finite and strictly positive"
             )
-        objective = X[-1, : self._n].tolist()
-        outcome = _simplex(
-            X[:-1], self._basis.copy(), objective, self._n_slack, self._n_art, self._tol
-        )
-        return _result(self._names, self._p, self._policy, self._s, outcome)
+        return _solve(X, self._data, self._p, self._policy)
 
 
 def ccr_scores(
     data: CrispDataset,
     policy: SelfPolicy = SelfPolicy.INCLUDE_SELF,
-    tol: float = 1e-9,
 ) -> Tuple[CcrResult, ...]:
     """ccr_efficiency for every DMU, in dataset order."""
-    return tuple(
-        ccr_efficiency(data, p, policy=policy, tol=tol) for p in range(data.n_dmus)
-    )
+    return tuple(ccr_efficiency(data, p, policy=policy) for p in range(data.n_dmus))

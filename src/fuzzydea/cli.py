@@ -146,6 +146,11 @@ def _policy(args) -> SelfPolicy:
     return SelfPolicy.INCLUDE_SELF if args.include_self else SelfPolicy.EXCLUDE_SELF
 
 
+def _cut_by_name(data: FuzzyDataset, a: float, policy: SelfPolicy) -> dict:
+    """The alpha-cut scores at alpha level a, keyed by DMU name."""
+    return {sc.dmu: sc.score for sc in alphacut_scores(data, a, policy=policy)}
+
+
 def _mo_by_name(data: FuzzyDataset, a: float, policy: SelfPolicy, args) -> dict:
     """The mo model's results at alpha level a, keyed by DMU name."""
     cfg = MoConfig(alpha=a, policy=policy, h_tol=args.tol_h, alpha_mode=args.alpha_mode)
@@ -168,8 +173,8 @@ def _eval_report(args) -> Report:
     rows = []
     if args.model == "alpha":
         for a in alphas:
-            for sc in alphacut_scores(data, a, policy=policy):
-                rows.append(ReportRow(sc.dmu, a, sc.score))
+            cut = _cut_by_name(data, a, policy)
+            rows.extend(ReportRow(name, a, cut[name]) for name in data.dmu_names)
         return Report("alpha", policy.value, tuple(alphas), tuple(rows))
 
     for a in alphas:
@@ -204,12 +209,12 @@ def _compare_report(args) -> Report:
     alphas = _parse_alphas(args.alpha)
     rows = []
     for a in alphas:
-        cut = alphacut_scores(data, a, policy=policy)
+        cut = _cut_by_name(data, a, policy)
         mo = _mo_by_name(data, a, policy, args)
-        for sc in cut:
-            rows.append(
-                ReportRow(sc.dmu, a, sc.score, mo_score=mo[sc.dmu].efficiency)
-            )
+        rows.extend(
+            ReportRow(name, a, cut[name], mo_score=mo[name].efficiency)
+            for name in data.dmu_names
+        )
     return Report("compare", policy.value, tuple(alphas), tuple(rows))
 
 

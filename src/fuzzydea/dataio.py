@@ -13,11 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "fixture_path",
     "load_fixture",
     "list_fixtures",
-    "Deviation",
     "ReportRow",
     "Report",
     "write_report",
@@ -385,15 +384,6 @@ def load_fixture(name: str) -> FuzzyDataset:
 
 
 @dataclass(frozen=True)
-class Deviation:
-    """A computed value that disagrees with a published reference value."""
-
-    expected: float
-    computed: float
-    citation: str
-
-
-@dataclass(frozen=True)
 class ReportRow:
     dmu: str
     alpha: float
@@ -412,12 +402,10 @@ class Report:
     policy: str
     alphas: Tuple[float, ...]
     rows: Tuple[ReportRow, ...]
-    deviations: Tuple[Deviation, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(self.alphas))
         object.__setattr__(self, "rows", tuple(self.rows))
-        object.__setattr__(self, "deviations", tuple(self.deviations))
         dmus = {r.dmu for r in self.rows}
         if self.rows and len(self.rows) != len(dmus) * len(self.alphas):
             raise DataError(
@@ -490,19 +478,6 @@ def _report_md(report: Report) -> str:
                     cells.append(_fmt(report.row_for(dmu, a).score))
                 rows.append(cells)
         out.append(_md_table(headers, rows))
-
-    if report.deviations:
-        out.append("## deviations")
-        out.append("")
-        out.append(
-            _md_table(
-                ["expected", "computed", "citation"],
-                [
-                    (_fmt(d.expected), _fmt(d.computed), d.citation)
-                    for d in report.deviations
-                ],
-            )
-        )
     return "\n".join(out)
 
 
@@ -526,11 +501,6 @@ def _report_csv(report: Report) -> str:
                 "" if r.rank is None else r.rank,
             ]
         )
-    if report.deviations:
-        writer.writerow([])
-        writer.writerow(["expected", "computed", "citation"])
-        for d in report.deviations:
-            writer.writerow([repr(d.expected), repr(d.computed), d.citation])
     return out.getvalue()
 
 
@@ -553,10 +523,8 @@ def _report_json(report: Report) -> str:
         "policy": report.policy,
         "alphas": list(report.alphas),
         "rows": [_row_dict(r) for r in report.rows],
-        "deviations": [
-            {"expected": d.expected, "computed": d.computed, "citation": d.citation}
-            for d in report.deviations
-        ],
+        # Kept so that reports stay byte-identical to earlier versions.
+        "deviations": [],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -593,16 +561,11 @@ def read_report(raw: Union[str, bytes]) -> Report:
             )
             for r in doc["rows"]
         )
-        deviations = tuple(
-            Deviation(float(d["expected"]), float(d["computed"]), str(d["citation"]))
-            for d in doc.get("deviations", ())
-        )
         return Report(
             model=doc["model"],
             policy=doc["policy"],
             alphas=tuple(float(a) for a in doc["alphas"]),
             rows=rows,
-            deviations=deviations,
         )
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed report document: {exc}") from None

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._speedups import BACKEND, default_pivot_loop, pure_pivot_loop
+from ._speedups import BACKEND, default_pivot_loop
 from .errors import NumericalBreakdown
 
 __all__ = [
@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 RELATIONS = ("<=", "=", ">=")
+
+# Absolute pivot and feasibility tolerance of every LP the package solves.
+LP_TOL = 1e-9
 
 # kernel status codes (see _speedups.pure)
 _OPTIMAL = 0
@@ -233,7 +236,7 @@ def _simplex(
 
 def solve(
     problem: LpProblem,
-    tol: float = 1e-9,
+    tol: float = LP_TOL,
     kernel: Optional[Callable] = None,
 ) -> LpOutcome:
     """Solve an LpProblem; returns LpOutcome, raises NumericalBreakdown.

@@ -39,6 +39,7 @@ from .alphacut import reduce_at
 from .ccr import CcrTemplate, CrispDataset, SelfPolicy, _check_index, ccr_efficiency
 from .dataio import FuzzyDataset
 from .errors import AlphaOutOfRange, DataError, DegenerateZStar, RangeError
+from .linprog import LP_TOL
 
 __all__ = [
     "ALPHA_MODES",
@@ -55,6 +56,8 @@ __all__ = [
 
 ALPHA_MODES = ("floor", "rescale")
 DEFAULT_ALPHA_MODE = "rescale"
+# Cap on bisection probes per score; at the default h_tol 20 suffice.
+MAX_BISECT = 60
 
 
 def beta_level(h: float, alpha: float, mode: str = DEFAULT_ALPHA_MODE) -> float:
@@ -77,9 +80,7 @@ class MoConfig:
     alpha: float = 0.0
     policy: SelfPolicy = SelfPolicy.EXCLUDE_SELF
     h_tol: float = 1e-6
-    lp_tol: float = 1e-9
     alpha_mode: str = DEFAULT_ALPHA_MODE
-    max_bisect: int = 60
 
     def __post_init__(self):
         if self.alpha_mode not in ALPHA_MODES:
@@ -88,10 +89,8 @@ class MoConfig:
             )
         if not 0.0 <= self.alpha <= 1.0:
             raise AlphaOutOfRange(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.h_tol <= 0.0 or self.lp_tol <= 0.0:
-            raise RangeError("tolerances must be positive")
-        if self.max_bisect < 1:
-            raise RangeError("max_bisect must be at least 1")
+        if self.h_tol <= 0.0:
+            raise RangeError("h_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,6 @@ class MoResult:
     z_star: float
     u: Tuple[float, ...]
     v: Tuple[float, ...]
-    reduced: CrispDataset
     iterations: int
     alpha: float
     policy: SelfPolicy
@@ -132,8 +130,8 @@ def _ideal_level(alpha: float, mode: str) -> float:
     return alpha if mode == "rescale" else 0.0
 
 
-def _checked_ideal(value: float, tol: float, name: str) -> float:
-    if value <= tol:
+def _checked_ideal(value: float, name: str) -> float:
+    if value <= LP_TOL:
         raise DegenerateZStar(
             f"ideal score for DMU {name!r} is {value}; "
             "the ratio target is undefined"
@@ -145,7 +143,6 @@ def z_star(
     data: FuzzyDataset,
     p: int,
     policy: SelfPolicy = SelfPolicy.EXCLUDE_SELF,
-    tol: float = 1e-9,
     alpha: float = 0.0,
     mode: str = DEFAULT_ALPHA_MODE,
 ) -> float:
@@ -157,16 +154,15 @@ def z_star(
     alpha = 0 both modes give the full-support ideal.
     """
     level = _ideal_level(alpha, mode)
-    value = ccr_efficiency(
-        reduced_data(data, p, level), int(p), policy=policy, tol=tol
-    ).efficiency
-    return _checked_ideal(value, tol, data.dmus[int(p)].name)
+    reduced = reduced_data(data, p, level)
+    value = ccr_efficiency(reduced, int(p), policy=policy).efficiency
+    return _checked_ideal(value, data.dmus[int(p)].name)
 
 
 def eff_at(data: FuzzyDataset, p: int, h: float, cfg: MoConfig = MoConfig()) -> float:
     """Crisp CCR score of DMU p on reduced_data at satisfaction level h."""
     reduced = reduced_data(data, p, h, cfg.alpha, cfg.alpha_mode)
-    return ccr_efficiency(reduced, int(p), policy=cfg.policy, tol=cfg.lp_tol).efficiency
+    return ccr_efficiency(reduced, int(p), policy=cfg.policy).efficiency
 
 
 def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult:
@@ -181,13 +177,11 @@ def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult
     """
     p = int(p)
     template = CcrTemplate(
-        reduced_data(data, p, 0.0), reduced_data(data, p, 1.0), p, cfg.policy, cfg.lp_tol
+        reduced_data(data, p, 0.0), reduced_data(data, p, 1.0), p, cfg.policy
     )
     name = data.dmus[p].name
     z = _checked_ideal(
-        template.solve(_ideal_level(cfg.alpha, cfg.alpha_mode)).efficiency,
-        cfg.lp_tol,
-        name,
+        template.solve(_ideal_level(cfg.alpha, cfg.alpha_mode)).efficiency, name
     )
 
     def crisp_at(h):
@@ -197,7 +191,7 @@ def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult
     iterations = 0
     if not res.efficiency / z - 1.0 >= 0.0:
         lo, hi = 0.0, 1.0
-        for _ in range(cfg.max_bisect):
+        for _ in range(MAX_BISECT):
             mid = 0.5 * (lo + hi)
             res = crisp_at(mid)
             g = res.efficiency / z - mid
@@ -215,7 +209,6 @@ def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult
         z_star=z,
         u=res.u,
         v=res.v,
-        reduced=reduced_data(data, p, mid, cfg.alpha, cfg.alpha_mode),
         iterations=iterations,
         alpha=cfg.alpha,
         policy=cfg.policy,

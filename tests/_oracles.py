@@ -94,7 +94,7 @@ def grid_h_star(data, p, cfg=MoConfig(), steps=1000):
     scan that stops at the first sign change finds the maximizer.  z* is
     taken at the config's alpha and alpha mode, as solve_mo takes it.
     """
-    z = z_star(data, p, cfg.policy, cfg.lp_tol, cfg.alpha, cfg.alpha_mode)
+    z = z_star(data, p, cfg.policy, cfg.alpha, cfg.alpha_mode)
     last = 0.0
     for i in range(steps + 1):
         h = i / steps

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import fuzzydea
+from fuzzydea import linprog
 from fuzzydea._speedups import BACKEND, fast_pivot_loop, pure_pivot_loop
+from fuzzydea.alphacut import alphacut_scores
 from fuzzydea.linprog import LpProblem, solve
 
 REPO = Path(__file__).resolve().parent.parent
@@ -107,15 +109,16 @@ class TestKernelTwins:
             assert a.value == b.value  # exact float equality, not approx
             assert a.solution == b.solution
 
-    def test_ccr_pipeline_identical(self, gt):
-        from fuzzydea.alphacut import alphacut_scores
+    def test_ccr_pipeline_identical(self, gt, monkeypatch):
+        # The model code looks the kernel up at call time, so swapping
+        # linprog.default_pivot_loop runs the whole pipeline on each.
+        def score_bits(kernel, alpha):
+            monkeypatch.setattr(linprog, "default_pivot_loop", kernel)
+            return [s.score.hex() for s in alphacut_scores(gt, alpha)]
 
-        # Same-process pipeline runs share the default kernel, so compare
-        # via explicit kernels at the LP layer plus env-forced subprocesses.
         for alpha in (0.0, 0.5):
-            ours = tuple(s.score for s in alphacut_scores(gt, alpha))
-            again = tuple(s.score for s in alphacut_scores(gt, alpha))
-            assert ours == again
+            pure = score_bits(pure_pivot_loop, alpha)
+            assert score_bits(fast_pivot_loop, alpha) == pure
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

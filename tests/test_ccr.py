@@ -4,8 +4,15 @@ import pytest
 from _datagen import random_crisp_dataset
 from _oracles import ratio_efficiency
 from fuzzydea.alphacut import modal_reduce
-from fuzzydea.ccr import CrispDataset, SelfPolicy, ccr_efficiency, ccr_scores
+from fuzzydea.ccr import (
+    CrispDataset,
+    SelfPolicy,
+    _multiplier_tableau,
+    ccr_efficiency,
+    ccr_scores,
+)
 from fuzzydea.errors import DataError, SolverFailure
+from fuzzydea.linprog import LpProblem, LpStatus, _tableau, solve
 
 
 def tiny(inputs, outputs, names=None):
@@ -106,3 +113,69 @@ class TestResultInvariants:
         data = tiny([[1.0, 2.0]], [[1.0, 1.0]])
         with pytest.raises(DataError):
             ccr_efficiency(data, 2)
+
+
+def reference_lp(data, p, policy):
+    """DMU p's multiplier LP as (c, A, relations, rhs): u then v, row by row."""
+    s, m = data.n_outputs, data.n_inputs
+    peers = [
+        j for j in range(data.n_dmus)
+        if not (policy is SelfPolicy.EXCLUDE_SELF and j == p)
+    ]
+    c = np.zeros(s + m)
+    c[:s] = data.outputs[:, p]
+    A = np.zeros((1 + len(peers), s + m))
+    A[0, s:] = data.inputs[:, p]
+    A[1:, :s] = data.outputs[:, peers].T
+    A[1:, s:] = -data.inputs[:, peers].T
+    return c, A, ("=",) + ("<=",) * len(peers), (1.0,) + (0.0,) * len(peers)
+
+
+def scaled_sets(seed, scale):
+    """Random crisp sets of 1-8 DMUs with input 0 multiplied by scale."""
+    rng = np.random.default_rng(seed)
+    for _ in range(30):
+        data = random_crisp_dataset(rng, n_dmus=int(rng.integers(1, 9)))
+        inputs = data.inputs.copy()
+        inputs[0] *= scale
+        yield CrispDataset(data.names, inputs, data.outputs)
+
+
+class TestArrayPath:
+    """ccr_efficiency writes its tableau from the arrays; LpProblem is the reference."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e9, 1e-9])
+    @pytest.mark.parametrize("policy", list(SelfPolicy))
+    def test_same_bits_as_lp_problem(self, policy, scale):
+        for data in scaled_sets(23, scale):
+            for p in range(data.n_dmus):
+                c, A, rels, b = reference_lp(data, p, policy)
+                problem = LpProblem(tuple(c.tolist()), tuple(zip(A.tolist(), rels, b)))
+                want = solve(problem)
+                if want.status is not LpStatus.OPTIMAL:
+                    with pytest.raises(SolverFailure) as got:
+                        ccr_efficiency(data, p, policy)
+                    assert str(got.value) == (
+                        f"CCR multiplier model for DMU {data.names[p]!r} is "
+                        f"{want.status.value}"
+                    )
+                    continue
+                got = ccr_efficiency(data, p, policy)
+                assert got.efficiency.hex() == want.value.hex()
+                assert [x.hex() for x in got.u + got.v] == [
+                    x.hex() for x in want.solution
+                ]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e9, 1e-9])
+    @pytest.mark.parametrize("policy", list(SelfPolicy))
+    def test_tableau_bytes_equal_general_builder(self, policy, scale):
+        for data in scaled_sets(29, scale):
+            for p in range(data.n_dmus):
+                c, A, rels, b = reference_lp(data, p, policy)
+                T = _tableau(c, A, rels, b)[0]
+                X = _multiplier_tableau(data, p, policy)
+                assert X[:-1].shape == T.shape
+                assert X[:-1].tobytes() == T.tobytes()
+                objective = np.zeros(X.shape[1])
+                objective[: len(c)] = c
+                assert X[-1].tobytes() == objective.tobytes()

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from fuzzydea.dataio import (
-    Deviation,
     FuzzyDataset,
     FuzzyDmu,
     Report,
@@ -195,7 +194,6 @@ def sample_report():
             ReportRow("a", 0.0, 1.25, h_star=0.5, z_star=2.5, rank=1),
             ReportRow("b", 0.0, 0.75, h_star=0.8, z_star=0.9375, rank=2),
         ),
-        deviations=(Deviation(1.2, 1.25, "reference table row a"),),
     )
 
 
@@ -221,7 +219,6 @@ class TestReports:
         text = write_report(sample_report(), "md")
         assert "| dmu | h* | efficiency | z* | rank |" in text
         assert "| a | 0.5000 | 1.2500 | 2.5000 | 1 |" in text
-        assert "## deviations" in text
 
     def test_markdown_empty_rows_header_only(self):
         text = write_report(Report("alpha", "exclude-self", (0.0,), ()), "md")

@@ -195,14 +195,17 @@ class TestSolveMo:
         assert res.alpha == 0.25
         assert res.policy is SelfPolicy.EXCLUDE_SELF
         assert 0.0 <= res.h_star <= 1.0
-        assert res.reduced.n_dmus == gt.n_dmus
         assert len(res.u) == gt.n_outputs and len(res.v) == gt.n_inputs
 
     def test_reduced_data_matches_h_star(self, gt):
-        res = solve_mo(gt, 0)
-        want = reduced_data(gt, 0, res.h_star, 0.0)
-        assert np.array_equal(res.reduced.inputs, want.inputs)
-        assert np.array_equal(res.reduced.outputs, want.outputs)
+        for alpha in (0.0, 0.5):
+            for mode in ("floor", "rescale"):
+                cfg = MoConfig(alpha=alpha, alpha_mode=mode)
+                for p in range(gt.n_dmus):
+                    res = solve_mo(gt, p, cfg)
+                    crisp = reduced_data(gt, p, res.h_star, alpha, mode)
+                    want = ccr_efficiency(crisp, p, cfg.policy).efficiency
+                    assert want.hex() == res.efficiency.hex()
 
     @pytest.mark.parametrize("mode", ["floor", "rescale"])
     def test_alpha_monotone_efficiency(self, gt, mode):
