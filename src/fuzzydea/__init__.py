@@ -49,7 +49,7 @@ from .mofdea import (
     solve_mo,
     z_star,
 )
-from .trifuzzy import Interval, TriFuzzy, make_trifuzzy
+from .trifuzzy import Interval, TriFuzzy
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     # trifuzzy
     "TriFuzzy",
     "Interval",
-    "make_trifuzzy",
     # linprog
     "LpProblem",
     "LpOutcome",

@@ -1,7 +1,9 @@
 """Pivot kernel selection.
 
 Prefers the compiled kernel when the extension built; set FUZZYDEA_PURE=1
-to force the pure-Python twin.  Both produce bit-identical tableaus.
+to force the pure-Python twin.  Both produce bit-identical tableaus.  The
+simplex calls linprog.default_pivot_loop, looked up at each call, so
+rebinding that name is the only other way to choose a kernel.
 """
 
 import os

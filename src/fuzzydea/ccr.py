@@ -9,13 +9,14 @@ may exceed 1.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .errors import DataError, SolverFailure
-from .linprog import LP_TOL, LpStatus, _simplex
+from .linprog import LpStatus, _simplex
 # Unused here; perfbench/tracing.py rebinds them by name in this module.
 from .linprog import LpProblem, solve  # noqa: F401
 from .trifuzzy import toward_modal
@@ -86,12 +87,6 @@ class CrispDataset:
     def n_outputs(self) -> int:
         return self.outputs.shape[0]
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise DataError(f"unknown DMU {name!r}") from None
-
 
 @dataclass(frozen=True)
 class CcrResult:
@@ -103,8 +98,14 @@ class CcrResult:
 
 
 def _check_index(data, p: int) -> int:
-    """p as an int, or DataError unless it indexes one of data's DMUs."""
-    p = int(p)
+    """p as an int, or DataError unless it is an integer DMU index of data.
+
+    Numpy integers pass; a float is refused, not truncated.
+    """
+    try:
+        p = operator.index(p)
+    except TypeError:
+        raise DataError(f"DMU index must be an integer, got {p!r}") from None
     if not 0 <= p < data.n_dmus:
         raise DataError(f"DMU index {p} out of range for {data.n_dmus} DMUs")
     return p
@@ -117,7 +118,7 @@ def _multiplier_tableau(data: CrispDataset, p: int, policy: SelfPolicy) -> np.nd
     the normalisation row's artificial, the right-hand side.  Rows: the
     normalisation v @ x_p = 1, one u @ y_j - v @ x_j <= 0 per peer, the
     phase-1 reduced costs, the objective.  Entry for entry this is what
-    linprog._tableau builds for the LP, the objective row appended.
+    linprog._tableau builds for the LP.
     """
     s, m = data.n_outputs, data.n_inputs
     peers = [
@@ -145,7 +146,7 @@ def _solve(X: np.ndarray, data: CrispDataset, p: int, policy: SelfPolicy) -> Ccr
     n = X.shape[1] - k - 2
     basis = np.arange(n - 1, n + k, dtype=np.int64)
     basis[0] = n + k
-    outcome = _simplex(X[:-1], basis, X[-1, :n].tolist(), k, 1, LP_TOL)
+    outcome = _simplex(X, basis, n, 1)
     if outcome.status is not LpStatus.OPTIMAL:
         raise SolverFailure(
             f"CCR multiplier model for DMU {data.names[p]!r} is "

@@ -4,6 +4,11 @@ Problems are stated as: maximize c @ x subject to rows of the form
 (coefficients, relation, rhs) with relation one of "<=", "=", ">=",
 and x >= 0.  Bland's least-index rule makes the pivot sequence cycle-free
 and fully deterministic; the hot pivot loop lives in _speedups.
+
+The simplex reads all it needs from its starting tableau and uses one
+tolerance, LP_TOL.  Its pivot kernel is default_pivot_loop, looked up in
+this module at each call: the build and FUZZYDEA_PURE pick it at import
+(see _speedups), and rebinding linprog.default_pivot_loop swaps it.
 """
 
 from __future__ import annotations
@@ -11,11 +16,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._speedups import BACKEND, default_pivot_loop
+from ._speedups.pure import OPTIMAL, UNBOUNDED
 from .errors import NumericalBreakdown
 
 __all__ = [
@@ -30,10 +36,6 @@ RELATIONS = ("<=", "=", ">=")
 
 # Absolute pivot and feasibility tolerance of every LP the package solves.
 LP_TOL = 1e-9
-
-# kernel status codes (see _speedups.pure)
-_OPTIMAL = 0
-_UNBOUNDED = 1
 
 
 class LpStatus(enum.Enum):
@@ -101,10 +103,10 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run(kernel, T: np.ndarray, basis: np.ndarray, tol: float, phase: str):
+def _run(T: np.ndarray, basis: np.ndarray, phase: str):
     max_iter = 50 * (T.shape[0] + T.shape[1])
-    status, _ = kernel(T, basis, tol, max_iter)
-    if status not in (_OPTIMAL, _UNBOUNDED):
+    status, _ = default_pivot_loop(T, basis, LP_TOL, max_iter)
+    if status not in (OPTIMAL, UNBOUNDED):
         raise NumericalBreakdown(
             f"simplex hit the iteration cap ({max_iter}) in {phase}"
         )
@@ -114,10 +116,11 @@ def _run(kernel, T: np.ndarray, basis: np.ndarray, tol: float, phase: str):
 def _tableau(objective, A: np.ndarray, rels: Sequence[str], b: Sequence[float]):
     """Starting tableau of maximize objective @ x s.t. A x (rels) b, x >= 0.
 
-    Rows with a negative right-hand side are negated first.  Returns the
-    tableau, its basis and the numbers of slack and artificial columns.
-    With artificials the last row holds the phase-1 reduced costs,
-    without them the phase-2 ones.
+    Rows with a negative right-hand side are negated first.  Columns: x,
+    one slack per inequality, one artificial per ">=" or "=" row, the
+    right-hand side.  Rows: the constraints, the reduced costs (phase 1's
+    with artificials, else phase 2's), the objective.  Returns the
+    tableau, its basis and the number of artificial columns.
     """
     m, n = A.shape
     rels, rhs = list(rels), list(b)
@@ -130,11 +133,12 @@ def _tableau(objective, A: np.ndarray, rels: Sequence[str], b: Sequence[float]):
     n_slack = sum(1 for rel in rels if rel != "=")
     art_rows = [i for i, rel in enumerate(rels) if rel != "<="]
     n_art = len(art_rows)
-    T = np.zeros((m + 1, n + n_slack + n_art + 1), dtype=np.float64)
+    T = np.zeros((m + 2, n + n_slack + n_art + 1), dtype=np.float64)
     T[:m, :n] = A
     for i in flipped:
         T[i, :n] = -T[i, :n]
     T[:m, -1] = rhs
+    T[m + 1, :n] = objective
     basis = np.zeros(m, dtype=np.int64)
     slack_at = n
     art_at = n + n_slack
@@ -154,40 +158,33 @@ def _tableau(objective, A: np.ndarray, rels: Sequence[str], b: Sequence[float]):
         # reduced-cost row is consistent with the starting basis.
         for i in art_rows:
             T[m, :] -= T[i, :]
-        T[m, n + n_slack : n + n_slack + n_art] = 0.0
+        T[m, n + n_slack : -1] = 0.0
     else:
         # All-slack start: reduced costs are just the negated objective.
-        T[m, :n] = [-c for c in objective]
-    return T, basis, n_slack, n_art
+        T[m, :n] = -T[m + 1, :n]
+    return T, basis, n_art
 
 
-def _simplex(
-    T: np.ndarray,
-    basis: np.ndarray,
-    objective: Sequence[float],
-    n_slack: int,
-    n_art: int,
-    tol: float,
-    kernel: Optional[Callable] = None,
-) -> LpOutcome:
-    """Both simplex phases on a starting tableau from _tableau, in place.
+def _simplex(T: np.ndarray, basis: np.ndarray, n: int, n_art: int) -> LpOutcome:
+    """Both simplex phases on a starting tableau in _tableau's layout.
 
-    The kernel defaults to default_pivot_loop, looked up at call time.
+    n is the number of structural variables and n_art the number of
+    artificial columns; the last row, the objective, is read and not
+    pivoted.  The rows above it are solved in place.
     """
-    if kernel is None:
-        kernel = default_pivot_loop
-    n = len(objective)
+    objective = T[-1, :n].tolist()
+    T = T[:-1]
     m = len(basis)
 
     if n_art:
-        if _run(kernel, T, basis, tol, "phase 1") == _UNBOUNDED:
+        if _run(T, basis, "phase 1") == UNBOUNDED:
             # The phase-1 objective is bounded above by 0; treat as breakdown.
             raise NumericalBreakdown("phase 1 reported an unbounded tableau")
-        if T[m, -1] < -max(1e2 * tol, 1e-8):
+        if T[m, -1] < -1e2 * LP_TOL:
             return LpOutcome(LpStatus.INFEASIBLE)
 
         # Purge leftover basic artificials (degenerate at zero).
-        n_real = n + n_slack
+        n_real = T.shape[1] - 1 - n_art
         keep = []
         for i, b in enumerate(basis.tolist()):
             if b < n_real:
@@ -195,7 +192,7 @@ def _simplex(
                 continue
             piv_col = -1
             for j in range(n_real):
-                if abs(T[i, j]) > tol:
+                if abs(T[i, j]) > LP_TOL:
                     piv_col = j
                     break
             if piv_col >= 0:
@@ -219,8 +216,7 @@ def _simplex(
                     T[m] -= f * T[i]
                     T[m, b] = 0.0
 
-    status = _run(kernel, T, basis, tol, "phase 2")
-    if status == _UNBOUNDED:
+    if _run(T, basis, "phase 2") == UNBOUNDED:
         return LpOutcome(LpStatus.UNBOUNDED)
 
     x = [0.0] * n
@@ -234,23 +230,14 @@ def _simplex(
     return LpOutcome(LpStatus.OPTIMAL, value=value, solution=tuple(x))
 
 
-def solve(
-    problem: LpProblem,
-    tol: float = LP_TOL,
-    kernel: Optional[Callable] = None,
-) -> LpOutcome:
-    """Solve an LpProblem; returns LpOutcome, raises NumericalBreakdown.
-
-    The kernel argument picks the pivot implementation (defaults to the
-    backend chosen at import); pass _speedups.pure_pivot_loop to force
-    the interpreter twin.
-    """
+def solve(problem: LpProblem) -> LpOutcome:
+    """Solve an LpProblem; returns LpOutcome, raises NumericalBreakdown."""
     rows = problem.rows
     A = np.array([coeffs for coeffs, _, _ in rows], dtype=np.float64)
-    T, basis, n_slack, n_art = _tableau(
+    T, basis, n_art = _tableau(
         problem.objective,
         A.reshape(len(rows), problem.n_vars),
         [rel for _, rel, _ in rows],
         [rhs for _, _, rhs in rows],
     )
-    return _simplex(T, basis, problem.objective, n_slack, n_art, tol, kernel)
+    return _simplex(T, basis, problem.n_vars, n_art)

@@ -38,8 +38,9 @@ from typing import Optional, Tuple
 from .alphacut import reduce_at
 from .ccr import CcrTemplate, CrispDataset, SelfPolicy, _check_index, ccr_efficiency
 from .dataio import FuzzyDataset
-from .errors import AlphaOutOfRange, DataError, DegenerateZStar, RangeError
+from .errors import DataError, DegenerateZStar, RangeError
 from .linprog import LP_TOL
+from .trifuzzy import check_alpha
 
 __all__ = [
     "ALPHA_MODES",
@@ -64,8 +65,7 @@ def beta_level(h: float, alpha: float, mode: str = DEFAULT_ALPHA_MODE) -> float:
     """Effective membership level at satisfaction h under an alpha level."""
     if not (isinstance(h, (int, float)) and math.isfinite(h)) or not 0.0 <= h <= 1.0:
         raise RangeError(f"h must lie in [0, 1], got {h!r}")
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)) or not 0.0 <= alpha <= 1.0:
-        raise AlphaOutOfRange(f"alpha must lie in [0, 1], got {alpha!r}")
+    check_alpha(alpha)
     if mode == "rescale":
         return alpha + (1.0 - alpha) * h
     if mode == "floor":
@@ -87,10 +87,10 @@ class MoConfig:
             raise RangeError(
                 f"unknown alpha mode {self.alpha_mode!r}; use one of {ALPHA_MODES}"
             )
-        if not 0.0 <= self.alpha <= 1.0:
-            raise AlphaOutOfRange(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.h_tol <= 0.0:
-            raise RangeError("h_tol must be positive")
+        check_alpha(self.alpha)
+        h_tol = self.h_tol
+        if not (isinstance(h_tol, (int, float)) and math.isfinite(h_tol)) or h_tol <= 0.0:
+            raise RangeError(f"h_tol must be finite and positive, got {h_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -154,15 +154,16 @@ def z_star(
     alpha = 0 both modes give the full-support ideal.
     """
     level = _ideal_level(alpha, mode)
-    reduced = reduced_data(data, p, level)
-    value = ccr_efficiency(reduced, int(p), policy=policy).efficiency
-    return _checked_ideal(value, data.dmus[int(p)].name)
+    p = _check_index(data, p)
+    value = ccr_efficiency(reduced_data(data, p, level), p, policy=policy).efficiency
+    return _checked_ideal(value, data.dmus[p].name)
 
 
 def eff_at(data: FuzzyDataset, p: int, h: float, cfg: MoConfig = MoConfig()) -> float:
     """Crisp CCR score of DMU p on reduced_data at satisfaction level h."""
+    p = _check_index(data, p)
     reduced = reduced_data(data, p, h, cfg.alpha, cfg.alpha_mode)
-    return ccr_efficiency(reduced, int(p), policy=cfg.policy).efficiency
+    return ccr_efficiency(reduced, p, policy=cfg.policy).efficiency
 
 
 def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult:
@@ -175,7 +176,7 @@ def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult
     data at level 0 and at level 1; the scores equal z_star and eff_at
     bit for bit.
     """
-    p = int(p)
+    p = _check_index(data, p)
     template = CcrTemplate(
         reduced_data(data, p, 0.0), reduced_data(data, p, 1.0), p, cfg.policy
     )

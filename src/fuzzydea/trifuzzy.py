@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import AlphaOutOfRange, OrderingViolation
 
-__all__ = ["TriFuzzy", "Interval", "make_trifuzzy"]
+__all__ = ["TriFuzzy", "Interval"]
 
 
 def toward_modal(end, modal, level):
@@ -97,14 +97,3 @@ class TriFuzzy:
             float(toward_modal(self.lower, self.modal, alpha)),
             float(toward_modal(self.upper, self.modal, alpha)),
         )
-
-    def scaled(self, factor: float) -> "TriFuzzy":
-        """Scale all three bounds by a positive factor."""
-        if factor <= 0.0:
-            raise OrderingViolation(f"scale factor must be positive, got {factor}")
-        return TriFuzzy(self.lower * factor, self.modal * factor, self.upper * factor)
-
-
-def make_trifuzzy(lower: float, modal: float, upper: float) -> TriFuzzy:
-    """Build a TriFuzzy from numbers, enforcing lower <= modal <= upper."""
-    return TriFuzzy(float(lower), float(modal), float(upper))

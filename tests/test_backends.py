@@ -91,7 +91,11 @@ class TestKernelTwins:
         for rounded in (False, True):
             assert_twin_on_random_tableaus(fast_pivot_loop, rounded)
 
-    def test_solver_results_identical_through_driver(self):
+    def test_solver_results_identical_through_driver(self, monkeypatch):
+        def solved_with(kernel, prob):
+            monkeypatch.setattr(linprog, "default_pivot_loop", kernel)
+            return solve(prob)
+
         rng = np.random.default_rng(7)
         rels = ("<=", ">=", "=")
         for _ in range(60):
@@ -103,8 +107,8 @@ class TestKernelTwins:
             prob = LpProblem(
                 tuple(float(v) for v in rng.uniform(-1, 1, n)), tuple(rows)
             )
-            a = solve(prob, kernel=pure_pivot_loop)
-            b = solve(prob, kernel=fast_pivot_loop)
+            a = solved_with(pure_pivot_loop, prob)
+            b = solved_with(fast_pivot_loop, prob)
             assert a.status == b.status
             assert a.value == b.value  # exact float equality, not approx
             assert a.solution == b.solution

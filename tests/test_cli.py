@@ -129,6 +129,27 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("tol_h", ["inf", "nan", "0", "-0.5"])
+    def test_bad_tol_h_exits_1(self, capsys, tol_h):
+        code, out, err = run(
+            capsys,
+            "eval", "--model", "mo", "--data", "fixture:guo_tanaka",
+            "--tol-h", tol_h,
+        )
+        assert code == 1 and out == "" and "h_tol" in err
+
+    def test_nan_alpha_same_message_in_both_models(self, capsys):
+        errs = set()
+        for model in ("alpha", "mo"):
+            code, out, err = run(
+                capsys,
+                "eval", "--model", model, "--data", "fixture:guo_tanaka",
+                "--alpha", "nan",
+            )
+            assert code == 1 and out == ""
+            errs.add(err)
+        assert errs == {"fuzzydea: error: alpha must be a finite number, got nan\n"}
+
     def test_unknown_fixture_exits_1(self, capsys):
         code, _, _ = run(capsys, "eval", "--model", "ccr", "--data", "fixture:nope")
         assert code == 1

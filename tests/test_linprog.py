@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _oracles import brute_force_lp
+from fuzzydea import linprog
 from fuzzydea.errors import NumericalBreakdown
 from fuzzydea.linprog import LpOutcome, LpProblem, LpStatus, solve
 
@@ -175,11 +176,12 @@ class TestDeterminism:
 
 
 class TestIterationCap:
-    def test_cap_raises_numerical_breakdown(self):
+    def test_cap_raises_numerical_breakdown(self, monkeypatch):
         problem = lp([1.0, 1.0], [((1.0, 1.0), "<=", 4.0), ((1.0, 0.0), "<=", 2.0)])
 
         def stalling_kernel(T, basis, tol, max_iter):
             return 2, max_iter  # ITER_LIMIT
 
+        monkeypatch.setattr(linprog, "default_pivot_loop", stalling_kernel)
         with pytest.raises(NumericalBreakdown):
-            solve(problem, kernel=stalling_kernel)
+            solve(problem)

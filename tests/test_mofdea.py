@@ -1,10 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from _datagen import crisp_fuzzy_dataset, random_dataset
 from _oracles import grid_h_star
-from fuzzydea.alphacut import alphacut_scores, modal_reduce
-from fuzzydea.ccr import SelfPolicy, ccr_efficiency, ccr_scores
+from fuzzydea.alphacut import (
+    alphacut_reduce,
+    alphacut_scores,
+    modal_reduce,
+    pessimistic_reduce,
+)
+from fuzzydea.ccr import CcrTemplate, SelfPolicy, ccr_efficiency, ccr_scores
 from fuzzydea.dataio import FuzzyDataset, FuzzyDmu
 from fuzzydea.errors import AlphaOutOfRange, DataError, RangeError
 from fuzzydea.mofdea import (
@@ -40,6 +47,30 @@ class TestBetaLevel:
             beta_level(0.5, -0.1)
         with pytest.raises(RangeError):
             beta_level(0.5, 0.5, "typo")
+
+    @pytest.mark.parametrize("alpha", [math.nan, "0.5", None])
+    def test_one_alpha_message_for_both_models(self, gt, alpha):
+        messages = set()
+        for check in (
+            lambda: alphacut_scores(gt, alpha),
+            lambda: MoConfig(alpha=alpha),
+            lambda: beta_level(0.5, alpha),
+        ):
+            with pytest.raises(AlphaOutOfRange) as exc:
+                check()
+            messages.add(str(exc.value))
+        assert messages == {f"alpha must be a finite number, got {alpha!r}"}
+
+
+class TestMoConfig:
+    @pytest.mark.parametrize("h_tol", [math.inf, -math.inf, math.nan, 0.0, -1e-6, "1e-6"])
+    def test_bad_h_tol_rejected(self, h_tol):
+        with pytest.raises(RangeError, match="h_tol"):
+            MoConfig(h_tol=h_tol)
+
+    def test_h_tol_accepted(self):
+        assert MoConfig(h_tol=1e-3).h_tol == 1e-3
+        assert MoConfig(h_tol=1).h_tol == 1
 
 
 class TestReducedData:
@@ -259,3 +290,39 @@ class TestEvaluateAll:
         ranked = evaluate_all(data)
         assert [r.dmu for r in ranked] == ["U1", "U2", "U3"]
         assert len({r.efficiency for r in ranked}) == 1
+
+
+def _digest(out):
+    """Comparable form of an entry's result: reductions give their arrays."""
+    if hasattr(out, "inputs"):
+        return out.inputs.tobytes(), out.outputs.tobytes()
+    return out
+
+
+# Every public entry that takes a DMU index p, on fixture:guo_tanaka.
+INDEX_ENTRIES = {
+    "ccr_efficiency": lambda d, p: ccr_efficiency(modal_reduce(d), p),
+    "CcrTemplate": lambda d, p: CcrTemplate(
+        reduced_data(d, 0, 0.0), modal_reduce(d), p
+    ).solve(0.5),
+    "alphacut_reduce": lambda d, p: alphacut_reduce(d, p, 0.5),
+    "pessimistic_reduce": lambda d, p: pessimistic_reduce(d, p, 0.5),
+    "reduced_data": lambda d, p: reduced_data(d, p, 0.5),
+    "z_star": lambda d, p: z_star(d, p),
+    "eff_at": lambda d, p: eff_at(d, p, 0.5),
+    "solve_mo": lambda d, p: solve_mo(d, p),
+}
+
+
+@pytest.mark.parametrize("entry", list(INDEX_ENTRIES))
+class TestDmuIndex:
+    # int() would truncate a float index and score another DMU.
+    @pytest.mark.parametrize("p", [1.7, 2.9, 0.5, 1.0, np.float64(1.0), "1", -1, 5])
+    def test_bad_index_rejected(self, gt, entry, p):
+        with pytest.raises(DataError, match="DMU index"):
+            INDEX_ENTRIES[entry](gt, p)
+
+    def test_numpy_integers_accepted(self, gt, entry):
+        want = _digest(INDEX_ENTRIES[entry](gt, 1))
+        for p in (np.int64(1), np.int32(1), np.uint8(1)):
+            assert _digest(INDEX_ENTRIES[entry](gt, p)) == want

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from fuzzydea.errors import AlphaOutOfRange, OrderingViolation
-from fuzzydea.trifuzzy import Interval, TriFuzzy, make_trifuzzy
+from fuzzydea.trifuzzy import Interval, TriFuzzy
 
 
 def ordered_triple(min_value=0.01, max_value=100.0):
@@ -17,18 +17,18 @@ def ordered_triple(min_value=0.01, max_value=100.0):
 
 class TestConstruction:
     def test_valid_triple(self):
-        f = make_trifuzzy(3.5, 4.0, 4.5)
+        f = TriFuzzy(3.5, 4.0, 4.5)
         assert (f.lower, f.modal, f.upper) == (3.5, 4.0, 4.5)
         assert not f.is_crisp
 
     def test_crisp_triple(self):
-        f = make_trifuzzy(2, 2.000, 2)
+        f = TriFuzzy(2.0, 2.0, 2.0)
         assert f.is_crisp
         assert f.modal == 2.0
 
     def test_reversed_ordering_rejected(self):
         with pytest.raises(OrderingViolation):
-            make_trifuzzy(5, 4, 3)
+            TriFuzzy(5.0, 4.0, 3.0)
 
     def test_modal_outside_bounds_rejected(self):
         with pytest.raises(OrderingViolation):
@@ -131,9 +131,3 @@ class TestAlphaInterval:
             left = TriFuzzy(m, m, 2.0 * m).alpha_interval(alpha)
             right = TriFuzzy(0.5 * m, m, m).alpha_interval(alpha)
             assert left.lo == m and right.hi == m
-
-    def test_scaled(self):
-        f = TriFuzzy(1.0, 2.0, 3.0).scaled(2.0)
-        assert (f.lower, f.modal, f.upper) == (2.0, 4.0, 6.0)
-        with pytest.raises(OrderingViolation):
-            TriFuzzy(1.0, 2.0, 3.0).scaled(0.0)
