@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DataError, SolverFailure
+from .errors import DataError, RangeError, SolverFailure
 from .linprog import LpStatus, _simplex
 # Unused here; perfbench/tracing.py rebinds them by name in this module.
 from .linprog import LpProblem, solve  # noqa: F401
@@ -111,6 +111,20 @@ def _check_index(data, p: int) -> int:
     return p
 
 
+def _check_policy(policy) -> SelfPolicy:
+    """policy, or RangeError unless it is a SelfPolicy member.
+
+    Its string value is refused: a string is never EXCLUDE_SELF, so it
+    would be scored as include-self.
+    """
+    if not isinstance(policy, SelfPolicy):
+        raise RangeError(
+            f"self policy must be one of {', '.join(map(str, SelfPolicy))}, "
+            f"got {policy!r}"
+        )
+    return policy
+
+
 def _multiplier_tableau(data: CrispDataset, p: int, policy: SelfPolicy) -> np.ndarray:
     """DMU p's two-phase starting tableau, with its objective as one more row.
 
@@ -121,9 +135,10 @@ def _multiplier_tableau(data: CrispDataset, p: int, policy: SelfPolicy) -> np.nd
     linprog._tableau builds for the LP.
     """
     s, m = data.n_outputs, data.n_inputs
+    exclude = _check_policy(policy) is SelfPolicy.EXCLUDE_SELF
     peers = [
         j for j in range(data.n_dmus)
-        if not (policy is SelfPolicy.EXCLUDE_SELF and j == p)
+        if not (exclude and j == p)
     ]
     k, n = len(peers), s + m
     T = np.zeros((k + 3, n + k + 2))

@@ -70,7 +70,9 @@ def _add_common(sub: argparse.ArgumentParser, with_alpha: bool = True) -> None:
             "--tol-h",
             type=float,
             default=1e-6,
-            help="bisection tolerance on the satisfaction level h (default: 1e-6)",
+            help="tolerance on the mo model's satisfaction level: the root search "
+            "stops once |eff/z* - h| <= it, which puts h within it of h* "
+            "(default: 1e-6)",
         )
         sub.add_argument(
             "--alpha-mode",

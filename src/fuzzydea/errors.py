@@ -11,7 +11,8 @@ class FuzzyDeaError(Exception):
 
 
 class RangeError(FuzzyDeaError, ValueError):
-    """A level parameter (alpha or h) lies outside [0, 1]."""
+    """A parameter lies outside its range or set: a level (alpha or h)
+    outside [0, 1], a bad h_tol, an unknown alpha mode or self policy."""
 
 
 class AlphaOutOfRange(RangeError):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -5,16 +7,20 @@ import pytest
 
 from _datagen import crisp_fuzzy_dataset, random_dataset
 from _oracles import grid_h_star
+from fuzzydea import mofdea
 from fuzzydea.alphacut import (
     alphacut_reduce,
     alphacut_scores,
     modal_reduce,
     pessimistic_reduce,
+    pessimistic_scores,
 )
 from fuzzydea.ccr import CcrTemplate, SelfPolicy, ccr_efficiency, ccr_scores
+from fuzzydea.cli import DEFAULT_ALPHAS, main
 from fuzzydea.dataio import FuzzyDataset, FuzzyDmu
 from fuzzydea.errors import AlphaOutOfRange, DataError, RangeError
 from fuzzydea.mofdea import (
+    MAX_BISECT,
     MoConfig,
     beta_level,
     eff_at,
@@ -262,6 +268,90 @@ class TestSolveMo:
         )
 
 
+def _h_ref(data, p, cfg, z):
+    """Root of eff_at(h)/z - h by bisection to 1e-12, one LP per data level."""
+    effs = {}
+
+    def g(h):
+        beta = beta_level(h, cfg.alpha, cfg.alpha_mode)
+        if beta not in effs:
+            effs[beta] = eff_at(data, p, h, cfg)
+        return effs[beta] / z - h
+
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if g(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+ROOT_SETS = tuple(random_dataset(np.random.default_rng(900 + k)) for k in range(30))
+
+
+class TestRootAccuracy:
+    @pytest.mark.parametrize("mode", ["floor", "rescale"])
+    @pytest.mark.parametrize("policy", list(SelfPolicy))
+    def test_h_star_within_h_tol_of_bisected_root(self, gt, ac, mode, policy):
+        checked = 0
+        for data in (gt, ac, *ROOT_SETS):
+            for alpha in (0.0, 0.5, 1.0):
+                cfg = MoConfig(alpha=alpha, policy=policy, alpha_mode=mode)
+                for p in range(data.n_dmus):
+                    res = solve_mo(data, p, cfg)
+                    z = z_star(data, p, policy, alpha, mode)
+                    assert res.z_star == z
+                    at_one = eff_at(data, p, 1.0, cfg) >= z
+                    assert (res.h_star == 1.0) == at_one, (data.name, p, alpha)
+                    if at_one:
+                        continue
+                    assert abs(res.efficiency / z - res.h_star) <= cfg.h_tol
+                    ref = _h_ref(data, p, cfg, z)
+                    assert abs(res.h_star - ref) <= cfg.h_tol, (data.name, p, alpha)
+                    checked += 1
+        assert checked >= 100
+
+
+class TestLpCounts:
+    """LPs per score of `eval --model mo`, counted at CcrTemplate.solve."""
+
+    def test_fixture_lp_budget(self, monkeypatch):
+        lps, scores = [0], []
+        solve = CcrTemplate.solve
+
+        def counted_solve(self, level):
+            lps[0] += 1
+            return solve(self, level)
+
+        def counted_solve_mo(data, p, cfg=MoConfig()):
+            before = lps[0]
+            res = solve_mo(data, p, cfg)
+            scores.append((cfg, lps[0] - before, res.iterations))
+            return res
+
+        monkeypatch.setattr(CcrTemplate, "solve", counted_solve)
+        monkeypatch.setattr(mofdea, "solve_mo", counted_solve_mo)
+        for fixture in ("guo_tanaka", "aircraft"):
+            for policy in ((), ("--include-self",)):
+                for mode in ("floor", "rescale"):
+                    argv = ["eval", "--model", "mo", "--data", f"fixture:{fixture}",
+                            *policy, "--alpha-mode", mode, "--format", "csv"]
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        assert main(argv) == 0
+        assert len(scores) == 2 * 2 * 2 * len(DEFAULT_ALPHAS.split(",")) * 5
+        counts = [n for _, n, _ in scores]
+        assert sum(counts) / len(counts) < 8
+        assert max(counts) <= 2 + MAX_BISECT
+        for cfg, n, iterations in scores:
+            # z* and the h = 1 probe share one LP when both sit at level 1.
+            shared = cfg.alpha == 1.0 and cfg.alpha_mode == "rescale"
+            assert n == (1 if shared else 2) + iterations
+            if cfg.alpha == 1.0:
+                assert n <= 2
+
+
 class TestEvaluateAll:
     def test_rank_order_and_fields(self, ac):
         ranked = evaluate_all(ac)
@@ -326,3 +416,36 @@ class TestDmuIndex:
         want = _digest(INDEX_ENTRIES[entry](gt, 1))
         for p in (np.int64(1), np.int32(1), np.uint8(1)):
             assert _digest(INDEX_ENTRIES[entry](gt, p)) == want
+
+
+# Every public entry that takes a self policy, on fixture:guo_tanaka.
+POLICY_ENTRIES = {
+    "ccr_efficiency": lambda d, pol: ccr_efficiency(modal_reduce(d), 1, pol),
+    "ccr_scores": lambda d, pol: ccr_scores(modal_reduce(d), pol),
+    "CcrTemplate": lambda d, pol: CcrTemplate(
+        reduced_data(d, 1, 0.0), modal_reduce(d), 1, pol
+    ).solve(0.5),
+    "alphacut_scores": lambda d, pol: alphacut_scores(d, 0.0, pol),
+    "pessimistic_scores": lambda d, pol: pessimistic_scores(d, 0.0, pol),
+    "z_star": lambda d, pol: z_star(d, 1, pol),
+    "MoConfig": lambda d, pol: MoConfig(policy=pol),
+}
+
+
+@pytest.mark.parametrize("entry", list(POLICY_ENTRIES))
+class TestSelfPolicyArgument:
+    # A string is never SelfPolicy.EXCLUDE_SELF, so "exclude-self" would
+    # be scored as include-self.
+    @pytest.mark.parametrize("policy", ["exclude-self", "include-self", None, 1])
+    def test_non_member_rejected(self, gt, entry, policy):
+        with pytest.raises(RangeError) as exc:
+            POLICY_ENTRIES[entry](gt, policy)
+        assert str(exc.value) == (
+            "self policy must be one of SelfPolicy.INCLUDE_SELF, "
+            f"SelfPolicy.EXCLUDE_SELF, got {policy!r}"
+        )
+
+    def test_members_accepted(self, gt, entry):
+        for policy in SelfPolicy:
+            POLICY_ENTRIES[entry](gt, policy)
+
