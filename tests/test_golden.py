@@ -2,8 +2,10 @@
 
 Every csv and json report that `eval --model ccr|alpha|mo`, `zstar` and
 `compare` print on the two fixtures, under both self policies and, where
-the mo model runs, both alpha modes, is kept under tests/golden/.  A
-change that moves any byte of them has to say so and regenerate them:
+the mo model runs, both alpha modes, is kept under tests/golden/, plus
+the mo and compare csv reports on guo_tanaka at an unsorted alpha list
+with a repeated level.  A change that moves any byte of them has to say
+so and regenerate them:
 
     PYTHONPATH=src python tests/test_golden.py tests/golden
 """
@@ -22,6 +24,7 @@ FIXTURES = ("guo_tanaka", "aircraft")
 POLICIES = ((), ("--include-self",))
 MODES = ("rescale", "floor")
 FORMATS = ("csv", "json")
+ALPHA_LIST = "1,0,0.5,0.5,0.25"
 
 
 def _cases():
@@ -40,6 +43,13 @@ def _cases():
                                       (["compare"], "compare")):
                         yield (f"{fixture}-{name}-{mode}-{tag}.{fmt}",
                                [*sub, *common, "--alpha-mode", mode])
+    # An unsorted alpha list with a repeated level: the mo model shares
+    # each DMU's LPs across a report's levels, whatever their order.
+    for mode in MODES:
+        for sub, name in ((["eval", "--model", "mo"], "mo"), (["compare"], "compare")):
+            yield (f"guo_tanaka-{name}-{mode}-exclude-alpha-list.csv",
+                   [*sub, "--data", "fixture:guo_tanaka", "--format", "csv",
+                    "--alpha-mode", mode, "--alpha", ALPHA_LIST])
 
 
 CASES = tuple(_cases())
