@@ -48,7 +48,7 @@ def reduce_at(
     are all this one reduction.
     """
     p = _check_index(data, p)
-    check_alpha(level)
+    level = check_alpha(level)
     lower, modal, upper = data.bounds
     m = data.n_inputs
     good = np.concatenate((lower[:m], upper[m:]))
@@ -76,6 +76,7 @@ def modal_reduce(data: FuzzyDataset) -> CrispDataset:
 
 
 def _scores(data: FuzzyDataset, alpha: float, policy: SelfPolicy, reduce):
+    alpha = check_alpha(alpha)
     out = []
     for p in range(data.n_dmus):
         res = ccr_efficiency(reduce(data, p, alpha), p, policy=policy)

@@ -153,10 +153,19 @@ def _cut_by_name(data: FuzzyDataset, a: float, policy: SelfPolicy) -> dict:
     return {sc.dmu: sc.score for sc in alphacut_scores(data, a, policy=policy)}
 
 
-def _mo_by_name(data: FuzzyDataset, a: float, policy: SelfPolicy, args) -> dict:
-    """The mo model's results at alpha level a, keyed by DMU name."""
-    cfg = MoConfig(alpha=a, policy=policy, h_tol=args.tol_h, alpha_mode=args.alpha_mode)
-    return {r.dmu: r for r in evaluate_all(data, cfg)}
+def _mo_by_name(
+    data: FuzzyDataset, alphas: Sequence[float], policy: SelfPolicy, args
+) -> List[dict]:
+    """The mo model's results at each alpha level, keyed by DMU name.
+
+    Every level is checked before any LP is solved, and one
+    evaluate_all call shares each DMU's LPs across the levels.
+    """
+    cfgs = [
+        MoConfig(alpha=a, policy=policy, h_tol=args.tol_h, alpha_mode=args.alpha_mode)
+        for a in alphas
+    ]
+    return [{r.dmu: r for r in ranked} for ranked in evaluate_all(data, cfgs)]
 
 
 def _eval_report(args) -> Report:
@@ -179,8 +188,7 @@ def _eval_report(args) -> Report:
             rows.extend(ReportRow(name, a, cut[name]) for name in data.dmu_names)
         return Report("alpha", policy.value, tuple(alphas), tuple(rows))
 
-    for a in alphas:
-        mo = _mo_by_name(data, a, policy, args)
+    for a, mo in zip(alphas, _mo_by_name(data, alphas, policy, args)):
         for name in data.dmu_names:
             r = mo[name]
             rows.append(
@@ -210,9 +218,8 @@ def _compare_report(args) -> Report:
     policy = _policy(args)
     alphas = _parse_alphas(args.alpha)
     rows = []
-    for a in alphas:
+    for a, mo in zip(alphas, _mo_by_name(data, alphas, policy, args)):
         cut = _cut_by_name(data, a, policy)
-        mo = _mo_by_name(data, a, policy, args)
         rows.extend(
             ReportRow(name, a, cut[name], mo_score=mo[name].efficiency)
             for name in data.dmu_names

@@ -12,7 +12,8 @@ class FuzzyDeaError(Exception):
 
 class RangeError(FuzzyDeaError, ValueError):
     """A parameter lies outside its range or set: a level (alpha or h)
-    outside [0, 1], a bad h_tol, an unknown alpha mode or self policy."""
+    outside [0, 1], a bad h_tol, an unknown alpha mode or self policy,
+    or a mofdea.DmuLps of another dataset, DMU or policy."""
 
 
 class AlphaOutOfRange(RangeError):

@@ -32,12 +32,12 @@ on the efficiency at alpha = 1 (crisp modal data).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .alphacut import reduce_at
 from .ccr import (
+    CcrResult,
     CcrTemplate,
     CrispDataset,
     SelfPolicy,
@@ -48,13 +48,14 @@ from .ccr import (
 from .dataio import FuzzyDataset
 from .errors import DataError, DegenerateZStar, RangeError
 from .linprog import LP_TOL
-from .trifuzzy import check_alpha
+from .trifuzzy import check_alpha, is_finite_real
 
 __all__ = [
     "ALPHA_MODES",
     "DEFAULT_ALPHA_MODE",
     "MoConfig",
     "MoResult",
+    "DmuLps",
     "beta_level",
     "reduced_data",
     "z_star",
@@ -72,9 +73,9 @@ MAX_BISECT = 60
 
 def beta_level(h: float, alpha: float, mode: str = DEFAULT_ALPHA_MODE) -> float:
     """Effective membership level at satisfaction h under an alpha level."""
-    if not (isinstance(h, (int, float)) and math.isfinite(h)) or not 0.0 <= h <= 1.0:
+    if not is_finite_real(h) or not 0.0 <= h <= 1.0:
         raise RangeError(f"h must lie in [0, 1], got {h!r}")
-    check_alpha(alpha)
+    h, alpha = float(h), check_alpha(alpha)
     if mode == "rescale":
         return alpha + (1.0 - alpha) * h
     if mode == "floor":
@@ -84,7 +85,7 @@ def beta_level(h: float, alpha: float, mode: str = DEFAULT_ALPHA_MODE) -> float:
 
 @dataclass(frozen=True)
 class MoConfig:
-    """Knobs for solve_mo / evaluate_all."""
+    """Knobs for solve_mo / evaluate_all; alpha and h_tol are kept as floats."""
 
     alpha: float = 0.0
     policy: SelfPolicy = SelfPolicy.EXCLUDE_SELF
@@ -96,17 +97,24 @@ class MoConfig:
             raise RangeError(
                 f"unknown alpha mode {self.alpha_mode!r}; use one of {ALPHA_MODES}"
             )
-        check_alpha(self.alpha)
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         _check_policy(self.policy)
         h_tol = self.h_tol
-        if not (isinstance(h_tol, (int, float)) and math.isfinite(h_tol)) or h_tol <= 0.0:
+        if not is_finite_real(h_tol) or h_tol <= 0.0:
             raise RangeError(f"h_tol must be finite and positive, got {h_tol!r}")
+        object.__setattr__(self, "h_tol", float(h_tol))
 
 
 @dataclass(frozen=True)
 class MoResult:
-    """h* and the efficiency there; iterations counts the LPs solved by the
-    root search beyond z* and the h = 1 probe (0 when h* = 1)."""
+    """h* and the efficiency there.
+
+    iterations counts the distinct data levels this score's own root
+    search probed beyond those of z* and the h = 1 probe (0 when
+    h* = 1).  Standalone, solve_mo solves one LP per level; under
+    evaluate_all a level that another alpha of the same DMU already
+    solved is not solved again, but still counts here.
+    """
 
     dmu: str
     h_star: float
@@ -140,7 +148,7 @@ def reduced_data(
 def _ideal_level(alpha: float, mode: str) -> float:
     """Data level of the ideal z*: the alpha-cut under rescale, else 0."""
     beta_level(0.0, alpha, mode)  # validates alpha and mode
-    return alpha if mode == "rescale" else 0.0
+    return float(alpha) if mode == "rescale" else 0.0
 
 
 def _checked_ideal(value: float, name: str) -> float:
@@ -179,7 +187,37 @@ def eff_at(data: FuzzyDataset, p: int, h: float, cfg: MoConfig = MoConfig()) -> 
     return ccr_efficiency(reduced, p, policy=cfg.policy).efficiency
 
 
-def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult:
+class DmuLps:
+    """DMU p's CcrTemplate under one self policy, and its LPs by data level.
+
+    The template runs between p's data at level 0 and the modal data;
+    neither end depends on alpha or the alpha mode, and each LP depends
+    only on its level beta.  So every score of p under this policy can
+    share one DmuLps, and no level is solved twice.
+    """
+
+    def __init__(self, data: FuzzyDataset, p: int, policy: SelfPolicy):
+        p = _check_index(data, p)
+        self.data, self.p, self.policy = data, p, _check_policy(policy)
+        self.template = CcrTemplate(
+            reduced_data(data, p, 0.0), reduced_data(data, p, 1.0), p, policy
+        )
+        self.solved: Dict[float, CcrResult] = {}
+
+    def solve(self, beta: float) -> CcrResult:
+        """The LP result at data level beta, solved on its first request."""
+        res = self.solved.get(beta)
+        if res is None:
+            res = self.solved[beta] = self.template.solve(beta)
+        return res
+
+
+def solve_mo(
+    data: FuzzyDataset,
+    p: int,
+    cfg: MoConfig = MoConfig(),
+    lps: Optional[DmuLps] = None,
+) -> MoResult:
     """Maximal satisfaction level h* and the efficiency attained there.
 
     g(h) = eff(h)/z* - h is strictly decreasing and g(0) > 0, so h* = 1
@@ -194,29 +232,37 @@ def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult
     increases in h, so |g(h)| >= |h - h*| and the returned h_star is
     within h_tol of the root.
 
-    Every LP, z* included, is solved from one CcrTemplate between p's
-    data at level 0 and at level 1, at most once per data level beta;
-    the scores equal z_star and eff_at bit for bit.
+    Every LP, z* included, is solved by lps, p's DmuLps under
+    cfg.policy, at most once per data level beta; the scores equal
+    z_star and eff_at bit for bit.  Without lps, solve_mo builds its
+    own; evaluate_all passes one DmuLps to all scores of a DMU, so they
+    share its template and LPs.  An lps of another dataset, DMU or
+    policy raises RangeError.
     """
     p = _check_index(data, p)
-    template = CcrTemplate(
-        reduced_data(data, p, 0.0), reduced_data(data, p, 1.0), p, cfg.policy
-    )
+    if lps is None:
+        lps = DmuLps(data, p, cfg.policy)
+    elif lps.data is not data:
+        raise RangeError("lps holds the LPs of another dataset")
+    elif (lps.p, lps.policy) != (p, cfg.policy):
+        raise RangeError(
+            f"lps holds the LPs of DMU {lps.p} under {lps.policy}, "
+            f"not of DMU {p} under {cfg.policy}"
+        )
     name = data.dmus[p].name
     ideal = _ideal_level(cfg.alpha, cfg.alpha_mode)
-    solved = {ideal: template.solve(ideal)}
-    z = _checked_ideal(solved[ideal].efficiency, name)
+    z = _checked_ideal(lps.solve(ideal).efficiency, name)
+    probed = {ideal}  # the data levels this score used
 
     def probe(h):
         """The LP result at satisfaction level h, and g(h)."""
         beta = beta_level(h, cfg.alpha, cfg.alpha_mode)
-        res = solved.get(beta)
-        if res is None:
-            res = solved[beta] = template.solve(beta)
+        probed.add(beta)
+        res = lps.solve(beta)
         return res, res.efficiency / z - h
 
     res, g_hi = probe(1.0)
-    h, start = 1.0, len(solved)
+    h, start = 1.0, len(probed)
     if not g_hi >= 0.0:
         lo, hi, g_lo = 0.0, 1.0, probe(0.0)[1]
         moved = 0  # +1: lo moved last, -1: hi moved last
@@ -244,21 +290,47 @@ def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult
         z_star=z,
         u=res.u,
         v=res.v,
-        iterations=len(solved) - start,
+        iterations=len(probed) - start,
         alpha=cfg.alpha,
         policy=cfg.policy,
     )
 
 
-def evaluate_all(data: FuzzyDataset, cfg: MoConfig = MoConfig()) -> Tuple[MoResult, ...]:
-    """solve_mo for every DMU, returned in rank order (rank 1 first).
+def evaluate_all(
+    data: FuzzyDataset, cfgs: Sequence[MoConfig]
+) -> Tuple[Tuple[MoResult, ...], ...]:
+    """solve_mo for every DMU under each config: one ranking per config.
 
-    Ranking sorts by efficiency, then h*, then dataset order; ranks are
-    1-based positions in that ordering.
+    Rankings come in the order of cfgs, each in rank order (rank 1
+    first).  Ranking sorts by efficiency, then h*, then dataset order;
+    ranks are 1-based positions in that ordering.
+
+    Every item is checked to be a MoConfig, which checks its own fields,
+    before any LP is solved.  The DMUs are then scored one at a time:
+    each builds one DmuLps per self policy used, and all its scores
+    under that policy share it, so a data level that several alpha
+    levels probe (h = 1 always, z* under floor) is solved once per DMU.
+    The results equal standalone solve_mo calls bit for bit.
     """
     if data.n_dmus < 2:
         raise DataError("ranking needs at least two DMUs")
-    results = [solve_mo(data, p, cfg) for p in range(data.n_dmus)]
+    cfgs = tuple(cfgs)
+    for cfg in cfgs:
+        if not isinstance(cfg, MoConfig):
+            raise TypeError(f"evaluate_all takes MoConfig items, got {cfg!r}")
+    results = [[] for _ in cfgs]
+    for p in range(data.n_dmus):
+        shared = {}  # policy -> p's DmuLps; one DMU's templates at a time
+        for cfg, scores in zip(cfgs, results):
+            lps = shared.get(cfg.policy)
+            if lps is None:
+                lps = shared[cfg.policy] = DmuLps(data, p, cfg.policy)
+            scores.append(solve_mo(data, p, cfg, lps))
+    return tuple(_ranked(scores) for scores in results)
+
+
+def _ranked(results) -> Tuple[MoResult, ...]:
+    """results in rank order, each with its rank set."""
     order = sorted(
         range(len(results)),
         key=lambda j: (-results[j].efficiency, -results[j].h_star, j),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +25,26 @@ def toward_modal(end, modal, level):
     return np.where(end == modal, modal, (1.0 - level) * end + level * modal)
 
 
-def check_alpha(alpha) -> None:
-    """Raise AlphaOutOfRange unless alpha is a number in [0, 1]."""
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
+def is_finite_real(x) -> bool:
+    """True for a finite int, float or numpy real scalar; a bool is not one."""
+    return (
+        isinstance(x, numbers.Real)
+        and not isinstance(x, bool)
+        and math.isfinite(x)
+    )
+
+
+def check_alpha(alpha) -> float:
+    """alpha as a float, or AlphaOutOfRange unless it is a number in [0, 1].
+
+    Numpy real scalars pass and come back as a Python float, so float32
+    arithmetic never reaches the data.
+    """
+    if not is_finite_real(alpha):
         raise AlphaOutOfRange(f"alpha must be a finite number, got {alpha!r}")
     if alpha < 0.0 or alpha > 1.0:
         raise AlphaOutOfRange(f"alpha must lie in [0, 1], got {alpha}")
+    return float(alpha)
 
 
 @dataclass(frozen=True)
@@ -90,7 +105,7 @@ class TriFuzzy:
 
         Raises AlphaOutOfRange unless 0 <= alpha <= 1.
         """
-        check_alpha(alpha)
+        alpha = check_alpha(alpha)
         # Convex-combination form: exact at alpha 0/1 and lo <= hi holds
         # under rounding (the offset form can cross by one ulp at alpha=1).
         return Interval(

@@ -4,10 +4,12 @@ import sys
 
 import pytest
 
+from fuzzydea import ccr
 from fuzzydea.alphacut import alphacut_scores
 from fuzzydea.ccr import SelfPolicy
 from fuzzydea.cli import main
 from fuzzydea.dataio import read_report
+from fuzzydea.errors import NumericalBreakdown, SolverFailure
 
 SOLO = """
 {"name": "solo", "inputs": ["I1"], "outputs": ["O1"],
@@ -149,6 +151,39 @@ class TestExitCodes:
             assert code == 1 and out == ""
             errs.add(err)
         assert errs == {"fuzzydea: error: alpha must be a finite number, got nan\n"}
+
+    @pytest.mark.parametrize("sub", [("eval", "--model", "mo"), ("compare",)])
+    @pytest.mark.parametrize("alphas,message", [
+        ("0,2", "alpha must lie in [0, 1], got 2.0"),
+        ("0.5,-1", "alpha must lie in [0, 1], got -1.0"),
+        ("0,nan", "alpha must be a finite number, got nan"),
+    ])
+    def test_bad_mo_level_exits_1_before_any_lp(
+        self, capsys, monkeypatch, sub, alphas, message
+    ):
+        lps = []
+        solve = ccr._solve
+        monkeypatch.setattr(ccr, "_solve", lambda *a: lps.append(a) or solve(*a))
+        code, out, err = run(
+            capsys, *sub, "--data", "fixture:guo_tanaka", "--alpha", alphas
+        )
+        assert (code, out, err) == (1, "", f"fuzzydea: error: {message}\n")
+        assert lps == []
+
+    @pytest.mark.parametrize("sub", [("eval", "--model", "mo"), ("compare",)])
+    @pytest.mark.parametrize("exc", [SolverFailure, NumericalBreakdown])
+    def test_mo_solver_failure_exits_2(self, capsys, monkeypatch, sub, exc):
+        def failing(X, data, p, policy):
+            raise exc(f"CCR multiplier model for DMU {data.names[p]!r} failed")
+
+        monkeypatch.setattr(ccr, "_solve", failing)
+        code, out, err = run(
+            capsys, *sub, "--data", "fixture:guo_tanaka", "--alpha", "0,0.5"
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "fuzzydea: solver error: CCR multiplier model for DMU 'D1' failed\n"
+        )
 
     def test_unknown_fixture_exits_1(self, capsys):
         code, _, _ = run(capsys, "eval", "--model", "ccr", "--data", "fixture:nope")

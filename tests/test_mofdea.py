@@ -1,13 +1,15 @@
+import collections
 import contextlib
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from _datagen import crisp_fuzzy_dataset, random_dataset
 from _oracles import grid_h_star
-from fuzzydea import mofdea
+from fuzzydea import ccr, mofdea
 from fuzzydea.alphacut import (
     alphacut_reduce,
     alphacut_scores,
@@ -17,10 +19,12 @@ from fuzzydea.alphacut import (
 )
 from fuzzydea.ccr import CcrTemplate, SelfPolicy, ccr_efficiency, ccr_scores
 from fuzzydea.cli import DEFAULT_ALPHAS, main
-from fuzzydea.dataio import FuzzyDataset, FuzzyDmu
+from fuzzydea.dataio import FuzzyDataset, FuzzyDmu, load_fixture
 from fuzzydea.errors import AlphaOutOfRange, DataError, RangeError
 from fuzzydea.mofdea import (
+    ALPHA_MODES,
     MAX_BISECT,
+    DmuLps,
     MoConfig,
     beta_level,
     eff_at,
@@ -314,33 +318,51 @@ class TestRootAccuracy:
         assert checked >= 100
 
 
+def _count_lps(monkeypatch):
+    """Counter of the LPs solved from now on, by DMU index, at ccr._solve."""
+    lps = collections.Counter()
+    solve = ccr._solve
+
+    def counted(X, data, p, policy):
+        lps[p] += 1
+        return solve(X, data, p, policy)
+
+    monkeypatch.setattr(ccr, "_solve", counted)
+    return lps
+
+
+# `eval --model mo` on both fixtures at the default alpha levels, both
+# self policies and both alpha modes.
+FIXTURE_GRID = tuple(
+    (fixture, policy, mode)
+    for fixture in ("guo_tanaka", "aircraft")
+    for policy in SelfPolicy
+    for mode in ALPHA_MODES
+)
+DEFAULT_LEVELS = tuple(float(a) for a in DEFAULT_ALPHAS.split(","))
+
+
+def _standalone_scores(lps):
+    """(cfg, LPs, iterations) of a standalone solve_mo per FIXTURE_GRID score."""
+    scores = []
+    for fixture, policy, mode in FIXTURE_GRID:
+        data = load_fixture(fixture)
+        for alpha in DEFAULT_LEVELS:
+            cfg = MoConfig(alpha=alpha, policy=policy, alpha_mode=mode)
+            for p in range(data.n_dmus):
+                before = sum(lps.values())
+                res = solve_mo(data, p, cfg)
+                scores.append((cfg, sum(lps.values()) - before, res.iterations))
+    return scores
+
+
 class TestLpCounts:
-    """LPs per score of `eval --model mo`, counted at CcrTemplate.solve."""
+    """LPs of the mo model, counted at ccr._solve: per standalone score,
+    and per DMU of a report, whose scores share their LPs."""
 
     def test_fixture_lp_budget(self, monkeypatch):
-        lps, scores = [0], []
-        solve = CcrTemplate.solve
-
-        def counted_solve(self, level):
-            lps[0] += 1
-            return solve(self, level)
-
-        def counted_solve_mo(data, p, cfg=MoConfig()):
-            before = lps[0]
-            res = solve_mo(data, p, cfg)
-            scores.append((cfg, lps[0] - before, res.iterations))
-            return res
-
-        monkeypatch.setattr(CcrTemplate, "solve", counted_solve)
-        monkeypatch.setattr(mofdea, "solve_mo", counted_solve_mo)
-        for fixture in ("guo_tanaka", "aircraft"):
-            for policy in ((), ("--include-self",)):
-                for mode in ("floor", "rescale"):
-                    argv = ["eval", "--model", "mo", "--data", f"fixture:{fixture}",
-                            *policy, "--alpha-mode", mode, "--format", "csv"]
-                    with contextlib.redirect_stdout(io.StringIO()):
-                        assert main(argv) == 0
-        assert len(scores) == 2 * 2 * 2 * len(DEFAULT_ALPHAS.split(",")) * 5
+        scores = _standalone_scores(_count_lps(monkeypatch))
+        assert len(scores) == len(FIXTURE_GRID) * len(DEFAULT_LEVELS) * 5
         counts = [n for _, n, _ in scores]
         assert sum(counts) / len(counts) < 8
         assert max(counts) <= 2 + MAX_BISECT
@@ -351,10 +373,118 @@ class TestLpCounts:
             if cfg.alpha == 1.0:
                 assert n <= 2
 
+    def test_cli_solves_each_level_of_a_dmu_once(self, monkeypatch):
+        lps = _count_lps(monkeypatch)
+        probed = collections.defaultdict(set)  # DMU index -> levels asked for
+        solve = DmuLps.solve
+
+        def recorded(self, beta):
+            probed[self.p].add(beta)
+            return solve(self, beta)
+
+        monkeypatch.setattr(DmuLps, "solve", recorded)
+        total = 0
+        for fixture, policy, mode in FIXTURE_GRID:
+            lps.clear()
+            probed.clear()
+            argv = ["eval", "--model", "mo", "--data", f"fixture:{fixture}",
+                    "--alpha-mode", mode, "--format", "csv"]
+            if policy is SelfPolicy.INCLUDE_SELF:
+                argv.append("--include-self")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            assert sorted(lps) == sorted(probed) == list(range(5))
+            for p in probed:
+                assert lps[p] == len(probed[p]), (fixture, policy, mode, p)
+            total += sum(lps.values())
+        monkeypatch.setattr(DmuLps, "solve", solve)
+        lps.clear()
+        standalone = sum(n for _, n, _ in _standalone_scores(lps))
+        assert total < standalone
+
+
+EQUIV_SETS = tuple(random_dataset(np.random.default_rng(700 + k)) for k in range(20))
+# Unsorted, with a repeat: the order the DMU-outer loop meets them in.
+EQUIV_ALPHAS = (1.0, 0.0, 0.5, 0.5, 0.25)
+
+
+def _fields(r):
+    return (
+        r.dmu, r.efficiency.hex(), r.h_star.hex(), r.z_star.hex(),
+        tuple(map(float.hex, r.u)), tuple(map(float.hex, r.v)),
+        r.iterations, r.rank, r.alpha, r.policy,
+    )
+
+
+class TestEvaluateAllEquivalence:
+    @pytest.mark.parametrize("mode", ALPHA_MODES)
+    def test_equals_standalone_solve_mo(self, gt, ac, mode):
+        # Both policies in one call, so each DMU keeps two DmuLps.
+        cfgs = [
+            MoConfig(alpha=a, policy=policy, alpha_mode=mode)
+            for a in EQUIV_ALPHAS
+            for policy in SelfPolicy
+        ]
+        for data in (gt, ac, *EQUIV_SETS):
+            rankings = evaluate_all(data, cfgs)
+            assert len(rankings) == len(cfgs)
+            for cfg, ranked in zip(cfgs, rankings):
+                alone = [solve_mo(data, p, cfg) for p in range(data.n_dmus)]
+                order = sorted(
+                    range(data.n_dmus),
+                    key=lambda j: (-alone[j].efficiency, -alone[j].h_star, j),
+                )
+                want = [
+                    _fields(replace(alone[j], rank=pos + 1))
+                    for pos, j in enumerate(order)
+                ]
+                assert [_fields(r) for r in ranked] == want, (data.name, cfg)
+
+    def test_modes_mixed_in_one_call(self, gt):
+        cfgs = [
+            MoConfig(alpha=a, alpha_mode=mode)
+            for a in EQUIV_ALPHAS
+            for mode in ALPHA_MODES
+        ]
+        mixed = evaluate_all(gt, cfgs)
+        for cfg, ranked in zip(cfgs, mixed):
+            assert [_fields(r) for r in ranked] == [
+                _fields(r) for r in evaluate_all(gt, [cfg])[0]
+            ]
+
+    def test_no_config_is_an_empty_result(self, gt):
+        assert evaluate_all(gt, []) == ()
+
+
+class TestDmuLps:
+    def test_other_dmu_policy_or_dataset_refused(self, gt, ac, monkeypatch):
+        lps = _count_lps(monkeypatch)
+        shared = DmuLps(gt, 1, SelfPolicy.EXCLUDE_SELF)
+        with pytest.raises(RangeError, match="not of DMU 2 under"):
+            solve_mo(gt, 2, MoConfig(), shared)
+        with pytest.raises(RangeError, match="not of DMU 1 under SelfPolicy.INCLUDE"):
+            solve_mo(gt, 1, MoConfig(policy=SelfPolicy.INCLUDE_SELF), shared)
+        with pytest.raises(RangeError, match="another dataset"):
+            solve_mo(ac, 1, MoConfig(), shared)
+        assert not lps and not shared.solved
+
+    def test_own_dmu_accepted_and_shared(self, gt):
+        shared = DmuLps(gt, 1, SelfPolicy.EXCLUDE_SELF)
+        for alpha in EQUIV_ALPHAS:
+            cfg = MoConfig(alpha=alpha)
+            assert solve_mo(gt, 1, cfg, shared) == solve_mo(gt, 1, cfg)
+        assert 1.0 in shared.solved
+
+    def test_bad_index_and_policy_refused(self, gt):
+        with pytest.raises(DataError, match="DMU index"):
+            DmuLps(gt, 5, SelfPolicy.EXCLUDE_SELF)
+        with pytest.raises(RangeError, match="self policy"):
+            DmuLps(gt, 0, "exclude-self")
+
 
 class TestEvaluateAll:
     def test_rank_order_and_fields(self, ac):
-        ranked = evaluate_all(ac)
+        (ranked,) = evaluate_all(ac, [MoConfig()])
         assert [r.rank for r in ranked] == [1, 2, 3, 4, 5]
         effs = [r.efficiency for r in ranked]
         assert effs == sorted(effs, reverse=True)
@@ -368,7 +498,7 @@ class TestEvaluateAll:
             (FuzzyDmu("only", (TriFuzzy(1, 2, 3),), (TriFuzzy(1, 2, 3),)),),
         )
         with pytest.raises(DataError):
-            evaluate_all(solo)
+            evaluate_all(solo, [MoConfig()])
 
     def test_identical_dmus_tie_break_by_input_order(self):
         tri_in = TriFuzzy(2.0, 3.0, 4.0)
@@ -377,9 +507,16 @@ class TestEvaluateAll:
             FuzzyDmu(f"U{j+1}", (tri_in,), (tri_out,)) for j in range(3)
         )
         data = FuzzyDataset("twins", ("I1",), ("O1",), dmus)
-        ranked = evaluate_all(data)
+        (ranked,) = evaluate_all(data, [MoConfig()])
         assert [r.dmu for r in ranked] == ["U1", "U2", "U3"]
         assert len({r.efficiency for r in ranked}) == 1
+
+    @pytest.mark.parametrize("cfgs", [MoConfig(), [MoConfig(), 0.5], [None]])
+    def test_every_config_checked_before_any_lp(self, gt, monkeypatch, cfgs):
+        lps = _count_lps(monkeypatch)
+        with pytest.raises(TypeError, match="MoConfig"):
+            evaluate_all(gt, cfgs)
+        assert not lps
 
 
 def _digest(out):
@@ -449,3 +586,83 @@ class TestSelfPolicyArgument:
         for policy in SelfPolicy:
             POLICY_ENTRIES[entry](gt, policy)
 
+
+
+# Every public entry that takes an alpha level, on fixture:guo_tanaka.
+ALPHA_ENTRIES = {
+    "MoConfig": lambda d, a: MoConfig(alpha=a),
+    "beta_level": lambda d, a: beta_level(0.5, a),
+    "reduced_data": lambda d, a: reduced_data(d, 1, 0.5, a),
+    "z_star": lambda d, a: z_star(d, 1, alpha=a),
+    "alphacut_reduce": lambda d, a: alphacut_reduce(d, 1, a),
+    "pessimistic_reduce": lambda d, a: pessimistic_reduce(d, 1, a),
+    "alphacut_scores": lambda d, a: alphacut_scores(d, a),
+    "pessimistic_scores": lambda d, a: pessimistic_scores(d, a),
+    "TriFuzzy.alpha_interval": lambda d, a: TriFuzzy(1.0, 2.0, 4.0).alpha_interval(a),
+}
+
+
+def _exact(out):
+    """_digest with every float spelled out, and its type, so float32 shows."""
+    if isinstance(out, tuple):
+        return tuple(_exact(x) for x in out)
+    if isinstance(out, MoConfig):
+        return type(out.alpha), out.alpha.hex()
+    if hasattr(out, "score"):
+        return type(out.alpha), out.alpha.hex(), out.score.hex()
+    if hasattr(out, "lo"):
+        return out.lo.hex(), out.hi.hex()
+    if isinstance(out, float):
+        return type(out), out.hex()
+    return _digest(out)
+
+
+@pytest.mark.parametrize("entry", list(ALPHA_ENTRIES))
+class TestAlphaScalars:
+    @pytest.mark.parametrize(
+        "alpha", [np.float32(0.3), np.float64(0.3), np.float32(0.5), np.int64(1),
+                  np.uint8(0), np.int32(0)],
+        ids=repr,
+    )
+    def test_numpy_reals_score_as_their_float(self, gt, entry, alpha):
+        want = _exact(ALPHA_ENTRIES[entry](gt, float(alpha)))
+        assert _exact(ALPHA_ENTRIES[entry](gt, alpha)) == want
+
+    @pytest.mark.parametrize("alpha", [True, False, np.bool_(True)], ids=repr)
+    def test_bool_rejected(self, gt, entry, alpha):
+        with pytest.raises(AlphaOutOfRange) as exc:
+            ALPHA_ENTRIES[entry](gt, alpha)
+        assert str(exc.value) == f"alpha must be a finite number, got {alpha!r}"
+
+
+class TestLevelScalars:
+    def test_alpha_kept_as_float(self, gt):
+        cfg = MoConfig(alpha=np.float32(0.5), h_tol=np.float32(0.25))
+        assert type(cfg.alpha) is float and type(cfg.h_tol) is float
+        assert cfg == MoConfig(alpha=0.5, h_tol=0.25)
+        assert type(MoConfig(alpha=1).alpha) is float
+        for sc in alphacut_scores(gt, np.int64(1)):
+            assert type(sc.alpha) is float
+        for r in evaluate_all(gt, [cfg])[0]:
+            assert type(r.alpha) is float
+
+    @pytest.mark.parametrize("h", [np.float32(0.3), np.float64(0.3), np.int64(1)], ids=repr)
+    def test_numpy_h_scores_as_its_float(self, gt, h):
+        cfg = MoConfig(alpha=0.25)
+        assert beta_level(h, 0.25) == beta_level(float(h), 0.25)
+        assert type(beta_level(h, 0.25)) is float
+        assert _digest(reduced_data(gt, 1, h, 0.25)) == _digest(
+            reduced_data(gt, 1, float(h), 0.25)
+        )
+        assert eff_at(gt, 1, h, cfg).hex() == eff_at(gt, 1, float(h), cfg).hex()
+
+    @pytest.mark.parametrize("h", [True, False, np.bool_(False)], ids=repr)
+    def test_bool_h_rejected(self, gt, h):
+        for check in (lambda: beta_level(h, 0.0), lambda: eff_at(gt, 1, h)):
+            with pytest.raises(RangeError, match="h must lie in"):
+                check()
+
+    @pytest.mark.parametrize("h_tol", [True, np.bool_(True)], ids=repr)
+    def test_bool_h_tol_rejected(self, h_tol):
+        with pytest.raises(RangeError, match="h_tol"):
+            MoConfig(h_tol=h_tol)
