@@ -15,11 +15,12 @@ from typing import Tuple
 
 import numpy as np
 
+from ._speedups import default_ccr_solve
+from ._speedups.pure import BAD_DATA, OPTIMAL
 from .errors import DataError, RangeError, SolverFailure
-from .linprog import LpStatus, _simplex
+from .linprog import ITERS_PER_DIM, LP_TOL, _lp_status
 # Unused here; perfbench/tracing.py rebinds them by name in this module.
 from .linprog import LpProblem, solve  # noqa: F401
-from .trifuzzy import toward_modal
 
 __all__ = [
     "SelfPolicy",
@@ -155,26 +156,38 @@ def _multiplier_tableau(data: CrispDataset, p: int, policy: SelfPolicy) -> np.nd
     return T
 
 
-def _solve(X: np.ndarray, data: CrispDataset, p: int, policy: SelfPolicy) -> CcrResult:
-    """Both simplex phases on a _multiplier_tableau X (or a blend of two)."""
-    k = X.shape[0] - 3
-    n = X.shape[1] - k - 2
-    basis = np.arange(n - 1, n + k, dtype=np.int64)
-    basis[0] = n + k
-    outcome = _simplex(X, basis, n, 1)
-    if outcome.status is not LpStatus.OPTIMAL:
-        raise SolverFailure(
-            f"CCR multiplier model for DMU {data.names[p]!r} is "
-            f"{outcome.status.value}",
-            status=outcome.status,
+def _solve(X, data: CrispDataset, p: int, policy: SelfPolicy) -> CcrResult:
+    """DMU p's multiplier LP, solved by one default_ccr_solve call.
+
+    X is (end, modal, level, work, basis): the LP's starting tableaus
+    at levels 0 and 1 (_multiplier_tableau), the level to solve it at,
+    and the work tableau and basis that the kernel overwrites (work
+    may be end and modal themselves when they are one array).  The
+    kernel blends the tableau at level with trifuzzy.toward_modal's
+    formula and runs both simplex phases as linprog._simplex would on
+    it, so the result is the one _simplex gives, bit for bit.  Raises
+    DataError when the data at level is not finite and positive,
+    SolverFailure when the LP is infeasible or unbounded, and
+    NumericalBreakdown when a phase hits its iteration cap.
+    """
+    end, modal, level, work, basis = X
+    status, value, u, v = default_ccr_solve(
+        end, modal, level, work, basis, data.n_outputs, LP_TOL, ITERS_PER_DIM
+    )
+    if status == OPTIMAL:
+        return CcrResult(
+            dmu=data.names[p], efficiency=value, u=u, v=v, policy=policy
         )
-    sol, s = outcome.solution, data.n_outputs
-    return CcrResult(
-        dmu=data.names[p],
-        efficiency=float(outcome.value),
-        u=sol[:s],
-        v=sol[s:],
-        policy=policy,
+    name = data.names[p]
+    if status == BAD_DATA:
+        raise DataError(
+            f"data at level {level} for DMU {name!r} "
+            "must be finite and strictly positive"
+        )
+    lp_status = _lp_status(status, value)  # raises NumericalBreakdown
+    raise SolverFailure(
+        f"CCR multiplier model for DMU {name!r} is {lp_status.value}",
+        status=lp_status,
     )
 
 
@@ -189,7 +202,10 @@ def ccr_efficiency(
     unbounded (e.g. ExcludeSelf with no peer left).
     """
     p = _check_index(data, p)
-    return _solve(_multiplier_tableau(data, p, policy), data, p, policy)
+    T = _multiplier_tableau(data, p, policy)
+    basis = np.empty(T.shape[0] - 2, dtype=np.int64)
+    # The tableau is this call's own, so the kernel may solve it in place.
+    return _solve((T, T, 1.0, T, basis), data, p, policy)
 
 
 class CcrTemplate:
@@ -197,10 +213,13 @@ class CcrTemplate:
 
     solve(level) scores p on toward_modal(end, modal, level), the data a
     fraction level of the way from end to modal.  It does not assemble
-    that LP: it applies toward_modal to the two starting tableaus, entry
-    by entry.  Every tableau entry is a data value, its negation or a
+    that LP: the kernel applies toward_modal's formula to the two
+    starting tableaus, entry by entry, and solves the result in one
+    call.  Every tableau entry is a data value, its negation or a
     constant, and negation commutes exactly with the formula, so this is
-    the tableau ccr_efficiency would build, bit for bit.
+    the tableau ccr_efficiency would build, bit for bit.  The work
+    tableau and basis are allocated once, here, and every solve
+    overwrites them, so a solve allocates no array.
     """
 
     def __init__(
@@ -213,23 +232,21 @@ class CcrTemplate:
         p = _check_index(end, p)
         self._end = _multiplier_tableau(end, p, policy)
         self._modal = _multiplier_tableau(modal, p, policy)
-        # Data entries are nonzero at both ends, so a level at which one
-        # reaches 0 shows as fewer nonzero entries.
-        self._nonzero = np.count_nonzero(self._modal)
+        self._work = np.empty_like(self._end)
+        self._basis = np.empty(self._end.shape[0] - 2, dtype=np.int64)
         self._data, self._p, self._policy = end, p, policy
 
     def solve(self, level: float) -> CcrResult:
-        """ccr_efficiency of p on the data at level (0: end, 1: modal)."""
-        X = toward_modal(self._end, self._modal, level)
-        if (
-            np.count_nonzero(X) != self._nonzero
-            or np.count_nonzero(np.isfinite(X)) != X.size
-        ):
-            raise DataError(
-                f"data at level {level} for DMU {self._data.names[self._p]!r} "
-                "must be finite and strictly positive"
-            )
-        return _solve(X, self._data, self._p, self._policy)
+        """ccr_efficiency of p on the data at level (0: end, 1: modal).
+
+        Data entries are nonzero at both ends, so a level at which one
+        reaches 0 shows as fewer nonzero entries than the modal tableau
+        has; that, or an entry that is not finite, raises DataError.
+        """
+        return _solve(
+            (self._end, self._modal, level, self._work, self._basis),
+            self._data, self._p, self._policy,
+        )
 
 
 def ccr_scores(

@@ -9,6 +9,9 @@ The simplex reads all it needs from its starting tableau and uses one
 tolerance, LP_TOL.  Its pivot kernel is default_pivot_loop, looked up in
 this module at each call: the build and FUZZYDEA_PURE pick it at import
 (see _speedups), and rebinding linprog.default_pivot_loop swaps it.
+This simplex serves LpProblem/solve; the models' CCR LPs are solved
+whole by the kernel's ccr_solve (see ccr._solve), which mirrors _simplex
+step for step.
 """
 
 from __future__ import annotations
@@ -21,7 +24,14 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._speedups import BACKEND, default_pivot_loop
-from ._speedups.pure import OPTIMAL, UNBOUNDED
+from ._speedups.pure import (
+    INFEASIBLE,
+    ITER_LIMIT,
+    OPTIMAL,
+    PHASE1_ITER_LIMIT,
+    PHASE1_UNBOUNDED,
+    UNBOUNDED,
+)
 from .errors import NumericalBreakdown
 
 __all__ = [
@@ -36,6 +46,9 @@ RELATIONS = ("<=", "=", ">=")
 
 # Absolute pivot and feasibility tolerance of every LP the package solves.
 LP_TOL = 1e-9
+# Each simplex phase may pivot this many times per row and column of its
+# tableau before NumericalBreakdown.
+ITERS_PER_DIM = 50
 
 
 class LpStatus(enum.Enum):
@@ -103,13 +116,42 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
+def _breakdown(phase: str, cap: Optional[int] = None) -> NumericalBreakdown:
+    """The error of a simplex phase that hit its iteration cap or, with
+    no cap, of a phase 1 that reported an unbounded tableau (its
+    objective is bounded above by 0)."""
+    if cap is None:
+        return NumericalBreakdown(f"{phase} reported an unbounded tableau")
+    return NumericalBreakdown(f"simplex hit the iteration cap ({cap}) in {phase}")
+
+
+def _lp_status(status: int, cap: float) -> LpStatus:
+    """The LpStatus of a status the kernel's ccr_solve returns.
+
+    The statuses of a phase that broke down raise _simplex's
+    NumericalBreakdown instead; cap is then that phase's iteration cap.
+    BAD_DATA has no LpStatus and raises ValueError.
+    """
+    if status == OPTIMAL:
+        return LpStatus.OPTIMAL
+    if status == INFEASIBLE:
+        return LpStatus.INFEASIBLE
+    if status == UNBOUNDED:
+        return LpStatus.UNBOUNDED
+    if status == PHASE1_UNBOUNDED:
+        raise _breakdown("phase 1")
+    if status in (PHASE1_ITER_LIMIT, ITER_LIMIT):
+        raise _breakdown(
+            "phase 1" if status == PHASE1_ITER_LIMIT else "phase 2", int(cap)
+        )
+    raise ValueError(f"kernel status {status} has no LpStatus")
+
+
 def _run(T: np.ndarray, basis: np.ndarray, phase: str):
-    max_iter = 50 * (T.shape[0] + T.shape[1])
+    max_iter = ITERS_PER_DIM * (T.shape[0] + T.shape[1])
     status, _ = default_pivot_loop(T, basis, LP_TOL, max_iter)
     if status not in (OPTIMAL, UNBOUNDED):
-        raise NumericalBreakdown(
-            f"simplex hit the iteration cap ({max_iter}) in {phase}"
-        )
+        raise _breakdown(phase, max_iter)
     return status
 
 
@@ -170,7 +212,9 @@ def _simplex(T: np.ndarray, basis: np.ndarray, n: int, n_art: int) -> LpOutcome:
 
     n is the number of structural variables and n_art the number of
     artificial columns; the last row, the objective, is read and not
-    pivoted.  The rows above it are solved in place.
+    pivoted.  The rows above it are solved in place.  It serves solve;
+    the kernel's ccr_solve makes the same steps for a CCR LP, and the
+    kernel tests hold the two to the same bits.
     """
     objective = T[-1, :n].tolist()
     T = T[:-1]
@@ -178,8 +222,7 @@ def _simplex(T: np.ndarray, basis: np.ndarray, n: int, n_art: int) -> LpOutcome:
 
     if n_art:
         if _run(T, basis, "phase 1") == UNBOUNDED:
-            # The phase-1 objective is bounded above by 0; treat as breakdown.
-            raise NumericalBreakdown("phase 1 reported an unbounded tableau")
+            raise _breakdown("phase 1")
         if T[m, -1] < -1e2 * LP_TOL:
             return LpOutcome(LpStatus.INFEASIBLE)
 

@@ -75,7 +75,13 @@ def beta_level(h: float, alpha: float, mode: str = DEFAULT_ALPHA_MODE) -> float:
     """Effective membership level at satisfaction h under an alpha level."""
     if not is_finite_real(h) or not 0.0 <= h <= 1.0:
         raise RangeError(f"h must lie in [0, 1], got {h!r}")
-    h, alpha = float(h), check_alpha(alpha)
+    return _beta(float(h), check_alpha(alpha), mode)
+
+
+def _beta(h: float, alpha: float, mode: str) -> float:
+    """beta_level without its checks of h and alpha, for a float h and
+    alpha in [0, 1]; solve_mo's probes use it, as MoConfig has checked
+    alpha."""
     if mode == "rescale":
         return alpha + (1.0 - alpha) * h
     if mode == "floor":
@@ -146,9 +152,11 @@ def reduced_data(
 
 
 def _ideal_level(alpha: float, mode: str) -> float:
-    """Data level of the ideal z*: the alpha-cut under rescale, else 0."""
-    beta_level(0.0, alpha, mode)  # validates alpha and mode
-    return float(alpha) if mode == "rescale" else 0.0
+    """Data level of the ideal z*: the alpha-cut under rescale, else 0.
+
+    Unchecked; solve_mo's cfg has checked alpha and mode.
+    """
+    return alpha if mode == "rescale" else 0.0
 
 
 def _checked_ideal(value: float, name: str) -> float:
@@ -174,7 +182,8 @@ def z_star(
     "floor" it is the full support (beta = 0) whatever alpha is.  At
     alpha = 0 both modes give the full-support ideal.
     """
-    level = _ideal_level(alpha, mode)
+    beta_level(0.0, alpha, mode)  # validates alpha and mode
+    level = _ideal_level(float(alpha), mode)
     p = _check_index(data, p)
     value = ccr_efficiency(reduced_data(data, p, level), p, policy=policy).efficiency
     return _checked_ideal(value, data.dmus[p].name)
@@ -237,8 +246,11 @@ def solve_mo(
     z_star and eff_at bit for bit.  Without lps, solve_mo builds its
     own; evaluate_all passes one DmuLps to all scores of a DMU, so they
     share its template and LPs.  An lps of another dataset, DMU or
-    policy raises RangeError.
+    policy raises RangeError, and a cfg that is not a MoConfig raises
+    TypeError; both before any LP.
     """
+    if not isinstance(cfg, MoConfig):
+        raise TypeError(f"solve_mo takes a MoConfig, got {cfg!r}")
     p = _check_index(data, p)
     if lps is None:
         lps = DmuLps(data, p, cfg.policy)
@@ -256,7 +268,7 @@ def solve_mo(
 
     def probe(h):
         """The LP result at satisfaction level h, and g(h)."""
-        beta = beta_level(h, cfg.alpha, cfg.alpha_mode)
+        beta = _beta(h, cfg.alpha, cfg.alpha_mode)
         probed.add(beta)
         res = lps.solve(beta)
         return res, res.efficiency / z - h

@@ -26,12 +26,17 @@ def toward_modal(end, modal, level):
 
 
 def is_finite_real(x) -> bool:
-    """True for a finite int, float or numpy real scalar; a bool is not one."""
-    return (
-        isinstance(x, numbers.Real)
-        and not isinstance(x, bool)
-        and math.isfinite(x)
-    )
+    """True for a finite int, float or numpy real scalar; a bool is not one.
+
+    An int too large for a float is not one either: math.isfinite
+    would raise OverflowError on it.
+    """
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def check_alpha(alpha) -> float:

@@ -185,3 +185,43 @@ class TestIterationCap:
         monkeypatch.setattr(linprog, "default_pivot_loop", stalling_kernel)
         with pytest.raises(NumericalBreakdown):
             solve(problem)
+
+    def test_cap_message_names_cap_and_phase(self, monkeypatch):
+        problem = lp([1.0], [((1.0,), "<=", 4.0)])
+        monkeypatch.setattr(
+            linprog, "default_pivot_loop", lambda T, basis, tol, max_iter: (2, max_iter)
+        )
+        with pytest.raises(NumericalBreakdown) as err:
+            solve(problem)
+        # 50 * (2 rows: the constraint and the costs; 3 columns: x, slack, rhs)
+        assert str(err.value) == "simplex hit the iteration cap (250) in phase 2"
+
+
+class TestKernelStatus:
+    """_lp_status reads the kernel's ccr_solve statuses as _simplex would."""
+
+    def test_outcomes(self):
+        from fuzzydea._speedups.pure import INFEASIBLE, OPTIMAL, UNBOUNDED
+
+        assert linprog._lp_status(OPTIMAL, 1.0) is LpStatus.OPTIMAL
+        assert linprog._lp_status(INFEASIBLE, 0.0) is LpStatus.INFEASIBLE
+        assert linprog._lp_status(UNBOUNDED, 0.0) is LpStatus.UNBOUNDED
+
+    def test_breakdowns_carry_simplex_messages(self):
+        from fuzzydea._speedups.pure import ITER_LIMIT, PHASE1_ITER_LIMIT, PHASE1_UNBOUNDED
+
+        cases = (
+            (PHASE1_UNBOUNDED, 0.0, "phase 1 reported an unbounded tableau"),
+            (PHASE1_ITER_LIMIT, 750.0, "simplex hit the iteration cap (750) in phase 1"),
+            (ITER_LIMIT, 650.0, "simplex hit the iteration cap (650) in phase 2"),
+        )
+        for status, cap, message in cases:
+            with pytest.raises(NumericalBreakdown) as err:
+                linprog._lp_status(status, cap)
+            assert str(err.value) == message
+
+    def test_bad_data_has_no_lp_status(self):
+        from fuzzydea._speedups.pure import BAD_DATA
+
+        with pytest.raises(ValueError):
+            linprog._lp_status(BAD_DATA, 0.0)

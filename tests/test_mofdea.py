@@ -3,6 +3,7 @@ import contextlib
 import io
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,10 +74,24 @@ class TestBetaLevel:
 
 
 class TestMoConfig:
-    @pytest.mark.parametrize("h_tol", [math.inf, -math.inf, math.nan, 0.0, -1e-6, "1e-6"])
+    @pytest.mark.parametrize(
+        "h_tol",
+        [math.inf, -math.inf, math.nan, 0.0, -1e-6, "1e-6",
+         pytest.param(10**400, id="10**400")],
+    )
     def test_bad_h_tol_rejected(self, h_tol):
         with pytest.raises(RangeError, match="h_tol"):
             MoConfig(h_tol=h_tol)
+
+    @pytest.mark.parametrize("alpha", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+    def test_int_too_large_for_a_float_is_out_of_range(self, alpha):
+        # math.isfinite raises OverflowError on such an int.
+        with pytest.raises(AlphaOutOfRange, match="finite number"):
+            MoConfig(alpha=alpha)
+        with pytest.raises(AlphaOutOfRange, match="finite number"):
+            beta_level(0.5, alpha)
+        with pytest.raises(RangeError, match="h must lie in"):
+            beta_level(alpha, 0.5)
 
     def test_h_tol_accepted(self):
         assert MoConfig(h_tol=1e-3).h_tol == 1e-3
@@ -206,6 +221,16 @@ class TestSolveMo:
                 res = solve_mo(data, p)
                 if res.h_star < 1.0:
                     assert abs(res.efficiency / res.z_star - res.h_star) <= 1e-5
+
+    def test_cfg_must_be_a_moconfig(self, gt, monkeypatch):
+        # MoConfig checks alpha and mode once; solve_mo's probes then
+        # skip those checks, so a look-alike must not get that far.
+        monkeypatch.setattr(ccr, "_solve", lambda *a: pytest.fail("an LP was solved"))
+        fake = SimpleNamespace(
+            alpha=2.0, policy=SelfPolicy.EXCLUDE_SELF, h_tol=1e-6, alpha_mode="bogus"
+        )
+        with pytest.raises(TypeError, match="MoConfig"):
+            solve_mo(gt, 0, fake)
 
     def test_efficiency_below_z_star(self, gt):
         for p in range(gt.n_dmus):

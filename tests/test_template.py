@@ -1,15 +1,15 @@
 """CcrTemplate: the mo model's probes, solved from two starting tableaus.
 
 A probe at level beta must give what ccr_efficiency gives on the data
-reduced to beta, bit for bit, on either pivot kernel.
+reduced to beta, bit for bit, on either kernel.
 """
 
 import numpy as np
 import pytest
 
 from _datagen import random_dataset
-from fuzzydea import linprog
-from fuzzydea._speedups import fast_pivot_loop, pure_pivot_loop
+from fuzzydea import ccr
+from fuzzydea._speedups import fast_ccr_solve, pure_ccr_solve
 from fuzzydea.ccr import CcrTemplate, CrispDataset, SelfPolicy, ccr_efficiency
 from fuzzydea.dataio import FuzzyDataset, FuzzyDmu
 from fuzzydea.errors import DataError, NumericalBreakdown, SolverFailure
@@ -17,11 +17,11 @@ from fuzzydea.mofdea import reduced_data
 from fuzzydea.trifuzzy import TriFuzzy, toward_modal
 
 KERNELS = [
-    pytest.param(pure_pivot_loop, id="pure"),
+    pytest.param(pure_ccr_solve, id="pure"),
     pytest.param(
-        fast_pivot_loop,
+        fast_ccr_solve,
         id="fast",
-        marks=pytest.mark.skipif(fast_pivot_loop is None, reason="compiled kernel not built"),
+        marks=pytest.mark.skipif(fast_ccr_solve is None, reason="compiled kernel not built"),
     ),
 ]
 
@@ -37,7 +37,7 @@ def bits(res):
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("policy", list(SelfPolicy))
 def test_probe_equals_ccr_on_reduced_data(kernel, policy, monkeypatch):
-    monkeypatch.setattr(linprog, "default_pivot_loop", kernel)
+    monkeypatch.setattr(ccr, "default_ccr_solve", kernel)
     rng = np.random.default_rng(20261018)
     for _ in range(40):
         data = random_dataset(rng, n_dmus=int(rng.integers(2, 9)))
@@ -49,17 +49,41 @@ def test_probe_equals_ccr_on_reduced_data(kernel, policy, monkeypatch):
             assert bits(tpl.solve(beta)) == bits(ref)
 
 
-@pytest.mark.skipif(fast_pivot_loop is None, reason="compiled kernel not built")
+@pytest.mark.skipif(fast_ccr_solve is None, reason="compiled kernel not built")
 def test_probe_identical_across_kernels(monkeypatch):
     rng = np.random.default_rng(5)
     for _ in range(20):
         data = random_dataset(rng)
         tpl = template(data, 0, SelfPolicy.EXCLUDE_SELF)
         beta = float(rng.random())
-        monkeypatch.setattr(linprog, "default_pivot_loop", pure_pivot_loop)
+        monkeypatch.setattr(ccr, "default_ccr_solve", pure_ccr_solve)
         pure = bits(tpl.solve(beta))
-        monkeypatch.setattr(linprog, "default_pivot_loop", fast_pivot_loop)
+        monkeypatch.setattr(ccr, "default_ccr_solve", fast_ccr_solve)
         assert bits(tpl.solve(beta)) == pure
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_reused_work_buffer_leaks_no_state(kernel, monkeypatch):
+    # One template solves every level into the same work tableau and
+    # basis; each result must equal a fresh solve, in any order.
+    monkeypatch.setattr(ccr, "default_ccr_solve", kernel)
+    rng = np.random.default_rng(11)
+    for _ in range(15):
+        data = random_dataset(rng, n_dmus=int(rng.integers(2, 9)))
+        p = int(rng.integers(0, data.n_dmus))
+        policy = list(SelfPolicy)[int(rng.integers(0, 2))]
+        levels = [0.0, 1.0, float(rng.random()), float(rng.random())]
+        fresh = {
+            b: bits(ccr_efficiency(reduced_data(data, p, b), p, policy=policy))
+            for b in levels
+        }
+        tpl = template(data, p, policy)
+        for _ in range(3):
+            order = [levels[int(i)] for i in rng.permutation(len(levels))]
+            for a, b in zip(order, order[1:]):
+                assert [bits(tpl.solve(x)) for x in (a, b, a)] == [
+                    fresh[a], fresh[b], fresh[a]
+                ]
 
 
 def _two_dmus(lower, modal):
@@ -102,16 +126,17 @@ def test_unbounded_probe_raises_like_ccr():
 
 def test_iteration_cap_reaches_the_probe(monkeypatch):
     # The kernel is looked up when a probe runs, so a replacement (or a
-    # tracer's wrapper) sees every call.
+    # tracer's wrapper) sees every call.  This one allows no pivot.
     calls = []
+    kernel = ccr.default_ccr_solve
 
-    def capped(T, basis, tol, max_iter):
-        calls.append(max_iter)
-        return 2, max_iter
+    def capped(*args):
+        calls.append(args[2])
+        return kernel(*args[:-1], 0)
 
     data = random_dataset(np.random.default_rng(3), n_dmus=4)
     tpl = template(data, 1, SelfPolicy.INCLUDE_SELF)
-    monkeypatch.setattr(linprog, "default_pivot_loop", capped)
-    with pytest.raises(NumericalBreakdown, match="phase 1"):
+    monkeypatch.setattr(ccr, "default_ccr_solve", capped)
+    with pytest.raises(NumericalBreakdown, match=r"cap \(0\) in phase 1"):
         tpl.solve(0.5)
-    assert len(calls) == 1
+    assert calls == [0.5]

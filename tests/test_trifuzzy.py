@@ -92,7 +92,11 @@ class TestAlphaInterval:
     def test_linear_interpolation(self):
         assert TriFuzzy(3.5, 4.0, 4.5).alpha_interval(0.5) == Interval(3.75, 4.25)
 
-    @pytest.mark.parametrize("alpha", [-0.1, 1.1, math.nan, math.inf, "0.5"])
+    @pytest.mark.parametrize(
+        "alpha",
+        [-0.1, 1.1, math.nan, math.inf, "0.5",
+         pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")],
+    )
     def test_alpha_out_of_range(self, alpha):
         with pytest.raises(AlphaOutOfRange):
             TriFuzzy(1.0, 2.0, 3.0).alpha_interval(alpha)
