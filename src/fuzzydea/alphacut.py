@@ -36,6 +36,19 @@ class AlphaScore:
     policy: SelfPolicy
 
 
+def _ends(data: FuzzyDataset, p: int, favor_p: bool = True):
+    """DMU p's data at level 0, and the read-only modal data; each is
+    (inputs + outputs) x DMUs.  p must be a valid index."""
+    lower, modal, upper = data.bounds
+    m = data.n_inputs
+    good = np.concatenate((lower[:m], upper[m:]))
+    bad = np.concatenate((upper[:m], lower[m:]))
+    if not favor_p:
+        good, bad = bad, good
+    bad[:, p] = good[:, p]
+    return bad, modal
+
+
 def reduce_at(
     data: FuzzyDataset, p: int, level: float, favor_p: bool = True
 ) -> CrispDataset:
@@ -49,14 +62,8 @@ def reduce_at(
     """
     p = _check_index(data, p)
     level = check_alpha(level)
-    lower, modal, upper = data.bounds
+    crisp = toward_modal(*_ends(data, p, favor_p), level)
     m = data.n_inputs
-    good = np.concatenate((lower[:m], upper[m:]))
-    bad = np.concatenate((upper[:m], lower[m:]))
-    if not favor_p:
-        good, bad = bad, good
-    bad[:, p] = good[:, p]
-    crisp = toward_modal(bad, modal, level)
     return CrispDataset(data.dmu_names, crisp[:m], crisp[m:])
 
 

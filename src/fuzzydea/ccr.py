@@ -26,7 +26,6 @@ __all__ = [
     "SelfPolicy",
     "CrispDataset",
     "CcrResult",
-    "CcrTemplate",
     "ccr_efficiency",
     "ccr_scores",
 ]
@@ -126,38 +125,42 @@ def _check_policy(policy) -> SelfPolicy:
     return policy
 
 
-def _multiplier_tableau(data: CrispDataset, p: int, policy: SelfPolicy) -> np.ndarray:
+def _multiplier_tableau(
+    inputs: np.ndarray, outputs: np.ndarray, p: int, policy: SelfPolicy
+) -> np.ndarray:
     """DMU p's two-phase starting tableau, with its objective as one more row.
 
+    inputs (m x n) and outputs (s x n) hold the data of the n DMUs.
     Columns: u (one per output), v (one per input), one slack per peer,
     the normalisation row's artificial, the right-hand side.  Rows: the
     normalisation v @ x_p = 1, one u @ y_j - v @ x_j <= 0 per peer, the
     phase-1 reduced costs, the objective.  Entry for entry this is what
     linprog._tableau builds for the LP.
     """
-    s, m = data.n_outputs, data.n_inputs
+    (m, n_dmus), s = inputs.shape, outputs.shape[0]
     exclude = _check_policy(policy) is SelfPolicy.EXCLUDE_SELF
     peers = [
-        j for j in range(data.n_dmus)
+        j for j in range(n_dmus)
         if not (exclude and j == p)
     ]
     k, n = len(peers), s + m
     T = np.zeros((k + 3, n + k + 2))
-    T[0, s:n] = data.inputs[:, p]
+    T[0, s:n] = inputs[:, p]
     T[0, n + k :] = 1.0  # the artificial and the right-hand side
-    T[1 : k + 1, :s] = data.outputs[:, peers].T
-    T[1 : k + 1, s:n] = -data.inputs[:, peers].T
+    T[1 : k + 1, :s] = outputs[:, peers].T
+    T[1 : k + 1, s:n] = -inputs[:, peers].T
     T[range(1, k + 1), range(n, n + k)] = 1.0
     # Phase 1 maximises minus the artificial; priced out against row 0,
     # its reduced costs are minus row 0 with the artificial's entry zeroed.
-    T[k + 1, s:n] = -data.inputs[:, p]
+    T[k + 1, s:n] = -inputs[:, p]
     T[k + 1, -1] = -1.0
-    T[k + 2, :s] = data.outputs[:, p]
+    T[k + 2, :s] = outputs[:, p]
     return T
 
 
-def _solve(X, data: CrispDataset, p: int, policy: SelfPolicy) -> CcrResult:
-    """DMU p's multiplier LP, solved by one default_ccr_solve call.
+def _solve(X, n_outputs: int, name: str, policy: SelfPolicy) -> CcrResult:
+    """The multiplier LP of the DMU called name, solved by one
+    default_ccr_solve call.
 
     X is (end, modal, level, work, basis): the LP's starting tableaus
     at levels 0 and 1 (_multiplier_tableau), the level to solve it at,
@@ -172,13 +175,10 @@ def _solve(X, data: CrispDataset, p: int, policy: SelfPolicy) -> CcrResult:
     """
     end, modal, level, work, basis = X
     status, value, u, v = default_ccr_solve(
-        end, modal, level, work, basis, data.n_outputs, LP_TOL, ITERS_PER_DIM
+        end, modal, level, work, basis, n_outputs, LP_TOL, ITERS_PER_DIM
     )
     if status == OPTIMAL:
-        return CcrResult(
-            dmu=data.names[p], efficiency=value, u=u, v=v, policy=policy
-        )
-    name = data.names[p]
+        return CcrResult(dmu=name, efficiency=value, u=u, v=v, policy=policy)
     if status == BAD_DATA:
         raise DataError(
             f"data at level {level} for DMU {name!r} "
@@ -202,51 +202,10 @@ def ccr_efficiency(
     unbounded (e.g. ExcludeSelf with no peer left).
     """
     p = _check_index(data, p)
-    T = _multiplier_tableau(data, p, policy)
+    T = _multiplier_tableau(data.inputs, data.outputs, p, policy)
     basis = np.empty(T.shape[0] - 2, dtype=np.int64)
     # The tableau is this call's own, so the kernel may solve it in place.
-    return _solve((T, T, 1.0, T, basis), data, p, policy)
-
-
-class CcrTemplate:
-    """DMU p's multiplier LP on the data between two crisp datasets.
-
-    solve(level) scores p on toward_modal(end, modal, level), the data a
-    fraction level of the way from end to modal.  It does not assemble
-    that LP: the kernel applies toward_modal's formula to the two
-    starting tableaus, entry by entry, and solves the result in one
-    call.  Every tableau entry is a data value, its negation or a
-    constant, and negation commutes exactly with the formula, so this is
-    the tableau ccr_efficiency would build, bit for bit.  The work
-    tableau and basis are allocated once, here, and every solve
-    overwrites them, so a solve allocates no array.
-    """
-
-    def __init__(
-        self,
-        end: CrispDataset,
-        modal: CrispDataset,
-        p: int,
-        policy: SelfPolicy = SelfPolicy.INCLUDE_SELF,
-    ):
-        p = _check_index(end, p)
-        self._end = _multiplier_tableau(end, p, policy)
-        self._modal = _multiplier_tableau(modal, p, policy)
-        self._work = np.empty_like(self._end)
-        self._basis = np.empty(self._end.shape[0] - 2, dtype=np.int64)
-        self._data, self._p, self._policy = end, p, policy
-
-    def solve(self, level: float) -> CcrResult:
-        """ccr_efficiency of p on the data at level (0: end, 1: modal).
-
-        Data entries are nonzero at both ends, so a level at which one
-        reaches 0 shows as fewer nonzero entries than the modal tableau
-        has; that, or an entry that is not finite, raises DataError.
-        """
-        return _solve(
-            (self._end, self._modal, level, self._work, self._basis),
-            self._data, self._p, self._policy,
-        )
+    return _solve((T, T, 1.0, T, basis), data.n_outputs, data.names[p], policy)
 
 
 def ccr_scores(

@@ -28,7 +28,14 @@ from .dataio import (
     write_report,
 )
 from .errors import FuzzyDeaError, NumericalBreakdown, SolverFailure
-from .mofdea import ALPHA_MODES, DEFAULT_ALPHA_MODE, MoConfig, evaluate_all, z_star
+from .mofdea import (
+    ALPHA_MODES,
+    DEFAULT_ALPHA_MODE,
+    MoConfig,
+    compare_all,
+    evaluate_all,
+    z_star,
+)
 
 __all__ = ["main"]
 
@@ -148,24 +155,12 @@ def _policy(args) -> SelfPolicy:
     return SelfPolicy.INCLUDE_SELF if args.include_self else SelfPolicy.EXCLUDE_SELF
 
 
-def _cut_by_name(data: FuzzyDataset, a: float, policy: SelfPolicy) -> dict:
-    """The alpha-cut scores at alpha level a, keyed by DMU name."""
-    return {sc.dmu: sc.score for sc in alphacut_scores(data, a, policy=policy)}
-
-
-def _mo_by_name(
-    data: FuzzyDataset, alphas: Sequence[float], policy: SelfPolicy, args
-) -> List[dict]:
-    """The mo model's results at each alpha level, keyed by DMU name.
-
-    Every level is checked before any LP is solved, and one
-    evaluate_all call shares each DMU's LPs across the levels.
-    """
-    cfgs = [
+def _mo_configs(alphas: Sequence[float], policy: SelfPolicy, args) -> List[MoConfig]:
+    """One MoConfig per alpha level; each checks its level, before any LP."""
+    return [
         MoConfig(alpha=a, policy=policy, h_tol=args.tol_h, alpha_mode=args.alpha_mode)
         for a in alphas
     ]
-    return [{r.dmu: r for r in ranked} for ranked in evaluate_all(data, cfgs)]
 
 
 def _eval_report(args) -> Report:
@@ -184,11 +179,15 @@ def _eval_report(args) -> Report:
     rows = []
     if args.model == "alpha":
         for a in alphas:
-            cut = _cut_by_name(data, a, policy)
-            rows.extend(ReportRow(name, a, cut[name]) for name in data.dmu_names)
+            rows.extend(
+                ReportRow(sc.dmu, a, sc.score)
+                for sc in alphacut_scores(data, a, policy=policy)
+            )
         return Report("alpha", policy.value, tuple(alphas), tuple(rows))
 
-    for a, mo in zip(alphas, _mo_by_name(data, alphas, policy, args)):
+    rankings = evaluate_all(data, _mo_configs(alphas, policy, args))
+    for a, ranked in zip(alphas, rankings):
+        mo = {r.dmu: r for r in ranked}
         for name in data.dmu_names:
             r = mo[name]
             rows.append(
@@ -218,12 +217,8 @@ def _compare_report(args) -> Report:
     policy = _policy(args)
     alphas = _parse_alphas(args.alpha)
     rows = []
-    for a, mo in zip(alphas, _mo_by_name(data, alphas, policy, args)):
-        cut = _cut_by_name(data, a, policy)
-        rows.extend(
-            ReportRow(name, a, cut[name], mo_score=mo[name].efficiency)
-            for name in data.dmu_names
-        )
+    for a, pairs in zip(alphas, compare_all(data, _mo_configs(alphas, policy, args))):
+        rows.extend(ReportRow(r.dmu, a, cut, mo_score=r.efficiency) for cut, r in pairs)
     return Report("compare", policy.value, tuple(alphas), tuple(rows))
 
 

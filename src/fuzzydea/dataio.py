@@ -133,26 +133,32 @@ class FuzzyDataset:
 
 
 def _tri_from_cell(value, where: str) -> TriFuzzy:
-    if isinstance(value, bool):
+    number = (int, float)
+    if isinstance(value, number) and not isinstance(value, bool):
+        value = (value, value, value)
+    elif not isinstance(value, (list, tuple)):
         raise SchemaError(f"{where}: expected a number or [l, m, u], got {value!r}")
-    if isinstance(value, (int, float)):
-        return TriFuzzy(float(value), float(value), float(value))
-    if isinstance(value, (list, tuple)):
-        if len(value) != 3 or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-        ):
-            raise SchemaError(f"{where}: expected [l, m, u] numbers, got {value!r}")
-        try:
-            return TriFuzzy(float(value[0]), float(value[1]), float(value[2]))
-        except OrderingViolation as exc:
-            raise DataError(f"{where}: {exc}") from None
-    raise SchemaError(f"{where}: expected a number or [l, m, u], got {value!r}")
+    elif len(value) != 3 or any(
+        isinstance(v, bool) or not isinstance(v, number) for v in value
+    ):
+        raise SchemaError(f"{where}: expected [l, m, u] numbers, got {value!r}")
+    return _tri(value, where)
+
+
+def _tri(values, where: str) -> TriFuzzy:
+    """TriFuzzy of three numbers, or DataError naming the cell where."""
+    try:
+        return TriFuzzy(*map(float, values))
+    except OverflowError:
+        raise DataError(f"{where}: integer too large for a float") from None
+    except OrderingViolation as exc:
+        raise DataError(f"{where}: {exc}") from None
 
 
 def _dataset_from_json(raw: str) -> FuzzyDataset:
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past int()'s digit limit
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
@@ -206,15 +212,10 @@ def _tri_from_csv_cell(text: str, where: str) -> TriFuzzy:
         raise ParseError(f"{where}: empty cell")
     parts = text.split(";")
     if len(parts) == 1:
-        v = _parse_number(parts[0], where)
-        return TriFuzzy(v, v, v)
-    if len(parts) != 3:
+        parts *= 3
+    elif len(parts) != 3:
         raise ParseError(f"{where}: expected 'l;m;u' or a single number, got {text!r}")
-    l, m, u = (_parse_number(p, where) for p in parts)
-    try:
-        return TriFuzzy(l, m, u)
-    except OrderingViolation as exc:
-        raise DataError(f"{where}: {exc}") from None
+    return _tri([_parse_number(p, where) for p in parts], where)
 
 
 def _dataset_from_csv(raw: str) -> FuzzyDataset:
@@ -542,11 +543,11 @@ def write_report(report: Report, format: str = "md") -> str:
 
 def read_report(raw: Union[str, bytes]) -> Report:
     """Parse a JSON report produced by write_report(..., "json")."""
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
     try:
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8")
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and integers past int()'s limit
         raise ParseError(f"invalid JSON report: {exc}") from None
     try:
         rows = tuple(
@@ -567,5 +568,7 @@ def read_report(raw: Union[str, bytes]) -> Report:
             alphas=tuple(float(a) for a in doc["alphas"]),
             rows=rows,
         )
-    except (KeyError, TypeError) as exc:
+    except DataError:  # a ValueError too: the rows do not fit the alphas
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed report document: {exc}") from None

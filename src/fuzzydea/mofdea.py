@@ -35,14 +35,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
-from .alphacut import reduce_at
+import numpy as np
+
+from . import ccr
+from .alphacut import _ends, reduce_at
 from .ccr import (
     CcrResult,
-    CcrTemplate,
     CrispDataset,
     SelfPolicy,
     _check_index,
     _check_policy,
+    _multiplier_tableau,
     ccr_efficiency,
 )
 from .dataio import FuzzyDataset
@@ -62,6 +65,7 @@ __all__ = [
     "eff_at",
     "solve_mo",
     "evaluate_all",
+    "compare_all",
 ]
 
 ALPHA_MODES = ("floor", "rescale")
@@ -197,27 +201,37 @@ def eff_at(data: FuzzyDataset, p: int, h: float, cfg: MoConfig = MoConfig()) -> 
 
 
 class DmuLps:
-    """DMU p's CcrTemplate under one self policy, and its LPs by data level.
+    """DMU p's multiplier LP under one self policy, and its results by level.
 
-    The template runs between p's data at level 0 and the modal data;
-    neither end depends on alpha or the alpha mode, and each LP depends
-    only on its level beta.  So every score of p under this policy can
-    share one DmuLps, and no level is solved twice.
+    solve(beta) gives ccr_efficiency on reduce_at(data, p, beta) bit for
+    bit: the kernel blends the LP's starting tableaus on p's level-0
+    data and on the modal data by toward_modal's formula, which commutes
+    with negation exactly.  Neither end depends on alpha or the alpha
+    mode, so all of p's scores under this policy share one DmuLps; it
+    solves each level once, into one work tableau and basis.
     """
 
     def __init__(self, data: FuzzyDataset, p: int, policy: SelfPolicy):
         p = _check_index(data, p)
         self.data, self.p, self.policy = data, p, _check_policy(policy)
-        self.template = CcrTemplate(
-            reduced_data(data, p, 0.0), reduced_data(data, p, 1.0), p, policy
-        )
+        self.name, self._n_outputs = data.dmus[p].name, data.n_outputs
+        m = data.n_inputs
+        self._tableaus = [
+            _multiplier_tableau(x[:m], x[m:], p, policy) for x in _ends(data, p)
+        ]
+        self._work = np.empty_like(self._tableaus[0])
+        self._basis = np.empty(len(self._work) - 2, dtype=np.int64)
         self.solved: Dict[float, CcrResult] = {}
 
     def solve(self, beta: float) -> CcrResult:
         """The LP result at data level beta, solved on its first request."""
         res = self.solved.get(beta)
         if res is None:
-            res = self.solved[beta] = self.template.solve(beta)
+            X = (*self._tableaus, beta, self._work, self._basis)
+            # Looked up on ccr at each call, so a rebinding sees every LP.
+            res = self.solved[beta] = ccr._solve(
+                X, self._n_outputs, self.name, self.policy
+            )
         return res
 
 
@@ -245,7 +259,7 @@ def solve_mo(
     cfg.policy, at most once per data level beta; the scores equal
     z_star and eff_at bit for bit.  Without lps, solve_mo builds its
     own; evaluate_all passes one DmuLps to all scores of a DMU, so they
-    share its template and LPs.  An lps of another dataset, DMU or
+    share its LPs.  An lps of another dataset, DMU or
     policy raises RangeError, and a cfg that is not a MoConfig raises
     TypeError; both before any LP.
     """
@@ -261,7 +275,7 @@ def solve_mo(
             f"lps holds the LPs of DMU {lps.p} under {lps.policy}, "
             f"not of DMU {p} under {cfg.policy}"
         )
-    name = data.dmus[p].name
+    name = lps.name
     ideal = _ideal_level(cfg.alpha, cfg.alpha_mode)
     z = _checked_ideal(lps.solve(ideal).efficiency, name)
     probed = {ideal}  # the data levels this score used
@@ -308,6 +322,25 @@ def solve_mo(
     )
 
 
+def _by_dmu(data: FuzzyDataset, cfgs: Sequence[MoConfig]):
+    """Check cfgs, then yield, DMU by DMU, p's DmuLps by policy and its
+    solve_mo result under each cfg."""
+    if data.n_dmus < 2:
+        raise DataError("ranking needs at least two DMUs")
+    cfgs = tuple(cfgs)
+    for cfg in cfgs:
+        if not isinstance(cfg, MoConfig):
+            raise TypeError(f"evaluate_all takes MoConfig items, got {cfg!r}")
+    for p in range(data.n_dmus):
+        shared = {}  # policy -> p's DmuLps; one DMU's LPs at a time
+        scores = []
+        for cfg in cfgs:
+            if cfg.policy not in shared:
+                shared[cfg.policy] = DmuLps(data, p, cfg.policy)
+            scores.append(solve_mo(data, p, cfg, shared[cfg.policy]))
+        yield shared, scores
+
+
 def evaluate_all(
     data: FuzzyDataset, cfgs: Sequence[MoConfig]
 ) -> Tuple[Tuple[MoResult, ...], ...]:
@@ -324,21 +357,19 @@ def evaluate_all(
     levels probe (h = 1 always, z* under floor) is solved once per DMU.
     The results equal standalone solve_mo calls bit for bit.
     """
-    if data.n_dmus < 2:
-        raise DataError("ranking needs at least two DMUs")
-    cfgs = tuple(cfgs)
-    for cfg in cfgs:
-        if not isinstance(cfg, MoConfig):
-            raise TypeError(f"evaluate_all takes MoConfig items, got {cfg!r}")
-    results = [[] for _ in cfgs]
-    for p in range(data.n_dmus):
-        shared = {}  # policy -> p's DmuLps; one DMU's templates at a time
-        for cfg, scores in zip(cfgs, results):
-            lps = shared.get(cfg.policy)
-            if lps is None:
-                lps = shared[cfg.policy] = DmuLps(data, p, cfg.policy)
-            scores.append(solve_mo(data, p, cfg, lps))
-    return tuple(_ranked(scores) for scores in results)
+    per_dmu = [scores for _, scores in _by_dmu(data, cfgs)]
+    return tuple(_ranked(scores) for scores in zip(*per_dmu))
+
+
+def compare_all(data: FuzzyDataset, cfgs: Sequence[MoConfig]):
+    """Per config, each DMU's (alpha-cut score, solve_mo result), in
+    dataset order: the cut is the LP at data level alpha of the DmuLps
+    the mo score used, and equals alphacut_scores' bit for bit."""
+    per_dmu = [
+        [(shared[r.policy].solve(r.alpha).efficiency, r) for r in scores]
+        for shared, scores in _by_dmu(data, cfgs)
+    ]
+    return tuple(zip(*per_dmu))
 
 
 def _ranked(results) -> Tuple[MoResult, ...]:

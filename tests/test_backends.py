@@ -35,7 +35,7 @@ from fuzzydea._speedups.pure import (
     UNBOUNDED,
 )
 from fuzzydea.alphacut import alphacut_scores
-from fuzzydea.ccr import CrispDataset, SelfPolicy, _multiplier_tableau
+from fuzzydea.ccr import SelfPolicy, _multiplier_tableau
 from fuzzydea.dataio import load_fixture
 from fuzzydea.errors import NumericalBreakdown
 from fuzzydea.linprog import ITERS_PER_DIM, LP_TOL, LpProblem, LpStatus, _simplex, solve
@@ -129,7 +129,9 @@ def ccr_tableaus():
     for data, p in picks:
         ends = (reduced_data(data, p, 0.0), reduced_data(data, p, 1.0))
         for policy in SelfPolicy:
-            end, modal = (_multiplier_tableau(d, p, policy) for d in ends)
+            end, modal = (
+                _multiplier_tableau(d.inputs, d.outputs, p, policy) for d in ends
+            )
             yield f"{data.name}/{p}/{policy.value}", end, modal, len(data.output_names)
 
 
@@ -167,8 +169,8 @@ def crafted_tableaus():
     """(name, tableau, n_outputs, status): CCR-layout tableaus that reach
     the kernel's rarer branches, each used as both ends."""
     base = _multiplier_tableau(
-        CrispDataset(("A", "B", "C"), [[2.0, 3.0, 4.0], [1.0, 1.0, 2.0]],
-                     [[1.0, 2.0, 1.5]]), 0, SelfPolicy.EXCLUDE_SELF)
+        np.array([[2.0, 3.0, 4.0], [1.0, 1.0, 2.0]]), np.array([[1.0, 2.0, 1.5]]),
+        0, SelfPolicy.EXCLUDE_SELF)
     s, n, k = 1, 3, 2
     cases = []
     T = base.copy()  # v @ x_p = 1 with v >= 0 and x_p < 0
@@ -192,7 +194,7 @@ def crafted_tableaus():
     T[[0, k + 1], s:n] = 0.0
     cases.append(("row dropped", T, s, UNBOUNDED))
     solo = _multiplier_tableau(
-        CrispDataset(("A",), [[1.0]], [[1.0]]), 0, SelfPolicy.EXCLUDE_SELF)
+        np.ones((1, 1)), np.ones((1, 1)), 0, SelfPolicy.EXCLUDE_SELF)
     cases.append(("no peer", solo, 1, UNBOUNDED))
     return cases
 
@@ -238,7 +240,7 @@ def assert_ccr_twin(kernel):
 def assert_ccr_errors(kernel):
     """Bad data, the iteration cap and misshapen buffers."""
     data = reduced_data(load_fixture("guo_tanaka"), 1, 1.0)
-    end = _multiplier_tableau(data, 1, SelfPolicy.INCLUDE_SELF)
+    end = _multiplier_tableau(data.inputs, data.outputs, 1, SelfPolicy.INCLUDE_SELF)
     half = end * 0.5  # at level -1 every entry that moves reaches 0
     huge = np.full_like(end, 1e308)  # at level -1 every entry overflows
     for lo, hi, level in ((half, end, -1.0), (huge, end, -1.0), (half, end, np.nan)):

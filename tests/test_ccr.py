@@ -167,6 +167,6 @@ class TestArrayPath:
             for p in range(data.n_dmus):
                 c, A, rels, b = reference_lp(data, p, policy)
                 T = _tableau(c, A, rels, b)[0]
-                X = _multiplier_tableau(data, p, policy)
+                X = _multiplier_tableau(data.inputs, data.outputs, p, policy)
                 assert X.shape == T.shape
                 assert X.tobytes() == T.tobytes()

@@ -112,6 +112,18 @@ class TestExitCodes:
         )
         assert code == 1 and out == ""
 
+    @pytest.mark.parametrize(
+        "cell", ["1" + "0" * 400, "[1, 2, 1" + "0" * 400 + "]"], ids=["number", "triple"]
+    )
+    def test_integer_too_large_for_a_float_exits_1(self, capsys, tmp_path, cell):
+        f = tmp_path / "huge.json"
+        f.write_text(CRISP3.replace('"inputs": [3]', f'"inputs": [{cell}]'))
+        code, out, err = run(capsys, "eval", "--model", "ccr", "--data", str(f))
+        assert (code, out) == (1, "")
+        assert err == (
+            "fuzzydea: error: DMU 'b' inputs[0]: integer too large for a float\n"
+        )
+
     def test_no_subcommand_exits_1(self, capsys):
         assert run(capsys)[0] == 1
 
@@ -173,8 +185,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("sub", [("eval", "--model", "mo"), ("compare",)])
     @pytest.mark.parametrize("exc", [SolverFailure, NumericalBreakdown])
     def test_mo_solver_failure_exits_2(self, capsys, monkeypatch, sub, exc):
-        def failing(X, data, p, policy):
-            raise exc(f"CCR multiplier model for DMU {data.names[p]!r} failed")
+        def failing(X, n_outputs, name, policy):
+            raise exc(f"CCR multiplier model for DMU {name!r} failed")
 
         monkeypatch.setattr(ccr, "_solve", failing)
         code, out, err = run(

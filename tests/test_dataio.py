@@ -71,6 +71,21 @@ class TestJsonLoading:
             load_dataset(json.dumps(doc), "json")
         assert "'b'" in str(err.value) and "outputs[0]" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "cell", [10**400, [1, 2, 10**400], [10**400] * 3], ids=["number", "upper", "all"]
+    )
+    def test_integer_too_large_for_a_float_names_the_cell(self, cell):
+        doc = json.loads(GOOD_JSON)
+        doc["dmus"][1]["inputs"][0] = cell
+        with pytest.raises(DataError) as err:
+            load_dataset(json.dumps(doc), "json")
+        assert str(err.value) == "DMU 'b' inputs[0]: integer too large for a float"
+
+    def test_integer_past_the_digit_limit_is_parse_error(self):
+        raw = GOOD_JSON.replace('"inputs": [2.5]', '"inputs": [1' + "0" * 5000 + "]")
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load_dataset(raw, "json")
+
     def test_non_positive_lower_bound_rejected(self):
         doc = json.loads(GOOD_JSON)
         doc["dmus"][0]["inputs"][0] = [0, 1, 2]
@@ -118,6 +133,18 @@ class TestCsvLoading:
     def test_unknown_format(self):
         with pytest.raises(ParseError):
             load_dataset(GOOD_JSON, "yaml")
+
+
+@pytest.mark.parametrize("fmt,raw", [
+    ("json", GOOD_JSON.replace("[2.5]", "[1e400]")),
+    ("csv", GOOD_CSV.replace("b,2.5,", "b,inf,")),
+])
+def test_non_finite_number_names_the_cell(fmt, raw):
+    with pytest.raises(DataError, match="triangular bounds must be finite") as err:
+        load_dataset(raw, fmt)
+    assert str(err.value).startswith(
+        "DMU 'b' inputs[0]: " if fmt == "json" else "row 3 ('b') column 'in:I1': "
+    )
 
 
 class TestRoundTrip:
@@ -242,6 +269,21 @@ class TestReports:
             read_report("{oops")
         with pytest.raises(SchemaError):
             read_report('{"model": "mo"}')
+
+    @pytest.mark.parametrize("field", ["alpha", "score", "alphas"])
+    @pytest.mark.parametrize("value", ["x", 10**400], ids=["text", "huge-int"])
+    def test_non_numeric_field_is_schema_error(self, field, value):
+        doc = json.loads(write_report(sample_report(), "json"))
+        if field == "alphas":
+            doc["alphas"][0] = value
+        else:
+            doc["rows"][0][field] = value
+        with pytest.raises(SchemaError, match="malformed report document"):
+            read_report(json.dumps(doc))
+
+    def test_undecodable_report_is_parse_error(self):
+        with pytest.raises(ParseError):
+            read_report(b'{"model": "\xff"}')
 
     def test_unknown_format(self):
         with pytest.raises(ParseError):

@@ -18,7 +18,7 @@ from fuzzydea.alphacut import (
     pessimistic_reduce,
     pessimistic_scores,
 )
-from fuzzydea.ccr import CcrTemplate, SelfPolicy, ccr_efficiency, ccr_scores
+from fuzzydea.ccr import SelfPolicy, ccr_efficiency, ccr_scores
 from fuzzydea.cli import DEFAULT_ALPHAS, main
 from fuzzydea.dataio import FuzzyDataset, FuzzyDmu, load_fixture
 from fuzzydea.errors import AlphaOutOfRange, DataError, RangeError
@@ -344,13 +344,13 @@ class TestRootAccuracy:
 
 
 def _count_lps(monkeypatch):
-    """Counter of the LPs solved from now on, by DMU index, at ccr._solve."""
+    """Counter of the LPs solved from now on, by DMU name, at ccr._solve."""
     lps = collections.Counter()
     solve = ccr._solve
 
-    def counted(X, data, p, policy):
-        lps[p] += 1
-        return solve(X, data, p, policy)
+    def counted(X, n_outputs, name, policy):
+        lps[name] += 1
+        return solve(X, n_outputs, name, policy)
 
     monkeypatch.setattr(ccr, "_solve", counted)
     return lps
@@ -400,32 +400,48 @@ class TestLpCounts:
 
     def test_cli_solves_each_level_of_a_dmu_once(self, monkeypatch):
         lps = _count_lps(monkeypatch)
-        probed = collections.defaultdict(set)  # DMU index -> levels asked for
+        probed = collections.defaultdict(set)  # DMU name -> levels asked for
         solve = DmuLps.solve
 
         def recorded(self, beta):
-            probed[self.p].add(beta)
+            probed[self.name].add(beta)
             return solve(self, beta)
 
         monkeypatch.setattr(DmuLps, "solve", recorded)
-        total = 0
-        for fixture, policy, mode in FIXTURE_GRID:
-            lps.clear()
-            probed.clear()
-            argv = ["eval", "--model", "mo", "--data", f"fixture:{fixture}",
-                    "--alpha-mode", mode, "--format", "csv"]
-            if policy is SelfPolicy.INCLUDE_SELF:
-                argv.append("--include-self")
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(argv) == 0
-            assert sorted(lps) == sorted(probed) == list(range(5))
-            for p in probed:
-                assert lps[p] == len(probed[p]), (fixture, policy, mode, p)
-            total += sum(lps.values())
+        totals = {}
+        for sub in (("eval", "--model", "mo"), ("compare",)):
+            for fixture, policy, mode in FIXTURE_GRID:
+                lps.clear()
+                probed.clear()
+                argv = [*sub, "--data", f"fixture:{fixture}",
+                        "--alpha-mode", mode, "--format", "csv"]
+                if policy is SelfPolicy.INCLUDE_SELF:
+                    argv.append("--include-self")
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+                names = sorted(load_fixture(fixture).dmu_names)
+                assert sorted(lps) == sorted(probed) == names
+                for name in probed:
+                    assert lps[name] == len(probed[name]), (sub, fixture, policy, mode)
+                totals[sub[0], fixture, policy, mode] = sum(lps.values())
+        # compare takes its alpha-cut column from the mo model's LPs: the
+        # level alpha is z* under rescale, and the h = 0 probe under floor
+        # when the search made one.
+        ex = SelfPolicy.EXCLUDE_SELF
+        assert {
+            (fixture, mode): n
+            for (sub, fixture, policy, mode), n in totals.items()
+            if sub == "compare" and policy is ex
+        } == {
+            ("guo_tanaka", "rescale"): 72,
+            ("guo_tanaka", "floor"): 69,
+            ("aircraft", "rescale"): 71,
+            ("aircraft", "floor"): 63,
+        }
         monkeypatch.setattr(DmuLps, "solve", solve)
         lps.clear()
         standalone = sum(n for _, n, _ in _standalone_scores(lps))
-        assert total < standalone
+        assert sum(n for k, n in totals.items() if k[0] == "eval") < standalone
 
 
 EQUIV_SETS = tuple(random_dataset(np.random.default_rng(700 + k)) for k in range(20))
@@ -464,6 +480,23 @@ class TestEvaluateAllEquivalence:
                     for pos, j in enumerate(order)
                 ]
                 assert [_fields(r) for r in ranked] == want, (data.name, cfg)
+
+    @pytest.mark.parametrize("mode", ALPHA_MODES)
+    def test_compare_all_equals_alphacut_scores_and_evaluate_all(self, gt, ac, mode):
+        cfgs = [
+            MoConfig(alpha=a, policy=policy, alpha_mode=mode)
+            for a in EQUIV_ALPHAS
+            for policy in SelfPolicy
+        ]
+        for data in (gt, ac, *EQUIV_SETS):
+            ranked = evaluate_all(data, cfgs)
+            for cfg, pairs, mo in zip(cfgs, mofdea.compare_all(data, cfgs), ranked):
+                cut = alphacut_scores(data, cfg.alpha, cfg.policy)
+                assert [c.hex() for c, _ in pairs] == [sc.score.hex() for sc in cut]
+                by_name = {r.dmu: _fields(replace(r, rank=None)) for r in mo}
+                assert [_fields(r) for _, r in pairs] == [
+                    by_name[name] for name in data.dmu_names
+                ]
 
     def test_modes_mixed_in_one_call(self, gt):
         cfgs = [
@@ -554,9 +587,7 @@ def _digest(out):
 # Every public entry that takes a DMU index p, on fixture:guo_tanaka.
 INDEX_ENTRIES = {
     "ccr_efficiency": lambda d, p: ccr_efficiency(modal_reduce(d), p),
-    "CcrTemplate": lambda d, p: CcrTemplate(
-        reduced_data(d, 0, 0.0), modal_reduce(d), p
-    ).solve(0.5),
+    "DmuLps": lambda d, p: DmuLps(d, p, SelfPolicy.EXCLUDE_SELF).solve(0.5),
     "alphacut_reduce": lambda d, p: alphacut_reduce(d, p, 0.5),
     "pessimistic_reduce": lambda d, p: pessimistic_reduce(d, p, 0.5),
     "reduced_data": lambda d, p: reduced_data(d, p, 0.5),
@@ -584,9 +615,7 @@ class TestDmuIndex:
 POLICY_ENTRIES = {
     "ccr_efficiency": lambda d, pol: ccr_efficiency(modal_reduce(d), 1, pol),
     "ccr_scores": lambda d, pol: ccr_scores(modal_reduce(d), pol),
-    "CcrTemplate": lambda d, pol: CcrTemplate(
-        reduced_data(d, 1, 0.0), modal_reduce(d), 1, pol
-    ).solve(0.5),
+    "DmuLps": lambda d, pol: DmuLps(d, 1, pol).solve(0.5),
     "alphacut_scores": lambda d, pol: alphacut_scores(d, 0.0, pol),
     "pessimistic_scores": lambda d, pol: pessimistic_scores(d, 0.0, pol),
     "z_star": lambda d, pol: z_star(d, 1, pol),

@@ -1,7 +1,9 @@
-"""CcrTemplate: the mo model's probes, solved from two starting tableaus.
+"""DmuLps: the mo model's probes, solved from two starting tableaus.
 
 A probe at level beta must give what ccr_efficiency gives on the data
-reduced to beta, bit for bit, on either kernel.
+reduced to beta, bit for bit, on either kernel.  DmuLps keeps each
+level's result, so a test that means to solve a level again clears
+that record first.
 """
 
 import numpy as np
@@ -10,10 +12,11 @@ import pytest
 from _datagen import random_dataset
 from fuzzydea import ccr
 from fuzzydea._speedups import fast_ccr_solve, pure_ccr_solve
-from fuzzydea.ccr import CcrTemplate, CrispDataset, SelfPolicy, ccr_efficiency
+from fuzzydea.alphacut import _ends, reduce_at
+from fuzzydea.ccr import CrispDataset, SelfPolicy, ccr_efficiency
 from fuzzydea.dataio import FuzzyDataset, FuzzyDmu
 from fuzzydea.errors import DataError, NumericalBreakdown, SolverFailure
-from fuzzydea.mofdea import reduced_data
+from fuzzydea.mofdea import DmuLps, reduced_data
 from fuzzydea.trifuzzy import TriFuzzy, toward_modal
 
 KERNELS = [
@@ -26,12 +29,14 @@ KERNELS = [
 ]
 
 
-def template(data, p, policy):
-    return CcrTemplate(reduced_data(data, p, 0.0), reduced_data(data, p, 1.0), p, policy)
-
-
 def bits(res):
     return (res.efficiency.hex(), [x.hex() for x in res.u], [x.hex() for x in res.v])
+
+
+def solve_afresh(lps, beta):
+    """lps's LP at beta, solved now even if it was solved before."""
+    lps.solved.clear()
+    return lps.solve(beta)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -42,11 +47,11 @@ def test_probe_equals_ccr_on_reduced_data(kernel, policy, monkeypatch):
     for _ in range(40):
         data = random_dataset(rng, n_dmus=int(rng.integers(2, 9)))
         p = int(rng.integers(0, data.n_dmus))
-        tpl = template(data, p, policy)
+        lps = DmuLps(data, p, policy)
         for beta in (0.0, 1.0, *rng.random(4)):
             beta = float(beta)
             ref = ccr_efficiency(reduced_data(data, p, beta), p, policy=policy)
-            assert bits(tpl.solve(beta)) == bits(ref)
+            assert bits(lps.solve(beta)) == bits(ref)
 
 
 @pytest.mark.skipif(fast_ccr_solve is None, reason="compiled kernel not built")
@@ -54,17 +59,17 @@ def test_probe_identical_across_kernels(monkeypatch):
     rng = np.random.default_rng(5)
     for _ in range(20):
         data = random_dataset(rng)
-        tpl = template(data, 0, SelfPolicy.EXCLUDE_SELF)
+        lps = DmuLps(data, 0, SelfPolicy.EXCLUDE_SELF)
         beta = float(rng.random())
         monkeypatch.setattr(ccr, "default_ccr_solve", pure_ccr_solve)
-        pure = bits(tpl.solve(beta))
+        pure = bits(solve_afresh(lps, beta))
         monkeypatch.setattr(ccr, "default_ccr_solve", fast_ccr_solve)
-        assert bits(tpl.solve(beta)) == pure
+        assert bits(solve_afresh(lps, beta)) == pure
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_reused_work_buffer_leaks_no_state(kernel, monkeypatch):
-    # One template solves every level into the same work tableau and
+    # One DmuLps solves every level into the same work tableau and
     # basis; each result must equal a fresh solve, in any order.
     monkeypatch.setattr(ccr, "default_ccr_solve", kernel)
     rng = np.random.default_rng(11)
@@ -77,13 +82,35 @@ def test_reused_work_buffer_leaks_no_state(kernel, monkeypatch):
             b: bits(ccr_efficiency(reduced_data(data, p, b), p, policy=policy))
             for b in levels
         }
-        tpl = template(data, p, policy)
+        lps = DmuLps(data, p, policy)
         for _ in range(3):
             order = [levels[int(i)] for i in rng.permutation(len(levels))]
             for a, b in zip(order, order[1:]):
-                assert [bits(tpl.solve(x)) for x in (a, b, a)] == [
+                assert [bits(solve_afresh(lps, x)) for x in (a, b, a)] == [
                     fresh[a], fresh[b], fresh[a]
                 ]
+
+
+@pytest.mark.parametrize("favor_p", [True, False])
+def test_ends_take_each_dmus_support_end(favor_p):
+    # The store's two ends and reduce_at share one end helper.  With
+    # favor_p, p sits at low inputs and high outputs and its peers at
+    # the opposite ends; without, the roles swap.
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        data = random_dataset(rng, n_dmus=int(rng.integers(2, 9)))
+        m = data.n_inputs
+        lower, modal, upper = data.bounds
+        best = np.concatenate((lower[:m], upper[m:]))
+        worst = np.concatenate((upper[:m], lower[m:]))
+        for p in range(data.n_dmus):
+            end, mid = _ends(data, p, favor_p)
+            for j in range(data.n_dmus):
+                want = best if (j == p) == favor_p else worst
+                assert end[:, j].tolist() == want[:, j].tolist()
+            assert mid.tolist() == modal.tolist()
+            crisp = reduce_at(data, p, 0.0, favor_p)
+            assert end.tobytes() == np.vstack((crisp.inputs, crisp.outputs)).tobytes()
 
 
 def _two_dmus(lower, modal):
@@ -109,17 +136,19 @@ def test_probe_data_must_stay_positive_and_finite(lower, modal):
             toward_modal(end.inputs, mid.inputs, -1.0),
             toward_modal(end.outputs, mid.outputs, -1.0),
         )
-    with pytest.raises(DataError):
-        CcrTemplate(end, mid, 0, SelfPolicy.EXCLUDE_SELF).solve(-1.0)
+    with pytest.raises(DataError, match="data at level -1.0 for DMU 'U1'"):
+        DmuLps(data, 0, SelfPolicy.EXCLUDE_SELF).solve(-1.0)
 
 
 def test_unbounded_probe_raises_like_ccr():
-    solo = CrispDataset(("A",), [[1.0]], [[1.0]])
-    tpl = CcrTemplate(solo, solo, 0, SelfPolicy.EXCLUDE_SELF)
+    one = (TriFuzzy(1.0, 1.0, 1.0),)
+    solo = FuzzyDataset("solo", ("I1",), ("O1",), (FuzzyDmu("A", one, one),))
+    lps = DmuLps(solo, 0, SelfPolicy.EXCLUDE_SELF)
     with pytest.raises(SolverFailure) as got:
-        tpl.solve(0.5)
+        lps.solve(0.5)
     with pytest.raises(SolverFailure) as want:
-        ccr_efficiency(solo, 0, policy=SelfPolicy.EXCLUDE_SELF)
+        ccr_efficiency(CrispDataset(("A",), [[1.0]], [[1.0]]), 0,
+                       policy=SelfPolicy.EXCLUDE_SELF)
     assert str(got.value) == str(want.value)
     assert got.value.status is want.value.status
 
@@ -135,8 +164,8 @@ def test_iteration_cap_reaches_the_probe(monkeypatch):
         return kernel(*args[:-1], 0)
 
     data = random_dataset(np.random.default_rng(3), n_dmus=4)
-    tpl = template(data, 1, SelfPolicy.INCLUDE_SELF)
+    lps = DmuLps(data, 1, SelfPolicy.INCLUDE_SELF)
     monkeypatch.setattr(ccr, "default_ccr_solve", capped)
     with pytest.raises(NumericalBreakdown, match=r"cap \(0\) in phase 1"):
-        tpl.solve(0.5)
+        lps.solve(0.5)
     assert calls == [0.5]
