@@ -5,6 +5,8 @@
  * it with -ffp-contract=off (setup.py does), or the compiler may fuse
  * f * row[j] and the subtraction into one rounding.  The arrays come in
  * through the buffer protocol, so no numpy headers are needed.
+ * pivot_loop pivots a tableau for linprog's simplex; ccr_solve blends a
+ * CCR LP's data to a level, then writes and solves the LP's tableau.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -15,53 +17,30 @@
 enum { OPTIMAL, UNBOUNDED, ITER_LIMIT, INFEASIBLE, BAD_DATA, /* as pure.py */
        PHASE1_UNBOUNDED, PHASE1_ITER_LIMIT };
 
-/* A C-contiguous buffer: 2-D doubles if `tableau`, else 1-D int64.
+/* A C-contiguous buffer: 2-D doubles if `matrix`, else 1-D int64.
  * Returns 0, or -1 with an exception set and no buffer held. */
 static int
-get_array(PyObject *obj, Py_buffer *view, int flags, int tableau,
+get_array(PyObject *obj, Py_buffer *view, int flags, int matrix,
           const char *name)
 {
     const char *fmt;
-    int ndim = tableau ? 2 : 1;
+    int ndim = matrix ? 2 : 1;
 
     if (PyObject_GetBuffer(obj, view,
                            flags | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
         return -1;
     fmt = view->format + (view->format[0] == '@');
     if (view->ndim != ndim || view->itemsize != 8 || fmt[0] == '\0' ||
-        fmt[1] != '\0' || strchr(tableau ? "d" : "lq", fmt[0]) == NULL) {
+        fmt[1] != '\0' || strchr(matrix ? "d" : "lq", fmt[0]) == NULL) {
         PyErr_Format(PyExc_ValueError,
                      "%s must be a %d-D array of %s, got %d-D '%s' with "
                      "%zd-byte items", name, ndim,
-                     tableau ? "float64" : "int64", view->ndim, view->format,
+                     matrix ? "float64" : "int64", view->ndim, view->format,
                      view->itemsize);
         PyBuffer_Release(view);
         return -1;
     }
     return 0;
-}
-
-/* One pivot on row lr, column ec of the first nrows rows and ncols
- * columns of T, whose rows lie `stride` doubles apart. */
-static void
-pivot(double *T, int64_t *basis, Py_ssize_t nrows, Py_ssize_t ncols,
-      Py_ssize_t stride, Py_ssize_t lr, Py_ssize_t ec)
-{
-    double *row = T + lr * stride, *ri, piv = row[ec], f;
-    Py_ssize_t i, j;
-
-    for (j = 0; j < ncols; j++)
-        row[j] /= piv;
-    row[ec] = 1.0;
-    for (i = 0; i < nrows; i++) {
-        ri = T + i * stride;
-        if (i == lr || (f = ri[ec]) == 0.0)
-            continue;
-        for (j = 0; j < ncols; j++)
-            ri[j] -= f * row[j];
-        ri[ec] = 0.0;
-    }
-    basis[lr] = ec;
 }
 
 /* Bland-rule pivots in place on T's first nrows rows (the last: reduced
@@ -70,8 +49,8 @@ static int
 run(double *T, int64_t *basis, Py_ssize_t nrows, Py_ssize_t ncols,
     Py_ssize_t stride, double tol, long long max_iter, long long *iters)
 {
-    Py_ssize_t m = nrows - 1, n = ncols - 1, ec, lr, i;
-    double *obj = T + m * stride, a, r, best;
+    Py_ssize_t m = nrows - 1, n = ncols - 1, ec, lr, i, j;
+    double *obj = T + m * stride, *row, *ri, a, r, best;
 
     while (*iters < max_iter) {
         /* Bland entering rule: least column with an improving reduced cost. */
@@ -92,95 +71,116 @@ run(double *T, int64_t *basis, Py_ssize_t nrows, Py_ssize_t ncols,
         }
         if (lr < 0)
             return UNBOUNDED;
-        pivot(T, basis, nrows, ncols, stride, lr, ec);
+
+        /* Pivot on row lr, column ec. */
+        row = T + lr * stride;
+        for (a = row[ec], j = 0; j < ncols; j++)
+            row[j] /= a;
+        row[ec] = 1.0;
+        for (i = 0; i < nrows; i++) {
+            ri = T + i * stride;
+            if (i == lr || (a = ri[ec]) == 0.0)
+                continue;
+            for (j = 0; j < ncols; j++)
+                ri[j] -= a * row[j];
+            ri[ec] = 0.0;
+        }
+        basis[lr] = ec;
         (*iters)++;
     }
     return ITER_LIMIT;
 }
 
-/* The CCR LP at `level` in W, solved as linprog._simplex solves it; see
- * pure.ccr_solve.  Phase 2 keeps phase 1's row stride: the RHS moves into
- * the artificial's column and dropped rows move up.  Fills x[0..n) and
- * *value on OPTIMAL, else *value is the cap of the last phase run. */
+/* DMU p's CCR LP on the data at `level`, written into W and solved as
+ * linprog._simplex solves it; see pure.ccr_solve.  E and M, the data at
+ * levels 0 and 1, are R rows (the inputs, then s outputs) by N DMUs.
+ * Phase 2 keeps phase 1's row stride, its RHS in the artificial's
+ * column.  Fills x[0..R) and *value on OPTIMAL, else *value is the cap
+ * of the last phase run. */
 static int
-solve_ccr(const double *E, const double *M, double level, double *W,
-          int64_t *basis, Py_ssize_t rows, Py_ssize_t cols, double tol,
-          long long per_dim, double *value, double *x)
+solve_ccr(const double *E, const double *M, double level, Py_ssize_t R,
+          Py_ssize_t N, Py_ssize_t s, Py_ssize_t p, int exclude, double *W,
+          int64_t *basis, double tol, long long per_dim, double *value,
+          double *x)
 {
-    Py_ssize_t k = rows - 3, n = cols - k - 2, art = n + k, m = k + 1;
-    Py_ssize_t nz = 0, bad = 0, kept, i, j;
-    const double *obj = W + (rows - 1) * cols;
-    double a = 1.0 - level, f, *cost;
-    long long iters1 = 0, iters2 = 0, cap;
+    Py_ssize_t k = N - exclude, m = k + 1, art = R + k, cols = art + 2;
+    Py_ssize_t i, j, r, c;
+    double a = 1.0 - level, w, f, *cost, *obj = W + (m + 1) * cols;
+    long long iters = 0, cap;
     int status;
 
-    /* toward_modal's formula; nz: W's nonzero entries less modal's */
-    for (i = 0; i < rows * cols; i++) {
-        if (E[i] == M[i])
-            W[i] = M[i];
-        else {
-            nz -= M[i] != 0.0;  /* before W[i] is written: work may be modal */
-            W[i] = a * E[i] + level * M[i];
-            nz += W[i] != 0.0;
+    /* linprog._tableau's layout.  Columns: u, v, one slack per peer, the
+     * artificial, the RHS.  Rows: v @ x_p = 1, u @ y_j - v @ x_j <= 0 per
+     * peer j, phase 1's costs (minus row 0 bar the artificial), the
+     * objective. */
+    memset(W, 0, (m + 2) * cols * sizeof(double));
+    W[art] = W[art + 1] = 1.0;
+    W[m * cols + cols - 1] = -1.0;
+    for (i = 1; i < m; i++)
+        W[i * cols + R - 1 + i] = 1.0;
+    for (r = 0; r < R; r++) {
+        c = r < R - s ? s + r : r - (R - s);
+        for (j = 0; j < N; j++) {
+            /* toward_modal's formula: a side without spread stays modal */
+            i = r * N + j;
+            w = E[i] == M[i] ? M[i] : a * E[i] + level * M[i];
+            if (w == 0.0 || !isfinite(w))
+                return BAD_DATA;
+            if (j == p) {
+                if (c < s)
+                    obj[c] = w;
+                else {
+                    W[c] = w;
+                    W[m * cols + c] = -w;
+                }
+                if (exclude)
+                    continue;
+            }
+            W[(j + 1 - (exclude && j > p)) * cols + c] = c < s ? w : -w;
         }
-        bad += !isfinite(W[i]);
     }
-    if (nz != 0 || bad)
-        return BAD_DATA;
 
-    /* Phase 1 from the slack basis, the artificial basic in row 0. */
+    /* Phase 1 from the slack basis, the artificial basic in row 0.  While
+     * it is basic, row 0's RHS stays 1 and the costs minus row 0, so it
+     * leaves or phase 1 ends at -1: no artificial is left to purge.  Past
+     * that, costs are rounding residue; one above tol with no pivot row
+     * (p's inputs past ~5e6 and 1e9 apart) ends phase 1 unbounded. */
     basis[0] = art;
     for (i = 1; i < m; i++)
-        basis[i] = n - 1 + i;
+        basis[i] = R - 1 + i;
     cap = per_dim * (m + 1 + cols);
-    status = run(W, basis, m + 1, cols, cols, tol, cap, &iters1);
     *value = (double)cap;
+    status = run(W, basis, m + 1, cols, cols, tol, cap, &iters);
     if (status != OPTIMAL)
         return status == UNBOUNDED ? PHASE1_UNBOUNDED : PHASE1_ITER_LIMIT;
     if (W[m * cols + cols - 1] < -1e2 * tol)
         return INFEASIBLE;
-
-    /* Pivot leftover basic artificials out, or drop their rows. */
-    kept = 0;
-    for (i = 0; i < m; i++) {
-        if (basis[i] >= art) {
-            for (j = 0; j < art; j++)
-                if (fabs(W[i * cols + j]) > tol)
-                    break;
-            if (j == art)
-                continue;
-            pivot(W, basis, m + 1, cols, cols, i, j);
-        }
-        if (kept < i)
-            memcpy(W + kept * cols, W + i * cols, cols * sizeof(double));
-        basis[kept++] = basis[i];
-    }
-    m = kept;
     for (i = 0; i < m; i++)
         W[i * cols + art] = W[i * cols + cols - 1];
 
     /* Phase 2's reduced costs, in row m: the objective priced out. */
     cost = W + m * cols;
     for (j = 0; j <= art; j++)
-        cost[j] = j < n ? -obj[j] : 0.0;
+        cost[j] = j < R ? -obj[j] : 0.0;
     for (i = 0; i < m; i++) {
-        if (basis[i] >= n || (f = cost[basis[i]]) == 0.0)
+        if (basis[i] >= R || (f = cost[basis[i]]) == 0.0)
             continue;
         for (j = 0; j <= art; j++)
             cost[j] -= f * W[i * cols + j];
         cost[basis[i]] = 0.0;
     }
     cap = per_dim * (m + 1 + art + 1);
-    status = run(W, basis, m + 1, art + 1, cols, tol, cap, &iters2);
+    iters = 0;
+    status = run(W, basis, m + 1, art + 1, cols, tol, cap, &iters);
     *value = (double)cap;
     if (status != OPTIMAL)
         return status;
-    memset(x, 0, n * sizeof(double));
+    memset(x, 0, R * sizeof(double));
     for (i = 0; i < m; i++)
-        if (basis[i] < n)
+        if (basis[i] < R)
             x[basis[i]] = W[i * cols + art];
     *value = 0.0;
-    for (j = 0; j < n; j++)
+    for (j = 0; j < R; j++)
         *value += obj[j] * x[j];
     return OPTIMAL;
 }
@@ -219,9 +219,9 @@ pivot_loop(PyObject *self, PyObject *args)
 }
 
 PyDoc_STRVAR(ccr_solve_doc,
-"ccr_solve(end, modal, level, work, basis, n_outputs, tol, iters_per_dim)\n"
-"    -> (status, value, u, v)\n\n"
-"One CCR multiplier LP at one data level; see pure.ccr_solve.");
+"ccr_solve(end, modal, level, p, exclude_self, work, basis, n_outputs, tol,\n"
+"          iters_per_dim) -> (status, value, u, v)\n\n"
+"DMU p's CCR multiplier LP at one data level; see pure.ccr_solve.");
 
 static PyObject *
 ccr_solve(PyObject *self, PyObject *args)
@@ -229,42 +229,43 @@ ccr_solve(PyObject *self, PyObject *args)
     static const char *names[4] = {"end", "modal", "work", "basis"};
     PyObject *obj[4], *out = NULL, *u = NULL, *v = NULL, *xj;
     Py_buffer buf[4];
-    Py_ssize_t rows, cols, n, s, j;
+    Py_ssize_t R, N, k, p, s, j;
     double level, tol, value = 0.0, *x = NULL;
     long long per_dim;
-    int status, got;
+    int exclude, status, got;
 
-    if (!PyArg_ParseTuple(args, "OOdOOndL:ccr_solve", &obj[0], &obj[1],
-                          &level, &obj[2], &obj[3], &s, &tol, &per_dim))
+    if (!PyArg_ParseTuple(args, "OOdnpOOndL:ccr_solve", &obj[0], &obj[1],
+                          &level, &p, &exclude, &obj[2], &obj[3], &s, &tol,
+                          &per_dim))
         return NULL;
     for (got = 0; got < 4; got++)
         if (get_array(obj[got], &buf[got], got < 2 ? 0 : PyBUF_WRITABLE,
                       got < 3, names[got]) < 0)
             goto done;
-    rows = buf[0].shape[0];
-    cols = buf[0].shape[1];
-    n = cols - rows + 1;  /* less rows - 3 slacks, an artificial, the RHS */
-    if (buf[1].shape[0] != rows || buf[1].shape[1] != cols ||
-        buf[2].shape[0] != rows || buf[2].shape[1] != cols || rows < 3 ||
-        n < 1 || s < 0 || s > n || buf[3].shape[0] != rows - 2) {
-        PyErr_Format(PyExc_ValueError, "no CCR tableau: end %zdx%zd, "
-                     "modal %zdx%zd, work %zdx%zd, basis %zd, n_outputs %zd",
-                     rows, cols, buf[1].shape[0], buf[1].shape[1],
+    R = buf[0].shape[0];
+    N = buf[0].shape[1];
+    k = N - exclude;  /* peers */
+    if (buf[1].shape[0] != R || buf[1].shape[1] != N || R < 1 || N < 1 ||
+        p < 0 || p >= N || s < 0 || s > R || buf[2].shape[0] != k + 3 ||
+        buf[2].shape[1] != R + k + 2 || buf[3].shape[0] != k + 1) {
+        PyErr_Format(PyExc_ValueError, "no CCR LP: end %zdx%zd, modal "
+                     "%zdx%zd, p %zd, work %zdx%zd, basis %zd, n_outputs %zd",
+                     R, N, buf[1].shape[0], buf[1].shape[1], p,
                      buf[2].shape[0], buf[2].shape[1], buf[3].shape[0], s);
         goto done;
     }
-    if ((x = PyMem_Malloc(n * sizeof(double))) == NULL) {
+    if ((x = PyMem_Malloc(R * sizeof(double))) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    status = solve_ccr(buf[0].buf, buf[1].buf, level, buf[2].buf, buf[3].buf,
-                       rows, cols, tol, per_dim, &value, x);
+    status = solve_ccr(buf[0].buf, buf[1].buf, level, R, N, s, p, exclude,
+                       buf[2].buf, buf[3].buf, tol, per_dim, &value, x);
     if (status != OPTIMAL)
         out = Py_BuildValue("idOO", status, value, Py_None, Py_None);
     if (status != OPTIMAL || (u = PyTuple_New(s)) == NULL ||
-        (v = PyTuple_New(n - s)) == NULL)
+        (v = PyTuple_New(R - s)) == NULL)
         goto done;
-    for (j = 0; j < n; j++) {
+    for (j = 0; j < R; j++) {
         if ((xj = PyFloat_FromDouble(x[j])) == NULL)
             goto done;
         PyTuple_SET_ITEM(j < s ? u : v, j < s ? j : j - s, xj);

@@ -3,8 +3,8 @@
 Twin of the compiled kernel in fast.c: the same operations in the same
 order on IEEE doubles, so tableaus and results are bit-identical
 between the two.  pivot_loop serves linprog's general simplex;
-ccr_solve solves one CCR multiplier LP, from its data level to its
-weights, in one call.
+ccr_solve solves one CCR multiplier LP, from its data at a level to its
+weights, in one call: it writes the LP's tableau itself.
 """
 
 import math
@@ -19,26 +19,6 @@ INFEASIBLE = 3
 BAD_DATA = 4
 PHASE1_UNBOUNDED = 5
 PHASE1_ITER_LIMIT = 6
-
-
-def _pivot(T, basis, nrows, ncols, lr, ec):
-    """One pivot on row lr, column ec of rows T[:nrows], columns [:ncols]."""
-    row = T[lr]
-    piv = row[ec]
-    for j in range(ncols):
-        row[j] /= piv
-    row[ec] = 1.0
-    for i in range(nrows):
-        ri = T[i]
-        if i == lr:
-            continue
-        f = ri[ec]
-        if f == 0.0:
-            continue
-        for j in range(ncols):
-            ri[j] -= f * row[j]
-        ri[ec] = 0.0
-    basis[lr] = ec
 
 
 def _run(T, basis, nrows, ncols, tol, max_iter):
@@ -71,7 +51,24 @@ def _run(T, basis, nrows, ncols, tol, max_iter):
                 best = r
         if lr < 0:
             return UNBOUNDED, iters
-        _pivot(T, basis, nrows, ncols, lr, ec)
+
+        # Pivot on row lr, column ec.
+        row = T[lr]
+        a = row[ec]
+        for j in range(ncols):
+            row[j] /= a
+        row[ec] = 1.0
+        for i in range(nrows):
+            ri = T[i]
+            if i == lr:
+                continue
+            a = ri[ec]
+            if a == 0.0:
+                continue
+            for j in range(ncols):
+                ri[j] -= a * row[j]
+            ri[ec] = 0.0
+        basis[lr] = ec
         iters += 1
     return ITER_LIMIT, iters
 
@@ -94,34 +91,44 @@ def pivot_loop(T_arr, basis_arr, tol, max_iter):
     return status, iters
 
 
-def _solve_ccr(E, M, level, W, basis, rows, cols, tol, per_dim):
+def _solve_ccr(E, M, level, s, p, exclude, W, basis, tol, per_dim):
     """fast.c's solve_ccr on lists: (status, value, x); see ccr_solve."""
-    k = rows - 3
-    n = cols - k - 2
-    art = n + k
+    R, N = len(E), len(E[0])
+    k = N - exclude
     m = k + 1
-    obj = W[rows - 1]
+    art = R + k
+    cols = art + 2
+    obj = W[m + 1]
     a = 1.0 - level
 
-    # toward_modal's formula; nz: W's nonzero entries less modal's.
-    nz = bad = 0
-    for i in range(rows):
-        Ei, Mi, Wi = E[i], M[i], W[i]
-        for j in range(cols):
-            if Ei[j] == Mi[j]:
-                Wi[j] = Mi[j]
-            else:
-                nz -= Mi[j] != 0.0
-                Wi[j] = a * Ei[j] + level * Mi[j]
-                nz += Wi[j] != 0.0
-            bad += not math.isfinite(Wi[j])
-    if nz != 0 or bad:
-        return BAD_DATA, 0.0, None
+    # linprog._tableau's layout, W zero to start with; see fast.c.
+    W[0][art] = W[0][art + 1] = 1.0
+    W[m][cols - 1] = -1.0
+    for i in range(1, m):
+        W[i][R - 1 + i] = 1.0
+    for r in range(R):
+        c = s + r if r < R - s else r - (R - s)
+        Er, Mr = E[r], M[r]
+        for j in range(N):
+            # toward_modal's formula: a side without spread stays modal.
+            w = Mr[j] if Er[j] == Mr[j] else a * Er[j] + level * Mr[j]
+            if w == 0.0 or not math.isfinite(w):
+                return BAD_DATA, 0.0, None
+            if j == p:
+                if c < s:
+                    obj[c] = w
+                else:
+                    W[0][c] = w
+                    W[m][c] = -w
+                if exclude:
+                    continue
+            W[j + 1 - (exclude and j > p)][c] = w if c < s else -w
 
-    # Phase 1 from the slack basis, the artificial basic in row 0.
+    # Phase 1 from the slack basis, the artificial basic in row 0; see
+    # fast.c for why no artificial is left to purge after it.
     basis[0] = art
     for i in range(1, m):
-        basis[i] = n - 1 + i
+        basis[i] = R - 1 + i
     cap = per_dim * (m + 1 + cols)
     status, _ = _run(W, basis, m + 1, cols, tol, cap)
     if status != OPTIMAL:
@@ -132,32 +139,16 @@ def _solve_ccr(E, M, level, W, basis, rows, cols, tol, per_dim):
         )
     if W[m][cols - 1] < -1e2 * tol:
         return INFEASIBLE, float(cap), None
-
-    # Pivot leftover basic artificials out, or drop their rows.
-    kept = 0
-    for i in range(m):
-        if basis[i] >= art:
-            j = 0
-            while j < art and not abs(W[i][j]) > tol:
-                j += 1
-            if j == art:
-                continue
-            _pivot(W, basis, m + 1, cols, i, j)
-        if kept < i:
-            W[kept][:] = W[i]
-        basis[kept] = basis[i]
-        kept += 1
-    m = kept
     for i in range(m):
         W[i][art] = W[i][cols - 1]
 
     # Phase 2's reduced costs, in row m: the objective priced out.
     cost = W[m]
     for j in range(art + 1):
-        cost[j] = -obj[j] if j < n else 0.0
+        cost[j] = -obj[j] if j < R else 0.0
     for i in range(m):
         b = basis[i]
-        if b >= n:
+        if b >= R:
             continue
         f = cost[b]
         if f == 0.0:
@@ -171,57 +162,71 @@ def _solve_ccr(E, M, level, W, basis, rows, cols, tol, per_dim):
     if status != OPTIMAL:
         return status, float(cap), None
 
-    x = [0.0] * n
+    x = [0.0] * R
     for i in range(m):
-        if basis[i] < n:
+        if basis[i] < R:
             x[basis[i]] = W[i][art]
     value = 0.0
-    for j in range(n):
+    for j in range(R):
         value += obj[j] * x[j]
     return OPTIMAL, value, x
 
 
-def ccr_solve(end, modal, level, work, basis_arr, n_outputs, tol, iters_per_dim):
-    """Solve a CCR multiplier LP at one data level, as linprog._simplex does.
+def ccr_solve(
+    end, modal, level, p, exclude_self, work, basis_arr, n_outputs, tol,
+    iters_per_dim,
+):
+    """Solve DMU p's CCR multiplier LP at one data level, as
+    linprog._simplex does.
 
-    end and modal are the starting tableaus (ccr._multiplier_tableau's
-    layout, k + 3 rows by n + k + 2 columns for k peers and n = s + m
-    multipliers) of the data at level 0 and 1.  work (same shape; it may
-    be end or modal itself) and basis_arr (k + 1 int64 entries) are
-    overwritten: work with
-    toward_modal(end, modal, level) and then the simplex's tableaus,
-    basis_arr with its basis.  The data check is that work has as many
-    nonzero entries as modal and none that is not finite.  Phase 1
-    runs from the slack basis with the artificial basic in row 0, then
-    basic artificials are pivoted out (or their rows dropped), and
-    phase 2 runs on the objective, the last row; each phase may pivot
+    end and modal are the data at levels 0 and 1, each m + s rows (the
+    inputs, then the n_outputs outputs) by N DMUs: alphacut._ends'
+    arrays, or one crisp array given twice.  Each cell is blended to
+    level by trifuzzy.toward_modal's formula: a cell where end equals
+    modal stays exactly modal.  The data check is that every blended
+    cell is finite and nonzero.  The LP has k = N - exclude_self peers:
+    every DMU, less p itself when exclude_self is true.
+
+    work (k + 3 by m + s + k + 2) and basis_arr (k + 1 int64 entries)
+    are overwritten.  work gets the LP's starting tableau, entry for
+    entry the one linprog._tableau builds (columns u, v, one slack per
+    peer, the artificial, the RHS; rows v @ x_p = 1, one
+    u @ y_j - v @ x_j <= 0 per peer, the phase-1 reduced costs, the
+    objective), and then the simplex's tableaus; basis_arr gets its
+    basis.  Phase 1 runs from the slack basis with the artificial basic
+    in row 0.  The normalisation row's right-hand side is 1 and every
+    peer row's is 0, so phase 1 either ends infeasible with the
+    artificial basic or drives it out, and no artificial is left to
+    purge; it can still end unbounded on a rounding residue in its
+    costs, for inputs of p's some 1e9 apart.  Phase 2 then runs on the
+    objective, the last row.  Each phase may pivot
     iters_per_dim * (rows + columns) times for its own tableau's shape.
 
     Returns (status, value, u, v): on OPTIMAL the optimum and the
-    weights of the n_outputs outputs and of the inputs, as tuples;
-    otherwise u and v are None and value is the iteration cap of the
-    last phase run (0.0 for BAD_DATA).  Raises ValueError unless the
-    shapes fit that layout.
+    weights of the outputs and of the inputs, as tuples; otherwise u
+    and v are None and value is the iteration cap of the last phase run
+    (0.0 for BAD_DATA).  Raises ValueError unless the shapes fit.
     """
-    rows, cols = end.shape if end.ndim == 2 else (0, 0)
-    n = cols - rows + 1  # less rows - 3 slacks, an artificial, the RHS
+    R, N = end.shape if end.ndim == 2 else (0, 0)
+    k = N - bool(exclude_self)
     if (
-        modal.shape != (rows, cols)
-        or work.shape != (rows, cols)
-        or rows < 3
-        or n < 1
-        or not 0 <= n_outputs <= n
-        or basis_arr.shape != (rows - 2,)
+        modal.shape != (R, N)
+        or R < 1
+        or N < 1
+        or not 0 <= p < N
+        or not 0 <= n_outputs <= R
+        or work.shape != (k + 3, R + k + 2)
+        or basis_arr.shape != (k + 1,)
     ):
         raise ValueError(
-            f"no CCR tableau: end {end.shape}, modal {modal.shape}, work "
+            f"no CCR LP: end {end.shape}, modal {modal.shape}, p {p}, work "
             f"{work.shape}, basis {basis_arr.shape}, n_outputs {n_outputs}"
         )
-    W = work.tolist()
+    W = [[0.0] * (R + k + 2) for _ in range(k + 3)]
     basis = basis_arr.tolist()
     status, value, x = _solve_ccr(
-        end.tolist(), modal.tolist(), float(level), W, basis, rows, cols,
-        tol, iters_per_dim,
+        end.tolist(), modal.tolist(), float(level), n_outputs, p,
+        bool(exclude_self), W, basis, tol, iters_per_dim,
     )
     work[:] = W
     basis_arr[:] = basis

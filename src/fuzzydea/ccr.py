@@ -125,57 +125,34 @@ def _check_policy(policy) -> SelfPolicy:
     return policy
 
 
-def _multiplier_tableau(
-    inputs: np.ndarray, outputs: np.ndarray, p: int, policy: SelfPolicy
-) -> np.ndarray:
-    """DMU p's two-phase starting tableau, with its objective as one more row.
-
-    inputs (m x n) and outputs (s x n) hold the data of the n DMUs.
-    Columns: u (one per output), v (one per input), one slack per peer,
-    the normalisation row's artificial, the right-hand side.  Rows: the
-    normalisation v @ x_p = 1, one u @ y_j - v @ x_j <= 0 per peer, the
-    phase-1 reduced costs, the objective.  Entry for entry this is what
-    linprog._tableau builds for the LP.
-    """
-    (m, n_dmus), s = inputs.shape, outputs.shape[0]
-    exclude = _check_policy(policy) is SelfPolicy.EXCLUDE_SELF
-    peers = [
-        j for j in range(n_dmus)
-        if not (exclude and j == p)
-    ]
-    k, n = len(peers), s + m
-    T = np.zeros((k + 3, n + k + 2))
-    T[0, s:n] = inputs[:, p]
-    T[0, n + k :] = 1.0  # the artificial and the right-hand side
-    T[1 : k + 1, :s] = outputs[:, peers].T
-    T[1 : k + 1, s:n] = -inputs[:, peers].T
-    T[range(1, k + 1), range(n, n + k)] = 1.0
-    # Phase 1 maximises minus the artificial; priced out against row 0,
-    # its reduced costs are minus row 0 with the artificial's entry zeroed.
-    T[k + 1, s:n] = -inputs[:, p]
-    T[k + 1, -1] = -1.0
-    T[k + 2, :s] = outputs[:, p]
-    return T
+def _lp_buffers(X: np.ndarray, policy: SelfPolicy):
+    """The work tableau and basis that the kernel overwrites with the
+    multiplier LP on data X ((inputs + outputs) x DMUs) under policy."""
+    rows, n_dmus = X.shape
+    k = n_dmus - (_check_policy(policy) is SelfPolicy.EXCLUDE_SELF)  # peers
+    return np.empty((k + 3, rows + k + 2)), np.empty(k + 1, dtype=np.int64)
 
 
 def _solve(X, n_outputs: int, name: str, policy: SelfPolicy) -> CcrResult:
     """The multiplier LP of the DMU called name, solved by one
     default_ccr_solve call.
 
-    X is (end, modal, level, work, basis): the LP's starting tableaus
-    at levels 0 and 1 (_multiplier_tableau), the level to solve it at,
-    and the work tableau and basis that the kernel overwrites (work
-    may be end and modal themselves when they are one array).  The
-    kernel blends the tableau at level with trifuzzy.toward_modal's
-    formula and runs both simplex phases as linprog._simplex would on
-    it, so the result is the one _simplex gives, bit for bit.  Raises
-    DataError when the data at level is not finite and positive,
-    SolverFailure when the LP is infeasible or unbounded, and
+    X is (end, modal, level, p, work, basis): the data at levels 0 and
+    1 ((inputs + outputs) x DMUs; one crisp array may be both), the
+    level to solve at, the DMU's index, and the work tableau and basis
+    of _lp_buffers that the kernel overwrites.  The kernel blends the
+    data to level with trifuzzy.toward_modal's formula, writes the LP's
+    starting tableau in linprog._tableau's layout and runs both simplex
+    phases as linprog._simplex would on it, so the result is the one
+    _simplex gives, bit for bit.  Raises DataError when a data cell at
+    level is 0 or not finite (positive data reach neither at a level in
+    [0, 1]), SolverFailure when the LP is infeasible or unbounded, and
     NumericalBreakdown when a phase hits its iteration cap.
     """
-    end, modal, level, work, basis = X
+    end, modal, level, p, work, basis = X
     status, value, u, v = default_ccr_solve(
-        end, modal, level, work, basis, n_outputs, LP_TOL, ITERS_PER_DIM
+        end, modal, level, p, policy is SelfPolicy.EXCLUDE_SELF, work, basis,
+        n_outputs, LP_TOL, ITERS_PER_DIM,
     )
     if status == OPTIMAL:
         return CcrResult(dmu=name, efficiency=value, u=u, v=v, policy=policy)
@@ -202,10 +179,10 @@ def ccr_efficiency(
     unbounded (e.g. ExcludeSelf with no peer left).
     """
     p = _check_index(data, p)
-    T = _multiplier_tableau(data.inputs, data.outputs, p, policy)
-    basis = np.empty(T.shape[0] - 2, dtype=np.int64)
-    # The tableau is this call's own, so the kernel may solve it in place.
-    return _solve((T, T, 1.0, T, basis), data.n_outputs, data.names[p], policy)
+    crisp = np.concatenate((data.inputs, data.outputs))
+    # The crisp data are both ends, so every level gives them back.
+    X = (crisp, crisp, 1.0, p, *_lp_buffers(crisp, policy))
+    return _solve(X, data.n_outputs, data.names[p], policy)
 
 
 def ccr_scores(

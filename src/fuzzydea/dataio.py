@@ -437,10 +437,7 @@ def _report_md(report: Report) -> str:
     out = [f"# {report.model} report", ""]
     out.append(f"policy: {report.policy}")
     out.append("")
-    dmu_order = []
-    for r in report.rows:
-        if r.dmu not in dmu_order:
-            dmu_order.append(r.dmu)
+    dmu_order = list(dict.fromkeys(r.dmu for r in report.rows))
 
     if report.model == "compare":
         headers = ["alpha", "dmu", "alpha-cut", "mo", "gap"]
@@ -471,12 +468,19 @@ def _report_md(report: Report) -> str:
     else:
         # score matrix: one row per alpha level, one column per DMU
         headers = ["alpha"] + list(dmu_order)
+        # row_for's row, the first at (dmu, alpha) by ==, so -0.0 finds
+        # 0.0, a repeated alpha its first row and a NaN alpha none.
+        first = {}
+        for r in report.rows:
+            if r.alpha == r.alpha:
+                first.setdefault((r.dmu, r.alpha), r)
         rows = []
         if dmu_order:
             for a in report.alphas:
                 cells = [f"{a:g}"]
                 for dmu in dmu_order:
-                    cells.append(_fmt(report.row_for(dmu, a).score))
+                    r = first.get((dmu, a)) or report.row_for(dmu, a)
+                    cells.append(_fmt(r.score))
                 rows.append(cells)
         out.append(_md_table(headers, rows))
     return "\n".join(out)

@@ -32,7 +32,7 @@ on the efficiency at alpha = 1 (crisp modal data).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,7 +45,7 @@ from .ccr import (
     SelfPolicy,
     _check_index,
     _check_policy,
-    _multiplier_tableau,
+    _lp_buffers,
     ccr_efficiency,
 )
 from .dataio import FuzzyDataset
@@ -203,31 +203,28 @@ def eff_at(data: FuzzyDataset, p: int, h: float, cfg: MoConfig = MoConfig()) -> 
 class DmuLps:
     """DMU p's multiplier LP under one self policy, and its results by level.
 
-    solve(beta) gives ccr_efficiency on reduce_at(data, p, beta) bit for
-    bit: the kernel blends the LP's starting tableaus on p's level-0
-    data and on the modal data by toward_modal's formula, which commutes
-    with negation exactly.  Neither end depends on alpha or the alpha
-    mode, so all of p's scores under this policy share one DmuLps; it
-    solves each level once, into one work tableau and basis.
+    It keeps alphacut._ends' two arrays, p's data at level 0 and the
+    modal data, and solve(beta) hands them to the kernel, which blends
+    them to beta by toward_modal's formula and writes the LP's tableau
+    itself; the result is ccr_efficiency on reduce_at(data, p, beta)
+    bit for bit.  Neither end depends on alpha or the alpha mode, so all
+    of p's scores under this policy share one DmuLps; it solves each
+    level once, into one work tableau and basis.
     """
 
     def __init__(self, data: FuzzyDataset, p: int, policy: SelfPolicy):
         p = _check_index(data, p)
         self.data, self.p, self.policy = data, p, _check_policy(policy)
         self.name, self._n_outputs = data.dmus[p].name, data.n_outputs
-        m = data.n_inputs
-        self._tableaus = [
-            _multiplier_tableau(x[:m], x[m:], p, policy) for x in _ends(data, p)
-        ]
-        self._work = np.empty_like(self._tableaus[0])
-        self._basis = np.empty(len(self._work) - 2, dtype=np.int64)
+        self._ends = _ends(data, p)
+        self._buffers = _lp_buffers(self._ends[0], policy)
         self.solved: Dict[float, CcrResult] = {}
 
     def solve(self, beta: float) -> CcrResult:
         """The LP result at data level beta, solved on its first request."""
         res = self.solved.get(beta)
         if res is None:
-            X = (*self._tableaus, beta, self._work, self._basis)
+            X = (*self._ends, beta, self.p, *self._buffers)
             # Looked up on ccr at each call, so a rebinding sees every LP.
             res = self.solved[beta] = ccr._solve(
                 X, self._n_outputs, self.name, self.policy
@@ -378,6 +375,9 @@ def _ranked(results) -> Tuple[MoResult, ...]:
         range(len(results)),
         key=lambda j: (-results[j].efficiency, -results[j].h_star, j),
     )
+    # The constructor takes about half the time of dataclasses.replace.
     return tuple(
-        replace(results[j], rank=pos + 1) for pos, j in enumerate(order)
+        MoResult(r.dmu, r.h_star, r.efficiency, r.z_star, r.u, r.v,
+                 r.iterations, r.alpha, r.policy, pos + 1)
+        for pos, r in enumerate(results[j] for j in order)
     )

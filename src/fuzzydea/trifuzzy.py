@@ -17,8 +17,8 @@ def toward_modal(end, modal, level):
     """(1 - level) * end + level * modal, entrywise on floats or arrays.
 
     The package's one reduction formula: alpha-cuts, the mo model's beta
-    level and modal data all move support ends toward modal with it, on
-    data arrays and on LP tableaus alike.  An end without spread stays
+    level and modal data all move support ends toward modal with it, and
+    the kernel's ccr_solve applies it cell by cell.  An end without spread stays
     exactly at modal; the convex combination of two equal values can
     miss them by one ulp.
     """

@@ -81,6 +81,20 @@ def brute_force_lp(objective, rows, tol=1e-7):
     return ("optimal", best_val, tuple(float(v) for v in best_x))
 
 
+def reference_lp(inputs, outputs, p, exclude_self):
+    """DMU p's CCR multiplier LP as (c, A, relations, rhs): u then v, row
+    by row; inputs (m x n) and outputs (s x n) over n DMUs."""
+    (m, n), s = inputs.shape, outputs.shape[0]
+    peers = [j for j in range(n) if not (exclude_self and j == p)]
+    c = np.zeros(s + m)
+    c[:s] = outputs[:, p]
+    A = np.zeros((1 + len(peers), s + m))
+    A[0, s:] = inputs[:, p]
+    A[1:, :s] = outputs[:, peers].T
+    A[1:, s:] = -inputs[:, peers].T
+    return c, A, ("=",) + ("<=",) * len(peers), (1.0,) + (0.0,) * len(peers)
+
+
 def ratio_efficiency(xs, ys, p):
     """IncludeSelf CCR for one input, one output: (y_p/x_p) / max_j y_j/x_j."""
     ratios = [y / x for x, y in zip(xs, ys)]

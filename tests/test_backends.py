@@ -1,14 +1,17 @@
 """The compiled kernel must be a bit-for-bit twin of the pure one.
 
 Both entries are checked: pivot_loop, linprog's pivot loop, and
-ccr_solve, which solves a whole CCR multiplier LP and must also give
-what linprog._simplex gives on the same tableau.
+ccr_solve, which writes and solves a whole CCR multiplier LP from its
+data and must also write the tableau linprog._tableau builds and give
+what linprog._simplex gives on it.
 """
 
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ import pytest
 
 import fuzzydea
 from _datagen import random_dataset
+from _oracles import reference_lp
 from fuzzydea import ccr, linprog
 from fuzzydea._speedups import (
     BACKEND,
@@ -34,12 +38,18 @@ from fuzzydea._speedups.pure import (
     PHASE1_UNBOUNDED,
     UNBOUNDED,
 )
-from fuzzydea.alphacut import alphacut_scores
-from fuzzydea.ccr import SelfPolicy, _multiplier_tableau
+from fuzzydea.alphacut import _ends, alphacut_scores
 from fuzzydea.dataio import load_fixture
 from fuzzydea.errors import NumericalBreakdown
-from fuzzydea.linprog import ITERS_PER_DIM, LP_TOL, LpProblem, LpStatus, _simplex, solve
-from fuzzydea.mofdea import reduced_data
+from fuzzydea.linprog import (
+    ITERS_PER_DIM,
+    LP_TOL,
+    LpProblem,
+    LpStatus,
+    _simplex,
+    _tableau,
+    solve,
+)
 from fuzzydea.trifuzzy import toward_modal
 
 REPO = Path(__file__).resolve().parent.parent
@@ -117,29 +127,28 @@ def assert_short_basis_rejected(kernel):
     assert T.tobytes() == before.tobytes()
 
 
-def ccr_tableaus():
-    """(name, end, modal, n_outputs): p's starting tableaus at data levels
-    0 and 1, for every DMU of both fixtures and one of each of 40
-    _datagen sets, under both self policies."""
+def ccr_lps():
+    """(name, lp): lp is (end, modal, p, exclude_self, n_outputs), DMU p's
+    data at levels 0 and 1, for every DMU of both fixtures and one of
+    each of 40 _datagen sets, under both self policies."""
     rng = np.random.default_rng(20261019)
     picks = [(load_fixture(f), p) for f in ("guo_tanaka", "aircraft") for p in range(5)]
     for _ in range(40):
         data = random_dataset(rng, n_dmus=int(rng.integers(2, 9)))
         picks.append((data, int(rng.integers(0, data.n_dmus))))
     for data, p in picks:
-        ends = (reduced_data(data, p, 0.0), reduced_data(data, p, 1.0))
-        for policy in SelfPolicy:
-            end, modal = (
-                _multiplier_tableau(d.inputs, d.outputs, p, policy) for d in ends
-            )
-            yield f"{data.name}/{p}/{policy.value}", end, modal, len(data.output_names)
+        for exclude in (False, True):
+            yield f"{data.name}/{p}/{exclude}", (*_ends(data, p), p, exclude, data.n_outputs)
 
 
-def run_ccr(kernel, end, modal, level, n_outputs, iters_per_dim=ITERS_PER_DIM):
+def run_ccr(kernel, lp, level, iters_per_dim=ITERS_PER_DIM):
     """kernel's result, work tableau and basis, from fixed initial buffers."""
-    work = np.full_like(end, 7.0)
-    basis = np.full(end.shape[0] - 2, 3, dtype=np.int64)
-    out = kernel(end, modal, level, work, basis, n_outputs, LP_TOL, iters_per_dim)
+    end, modal, p, exclude, s = lp
+    rows, n_dmus = end.shape
+    k = n_dmus - exclude
+    work = np.full((k + 3, rows + k + 2), 7.0)
+    basis = np.full(k + 1, 3, dtype=np.int64)
+    out = kernel(end, modal, level, p, exclude, work, basis, s, LP_TOL, iters_per_dim)
     return out, work, basis
 
 
@@ -149,54 +158,46 @@ def ccr_bits(out, work, basis):
     return status, value.hex(), xs, work.tobytes(), basis.tobytes()
 
 
-def simplex_reference(end, modal, level, n_outputs):
-    """(status, value, u, v) that linprog._simplex gives on the blended tableau."""
+def simplex_reference(lp, level):
+    """The starting tableau that linprog._tableau builds for lp's LP on
+    the data at level, and what linprog._simplex gives on it: (status,
+    value, u, v), or the message of its NumericalBreakdown."""
+    end, modal, p, exclude, s = lp
     X = toward_modal(end, modal, level)
-    k = X.shape[0] - 3
-    n = X.shape[1] - k - 2
-    basis = np.arange(n - 1, n + k, dtype=np.int64)
-    basis[0] = n + k
+    c, A, rels, b = reference_lp(X[: len(X) - s], X[len(X) - s :], p, exclude)
+    T, basis, n_art = _tableau(c, A, rels, b)
+    start = T.copy()
     try:
-        out = _simplex(X, basis, n, 1)
+        out = _simplex(T, basis, len(c), n_art)
     except NumericalBreakdown as exc:
-        return str(exc)
+        return start, str(exc)
     if out.status is not LpStatus.OPTIMAL:
-        return INFEASIBLE if out.status is LpStatus.INFEASIBLE else UNBOUNDED
-    return OPTIMAL, out.value, out.solution[:n_outputs], out.solution[n_outputs:]
+        return start, INFEASIBLE if out.status is LpStatus.INFEASIBLE else UNBOUNDED
+    return start, (OPTIMAL, out.value, out.solution[:s], out.solution[s:])
 
 
-def crafted_tableaus():
-    """(name, tableau, n_outputs, status): CCR-layout tableaus that reach
-    the kernel's rarer branches, each used as both ends."""
-    base = _multiplier_tableau(
-        np.array([[2.0, 3.0, 4.0], [1.0, 1.0, 2.0]]), np.array([[1.0, 2.0, 1.5]]),
-        0, SelfPolicy.EXCLUDE_SELF)
-    s, n, k = 1, 3, 2
-    cases = []
-    T = base.copy()  # v @ x_p = 1 with v >= 0 and x_p < 0
-    T[0, s:n] *= -1.0
-    T[k + 1, s:n] *= -1.0
-    cases.append(("infeasible", T, s, INFEASIBLE))
-    for rhs, status in ((5e-7, INFEASIBLE), (5e-8, OPTIMAL)):  # at -1e2 * LP_TOL
-        T = T.copy()
-        T[0, -1], T[k + 1, -1] = rhs, -rhs
-        cases.append((f"phase 1 ends at {-rhs}", T, s, status))
-    T = base.copy()  # a column with a negative phase-1 cost and no positive entry
-    T[1 : k + 1, 0] *= -1.0
-    T[k + 1, 0] = -1.0
-    cases.append(("phase-1 unbounded", T, s, PHASE1_UNBOUNDED))
-    T = base.copy()  # phase 1 ends at 0 with the artificial basic: purge pivot
-    T[0, s:n] *= -1.0
-    T[k + 1, s:n] *= -1.0
-    T[0, -1] = T[k + 1, -1] = 0.0
-    cases.append(("artificial pivoted out", T, s, OPTIMAL))
-    T = T.copy()  # ... and with nothing to pivot on: row dropped
-    T[[0, k + 1], s:n] = 0.0
-    cases.append(("row dropped", T, s, UNBOUNDED))
-    solo = _multiplier_tableau(
-        np.ones((1, 1)), np.ones((1, 1)), 0, SelfPolicy.EXCLUDE_SELF)
-    cases.append(("no peer", solo, 1, UNBOUNDED))
-    return cases
+# p = 0's two inputs and one output, and two peers'.
+SMALL = np.array([[1.3, 3.0, 4.0], [1.0, 1.0, 2.0], [3.3, 2.0, 1.5]])
+
+
+def crafted_lps():
+    """(name, lp, level, status): data that reach the kernel's rarer outcomes."""
+    neg = SMALL.copy()  # v @ x_p = 1 with v >= 0 and x_p < 0
+    neg[:2, 0] *= -1.0
+    solo = np.ones((2, 1))
+    spread = SMALL * 1.25  # level-0 ends off modal except p's own cells
+    spread[:, 0] = SMALL[:, 0]
+    # After the normalisation pivot, v_2's phase-1 cost is minus one ulp
+    # of 2.2e7 (< -tol) and its entries are at most 2.2e7 / 4.2e16 <= tol.
+    vast = np.array([[4.2e16, 1.3e16], [2.2e7, 1.7e7], [6.7, 9.9]])
+    return [
+        ("infeasible", (neg, neg, 0, True, 1), 1.0, INFEASIBLE),
+        ("infeasible, p a peer", (neg, neg, 0, False, 1), 1.0, INFEASIBLE),
+        ("no peer", (solo, solo, 0, True, 1), 1.0, UNBOUNDED),
+        ("phase-1 unbounded", (vast, vast, 0, True, 1), 1.0, PHASE1_UNBOUNDED),
+        # 0.7 * 1.3 + 0.3 * 1.3 and 0.7 * 3.3 + 0.3 * 3.3 miss by an ulp
+        ("crisp cells", (spread, SMALL, 0, True, 1), 0.3, OPTIMAL),
+    ]
 
 
 def result_hex(out):
@@ -206,69 +207,60 @@ def result_hex(out):
 
 
 def assert_ccr_twin(kernel):
-    """kernel against the pure entry and against linprog._simplex."""
+    """kernel against the pure entry and against linprog._tableau and
+    _simplex: the same starting tableau, bit for bit, and the same result."""
     rng = np.random.default_rng(5)
-    for name, end, modal, s in ccr_tableaus():
-        for level in (0.0, 1.0, float(rng.random())):
-            got = run_ccr(kernel, end, modal, level, s)
-            pure = run_ccr(pure_ccr_solve, end, modal, level, s)
-            assert ccr_bits(*got) == ccr_bits(*pure), (name, level)
-            ref = simplex_reference(end, modal, level, s)
+    cases = [(name, lp, level, OPTIMAL)
+             for name, lp in ccr_lps() for level in (0.0, 1.0, float(rng.random()))]
+    for name, lp, level, status in cases + crafted_lps():
+        got = run_ccr(kernel, lp, level)
+        assert got[0][0] == status, (name, level)
+        assert ccr_bits(*got) == ccr_bits(*run_ccr(pure_ccr_solve, lp, level)), name
+        start, ref = simplex_reference(lp, level)
+        assert run_ccr(kernel, lp, level, 0)[1].tobytes() == start.tobytes(), name
+        if status == OPTIMAL:
             assert result_hex(got[0]) == result_hex(ref), (name, level)
-            assert ref[0] == OPTIMAL
-        # work may be modal itself, or the one array that is both ends
-        for lo, level in ((end, 0.5), (None, 1.0)):
-            A = modal.copy()
-            basis = np.full(A.shape[0] - 2, 3, dtype=np.int64)
-            out = kernel(A if lo is None else lo, A, level, A, basis, s, LP_TOL,
-                         ITERS_PER_DIM)
-            want = run_ccr(kernel, modal if lo is None else lo, modal, level, s)
-            assert ccr_bits(out, A, basis) == ccr_bits(*want), (name, level)
-    for name, T, s, status in crafted_tableaus():
-        got = run_ccr(kernel, T, T, 1.0, s)
-        assert got[0][0] == status, name
-        assert ccr_bits(*got) == ccr_bits(*run_ccr(pure_ccr_solve, T, T, 1.0, s)), name
-        ref = simplex_reference(T, T, 1.0, s)
-        if status == PHASE1_UNBOUNDED:
+        elif status == PHASE1_UNBOUNDED:
             assert ref == "phase 1 reported an unbounded tableau"
-        elif status == OPTIMAL:
-            assert result_hex(got[0]) == result_hex(ref), name
         else:
             assert ref == status, name
+    spread, modal = crafted_lps()[-1][1][:2]
+    start = run_ccr(kernel, (spread, modal, 0, True, 1), 0.3, 0)[1]
+    assert (start[0, 1:3].tolist(), start[-1, 0]) == ([1.3, 1.0], 3.3)
 
 
 def assert_ccr_errors(kernel):
     """Bad data, the iteration cap and misshapen buffers."""
-    data = reduced_data(load_fixture("guo_tanaka"), 1, 1.0)
-    end = _multiplier_tableau(data.inputs, data.outputs, 1, SelfPolicy.INCLUDE_SELF)
-    half = end * 0.5  # at level -1 every entry that moves reaches 0
-    huge = np.full_like(end, 1e308)  # at level -1 every entry overflows
-    for lo, hi, level in ((half, end, -1.0), (huge, end, -1.0), (half, end, np.nan)):
-        out, _, basis = run_ccr(kernel, lo, hi, level, 2)
+    end, modal = _ends(load_fixture("guo_tanaka"), 1)
+    half = modal * 0.5  # at level -1 every cell that moves reaches 0
+    huge = np.full_like(modal, 1e308)  # at level -1 every cell overflows
+    for lo, level in ((half, -1.0), (huge, -1.0), (half, np.nan)):
+        out, _, basis = run_ccr(kernel, (lo, modal, 1, False, 2), level)
         assert out == (BAD_DATA, 0.0, None, None)
         assert basis.tolist() == [3] * len(basis)  # untouched
-        work = hi.copy()  # the check also holds when work is modal
-        out = kernel(lo, work, level, work, basis, 2, LP_TOL, ITERS_PER_DIM)
-        assert out == (BAD_DATA, 0.0, None, None)
-    assert run_ccr(kernel, half, end, 0.5, 2, iters_per_dim=0)[0] == (
+    assert run_ccr(kernel, (end, modal, 1, False, 2), 0.5, iters_per_dim=0)[0] == (
         PHASE1_ITER_LIMIT, 0.0, None, None)
 
-    rows, cols = end.shape
-    basis = np.zeros(rows - 2, dtype=np.int64)
+    rows, n = end.shape  # include-self: n peers
+    work, basis = np.zeros((n + 3, rows + n + 2)), np.zeros(n + 1, dtype=np.int64)
     bad = [
-        (end, end, end.copy(), basis[:-1], 2),  # basis one entry short
-        (end, end, end.copy(), np.zeros(rows - 1, dtype=np.int64), 2),
-        (end, end, end[:, :-1].copy(), basis, 2),  # work of another shape
-        (end, end[:-1], end.copy(), basis, 2),  # modal of another shape
-        (end, end, end.ravel().copy(), basis, 2),  # 1-D work
-        (end, end, end.copy(), basis, cols),  # more outputs than multipliers
-        (end[:2], end[:2], end[:2].copy(), basis[:0], 0),  # too few rows
+        (end, modal, 1, False, work, basis[:-1], 2),  # basis one entry short
+        (end, modal, 1, False, work, np.zeros(n + 2, dtype=np.int64), 2),
+        (end, modal, 1, True, work, basis, 2),  # buffers of include-self
+        (end, modal, 1, False, work[:, :-1], basis, 2),  # work of another shape
+        (end, modal[:, :-1], 1, False, work, basis, 2),  # modal of another shape
+        (end, modal, 1, False, work.ravel(), basis, 2),  # 1-D work
+        (end, modal, 1, False, work, basis, rows + 1),  # more outputs than rows
+        (end, modal, n, False, work, basis, 2),  # p out of range
+        (end, modal, -1, False, work, basis, 2),
+        (end[:0], modal[:0], 1, False, work[:, rows:], basis, 0),  # no data rows
     ]
     for args in bad:
-        work, before = args[2], args[2].copy()
+        w = args[4]
+        before = w.copy()
         with pytest.raises(ValueError):
-            kernel(args[0], args[1], 0.5, work, *args[3:], LP_TOL, ITERS_PER_DIM)
-        assert work.tobytes() == before.tobytes()
+            kernel(*args[:2], 0.5, *args[2:], LP_TOL, ITERS_PER_DIM)
+        assert w.tobytes() == before.tobytes()
 
 
 @needs_fast
@@ -359,6 +351,22 @@ def test_committed_c_source_builds_a_twin(tmp_path):
     assert_short_basis_rejected(module.pivot_loop)
     assert_ccr_twin(module.ccr_solve)
     assert_ccr_errors(module.ccr_solve)
+
+
+def test_c_source_compiles_cleanly_under_wall():
+    # setup.py builds with optional=True, so a warning there would not
+    # fail a build; this holds fast.c to -Wall -Werror instead.
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler")
+    proc = subprocess.run(
+        [cc, "-fsyntax-only", "-Wall", "-Werror",
+         "-I", sysconfig.get_paths()["include"],
+         str(REPO / "src" / "fuzzydea" / "_speedups" / "fast.c")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestBackendSelection:

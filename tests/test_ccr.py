@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 
 from _datagen import random_crisp_dataset
-from _oracles import ratio_efficiency
+from _oracles import ratio_efficiency, reference_lp
+from fuzzydea import ccr
+from fuzzydea._speedups.pure import PHASE1_ITER_LIMIT
 from fuzzydea.alphacut import modal_reduce
 from fuzzydea.ccr import (
     CrispDataset,
     SelfPolicy,
-    _multiplier_tableau,
+    _lp_buffers,
     ccr_efficiency,
     ccr_scores,
 )
 from fuzzydea.errors import DataError, SolverFailure
-from fuzzydea.linprog import LpProblem, LpStatus, _tableau, solve
+from fuzzydea.linprog import LP_TOL, LpProblem, LpStatus, _tableau, solve
 
 
 def tiny(inputs, outputs, names=None):
@@ -109,20 +111,10 @@ class TestResultInvariants:
             ccr_efficiency(data, 2)
 
 
-def reference_lp(data, p, policy):
-    """DMU p's multiplier LP as (c, A, relations, rhs): u then v, row by row."""
-    s, m = data.n_outputs, data.n_inputs
-    peers = [
-        j for j in range(data.n_dmus)
-        if not (policy is SelfPolicy.EXCLUDE_SELF and j == p)
-    ]
-    c = np.zeros(s + m)
-    c[:s] = data.outputs[:, p]
-    A = np.zeros((1 + len(peers), s + m))
-    A[0, s:] = data.inputs[:, p]
-    A[1:, :s] = data.outputs[:, peers].T
-    A[1:, s:] = -data.inputs[:, peers].T
-    return c, A, ("=",) + ("<=",) * len(peers), (1.0,) + (0.0,) * len(peers)
+def lp_of(data, p, policy):
+    return reference_lp(
+        data.inputs, data.outputs, p, policy is SelfPolicy.EXCLUDE_SELF
+    )
 
 
 def scaled_sets(seed, scale):
@@ -143,7 +135,7 @@ class TestArrayPath:
     def test_same_bits_as_lp_problem(self, policy, scale):
         for data in scaled_sets(23, scale):
             for p in range(data.n_dmus):
-                c, A, rels, b = reference_lp(data, p, policy)
+                c, A, rels, b = lp_of(data, p, policy)
                 problem = LpProblem(tuple(c.tolist()), tuple(zip(A.tolist(), rels, b)))
                 want = solve(problem)
                 if want.status is not LpStatus.OPTIMAL:
@@ -163,10 +155,15 @@ class TestArrayPath:
     @pytest.mark.parametrize("scale", [1.0, 1e9, 1e-9])
     @pytest.mark.parametrize("policy", list(SelfPolicy))
     def test_tableau_bytes_equal_general_builder(self, policy, scale):
+        # With no pivot allowed the kernel stops at its starting tableau.
         for data in scaled_sets(29, scale):
+            X = np.concatenate((data.inputs, data.outputs))
             for p in range(data.n_dmus):
-                c, A, rels, b = reference_lp(data, p, policy)
-                T = _tableau(c, A, rels, b)[0]
-                X = _multiplier_tableau(data.inputs, data.outputs, p, policy)
-                assert X.shape == T.shape
-                assert X.tobytes() == T.tobytes()
+                T = _tableau(*lp_of(data, p, policy))[0]
+                work, basis = _lp_buffers(X, policy)
+                out = ccr.default_ccr_solve(
+                    X, X, 1.0, p, policy is SelfPolicy.EXCLUDE_SELF, work, basis,
+                    data.n_outputs, LP_TOL, 0,
+                )
+                assert out[0] == PHASE1_ITER_LIMIT
+                assert work.tobytes() == T.tobytes()

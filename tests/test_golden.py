@@ -1,10 +1,10 @@
 """Byte-for-byte golden reports of the CLI on both bundled fixtures.
 
-Every csv and json report that `eval --model ccr|alpha|mo`, `zstar` and
-`compare` print on the two fixtures, under both self policies and, where
-the mo model runs, both alpha modes, is kept under tests/golden/, plus
-the mo and compare csv reports on guo_tanaka at an unsorted alpha list
-with a repeated level.  A change that moves any byte of them has to say
+Every md, csv and json report that `eval --model ccr|alpha|mo`, `zstar`
+and `compare` print on the two fixtures, under both self policies and,
+where the mo model runs, both alpha modes, is kept under tests/golden/,
+plus the mo and compare csv and md reports and the alpha md report on
+guo_tanaka at an unsorted alpha list with a repeated level.  A change that moves any byte of them has to say
 so and regenerate them:
 
     PYTHONPATH=src python tests/test_golden.py tests/golden
@@ -23,7 +23,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURES = ("guo_tanaka", "aircraft")
 POLICIES = ((), ("--include-self",))
 MODES = ("rescale", "floor")
-FORMATS = ("csv", "json")
+FORMATS = ("md", "csv", "json")
 ALPHA_LIST = "1,0,0.5,0.5,0.25"
 
 
@@ -44,12 +44,16 @@ def _cases():
                         yield (f"{fixture}-{name}-{mode}-{tag}.{fmt}",
                                [*sub, *common, "--alpha-mode", mode])
     # An unsorted alpha list with a repeated level: the mo model shares
-    # each DMU's LPs across a report's levels, whatever their order.
-    for mode in MODES:
-        for sub, name in ((["eval", "--model", "mo"], "mo"), (["compare"], "compare")):
-            yield (f"guo_tanaka-{name}-{mode}-exclude-alpha-list.csv",
-                   [*sub, "--data", "fixture:guo_tanaka", "--format", "csv",
-                    "--alpha-mode", mode, "--alpha", ALPHA_LIST])
+    # each DMU's LPs across a report's levels, whatever their order, and
+    # an md score matrix shows a repeated level's first row.
+    listed = ["--data", "fixture:guo_tanaka", "--alpha", ALPHA_LIST]
+    for fmt in ("csv", "md"):
+        for mode in MODES:
+            for sub, name in ((["eval", "--model", "mo"], "mo"), (["compare"], "compare")):
+                yield (f"guo_tanaka-{name}-{mode}-exclude-alpha-list.{fmt}",
+                       [*sub, *listed, "--format", fmt, "--alpha-mode", mode])
+    yield ("guo_tanaka-alpha-exclude-alpha-list.md",
+           ["eval", "--model", "alpha", *listed, "--format", "md"])
 
 
 CASES = tuple(_cases())

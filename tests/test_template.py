@@ -1,4 +1,4 @@
-"""DmuLps: the mo model's probes, solved from two starting tableaus.
+"""DmuLps: the mo model's probes, solved from two data ends.
 
 A probe at level beta must give what ccr_efficiency gives on the data
 reduced to beta, bit for bit, on either kernel.  DmuLps keeps each
