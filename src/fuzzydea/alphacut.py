@@ -1,4 +1,5 @@
-"""Alpha-cut fuzzy CCR scores via extreme-value reduction.
+"""Alpha-cut fuzzy CCR scores via extreme-value reduction, and the one
+per-DMU LP store that every model scores through.
 
 At level alpha each triangular value collapses to its alpha-cut interval
 and the evaluated DMU takes the favorable endpoints (low inputs, high
@@ -10,16 +11,20 @@ the roles.  Normalization fixes the evaluated DMU's weighted input at 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from .ccr import CrispDataset, SelfPolicy, _check_index, ccr_efficiency
+from . import ccr
+from .ccr import CrispDataset, SelfPolicy, _check_index, _check_policy, _lp_buffers
 from .dataio import FuzzyDataset
 from .trifuzzy import check_alpha, toward_modal
+# Unused here; perfbench/tracing.py rebinds it by name in this module.
+from .ccr import ccr_efficiency  # noqa: F401
 
 __all__ = [
     "AlphaScore",
+    "DmuLps",
     "alphacut_reduce",
     "pessimistic_reduce",
     "modal_reduce",
@@ -58,7 +63,9 @@ def reduce_at(
     With favor_p, p starts from its favorable ends (low inputs, high
     outputs) and its peers from the unfavorable ones; without, the roles
     swap.  The alpha-cut, the mo model's beta level and the modal data
-    are all this one reduction.
+    are all this one reduction.  No model scores through it: DmuLps
+    blends the same ends in the kernel, and its LP at a level is
+    ccr_efficiency on this data bit for bit.
     """
     p = _check_index(data, p)
     level = check_alpha(level)
@@ -82,24 +89,58 @@ def modal_reduce(data: FuzzyDataset) -> CrispDataset:
     return reduce_at(data, 0, 1.0)
 
 
-def _scores(data: FuzzyDataset, alpha: float, policy: SelfPolicy, reduce):
+class DmuLps:
+    """DMU p's multiplier LP under one self policy, and its results by level.
+
+    It keeps _ends(data, p, favor_p)'s two arrays, and solve(level) hands
+    them to the kernel, which blends them to the level by toward_modal's
+    formula and writes the LP's tableau itself; the result is
+    ccr_efficiency on reduce_at(data, p, level, favor_p) bit for bit.
+    Every model scores through it: the alpha-cuts at alpha, crisp CCR at
+    1, and the mo model's z* and probes at their beta levels.  The ends
+    do not depend on the level, so one DmuLps serves all of p's LPs
+    under its policy and favor_p; it solves each level once, into one
+    work tableau and basis.
+    """
+
+    def __init__(
+        self, data: FuzzyDataset, p: int, policy: SelfPolicy, favor_p: bool = True
+    ):
+        p = _check_index(data, p)
+        self.data, self.p, self.policy = data, p, _check_policy(policy)
+        self.favor_p = favor_p
+        self.name, self._n_outputs = data.dmus[p].name, data.n_outputs
+        self._ends = _ends(data, p, favor_p)
+        self._buffers = _lp_buffers(self._ends[0], policy)
+        self.solved: Dict[float, ccr.CcrResult] = {}
+
+    def solve(self, level: float) -> ccr.CcrResult:
+        """The LP result at data level `level`, solved on its first request."""
+        res = self.solved.get(level)
+        if res is None:
+            X = (*self._ends, level, self.p, *self._buffers)
+            # Looked up on ccr at each call, so a rebinding sees every LP.
+            res = self.solved[level] = ccr._solve(
+                X, self._n_outputs, self.name, self.policy
+            )
+        return res
+
+
+def _scores(data: FuzzyDataset, alpha: float, policy: SelfPolicy, favor_p: bool):
     alpha = check_alpha(alpha)
-    out = []
-    for p in range(data.n_dmus):
-        res = ccr_efficiency(reduce(data, p, alpha), p, policy=policy)
-        out.append(AlphaScore(res.dmu, alpha, res.efficiency, policy))
-    return tuple(out)
+    solved = [DmuLps(data, p, policy, favor_p).solve(alpha) for p in range(data.n_dmus)]
+    return tuple(AlphaScore(r.dmu, alpha, r.efficiency, policy) for r in solved)
 
 
 def alphacut_scores(
     data: FuzzyDataset, alpha: float, policy: SelfPolicy = SelfPolicy.EXCLUDE_SELF
 ) -> Tuple[AlphaScore, ...]:
     """Optimistic alpha-cut score of every DMU at one alpha level."""
-    return _scores(data, alpha, policy, alphacut_reduce)
+    return _scores(data, alpha, policy, True)
 
 
 def pessimistic_scores(
     data: FuzzyDataset, alpha: float, policy: SelfPolicy = SelfPolicy.EXCLUDE_SELF
 ) -> Tuple[AlphaScore, ...]:
     """Pessimistic counterpart of alphacut_scores."""
-    return _scores(data, alpha, policy, pessimistic_reduce)
+    return _scores(data, alpha, policy, False)

@@ -16,8 +16,8 @@ import functools
 import sys
 from typing import List, Optional, Sequence
 
-from .alphacut import alphacut_scores, modal_reduce
-from .ccr import SelfPolicy, ccr_efficiency
+from .alphacut import alphacut_scores
+from .ccr import SelfPolicy
 from .dataio import (
     REPORT_FORMATS,
     FuzzyDataset,
@@ -36,6 +36,10 @@ from .mofdea import (
     evaluate_all,
     z_star,
 )
+from .trifuzzy import check_alpha
+# Unused here; perfbench/tracing.py rebinds them by name in this module.
+from .alphacut import modal_reduce  # noqa: F401
+from .ccr import ccr_efficiency  # noqa: F401
 
 __all__ = ["main"]
 
@@ -167,24 +171,18 @@ def _eval_report(args) -> Report:
     data = _load(args.data)
     policy = _policy(args)
 
-    if args.model == "ccr":
-        crisp = modal_reduce(data)
-        rows = tuple(
-            ReportRow(name, 1.0, ccr_efficiency(crisp, p, policy=policy).efficiency)
-            for p, name in enumerate(crisp.names)
-        )
-        return Report("ccr", policy.value, (1.0,), rows)
+    # Crisp CCR is the alpha-cut at 1, where every value is modal.
+    alphas = [1.0] if args.model == "ccr" else _parse_alphas(args.alpha)
+    if args.model != "mo":
+        levels = [check_alpha(a) for a in alphas]  # all of them before any LP
+        rows = [
+            ReportRow(sc.dmu, a, sc.score)
+            for a in levels
+            for sc in alphacut_scores(data, a, policy=policy)
+        ]
+        return Report(args.model, policy.value, tuple(alphas), tuple(rows))
 
-    alphas = _parse_alphas(args.alpha)
     rows = []
-    if args.model == "alpha":
-        for a in alphas:
-            rows.extend(
-                ReportRow(sc.dmu, a, sc.score)
-                for sc in alphacut_scores(data, a, policy=policy)
-            )
-        return Report("alpha", policy.value, tuple(alphas), tuple(rows))
-
     rankings = evaluate_all(data, _mo_configs(alphas, policy, args))
     for a, ranked in zip(alphas, rankings):
         mo = {r.dmu: r for r in ranked}

@@ -33,32 +33,22 @@ on the efficiency at alpha = 1 (crisp modal data).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
-from . import ccr
-from .alphacut import _ends, reduce_at
-from .ccr import (
-    CcrResult,
-    CrispDataset,
-    SelfPolicy,
-    _check_index,
-    _check_policy,
-    _lp_buffers,
-    ccr_efficiency,
-)
+from .alphacut import DmuLps, reduce_at
+from .ccr import CrispDataset, SelfPolicy, _check_index, _check_policy
 from .dataio import FuzzyDataset
 from .errors import DataError, DegenerateZStar, RangeError
 from .linprog import LP_TOL
 from .trifuzzy import check_alpha, is_finite_real
+# Unused here; perfbench/tracing.py rebinds it by name in this module.
+from .ccr import ccr_efficiency  # noqa: F401
 
 __all__ = [
     "ALPHA_MODES",
     "DEFAULT_ALPHA_MODE",
     "MoConfig",
     "MoResult",
-    "DmuLps",
     "beta_level",
     "reduced_data",
     "z_star",
@@ -163,10 +153,13 @@ def _ideal_level(alpha: float, mode: str) -> float:
     return alpha if mode == "rescale" else 0.0
 
 
-def _checked_ideal(value: float, name: str) -> float:
+def _z_star(lps: DmuLps, level: float) -> float:
+    """lps's score at data level `level`, the ideal z*; DegenerateZStar
+    unless it is positive, as the ratio target eff / z* needs."""
+    value = lps.solve(level).efficiency
     if value <= LP_TOL:
         raise DegenerateZStar(
-            f"ideal score for DMU {name!r} is {value}; "
+            f"ideal score for DMU {lps.name!r} is {value}; "
             "the ratio target is undefined"
         )
     return value
@@ -187,49 +180,13 @@ def z_star(
     alpha = 0 both modes give the full-support ideal.
     """
     beta_level(0.0, alpha, mode)  # validates alpha and mode
-    level = _ideal_level(float(alpha), mode)
-    p = _check_index(data, p)
-    value = ccr_efficiency(reduced_data(data, p, level), p, policy=policy).efficiency
-    return _checked_ideal(value, data.dmus[p].name)
+    return _z_star(DmuLps(data, p, policy), _ideal_level(float(alpha), mode))
 
 
 def eff_at(data: FuzzyDataset, p: int, h: float, cfg: MoConfig = MoConfig()) -> float:
     """Crisp CCR score of DMU p on reduced_data at satisfaction level h."""
-    p = _check_index(data, p)
-    reduced = reduced_data(data, p, h, cfg.alpha, cfg.alpha_mode)
-    return ccr_efficiency(reduced, p, policy=cfg.policy).efficiency
-
-
-class DmuLps:
-    """DMU p's multiplier LP under one self policy, and its results by level.
-
-    It keeps alphacut._ends' two arrays, p's data at level 0 and the
-    modal data, and solve(beta) hands them to the kernel, which blends
-    them to beta by toward_modal's formula and writes the LP's tableau
-    itself; the result is ccr_efficiency on reduce_at(data, p, beta)
-    bit for bit.  Neither end depends on alpha or the alpha mode, so all
-    of p's scores under this policy share one DmuLps; it solves each
-    level once, into one work tableau and basis.
-    """
-
-    def __init__(self, data: FuzzyDataset, p: int, policy: SelfPolicy):
-        p = _check_index(data, p)
-        self.data, self.p, self.policy = data, p, _check_policy(policy)
-        self.name, self._n_outputs = data.dmus[p].name, data.n_outputs
-        self._ends = _ends(data, p)
-        self._buffers = _lp_buffers(self._ends[0], policy)
-        self.solved: Dict[float, CcrResult] = {}
-
-    def solve(self, beta: float) -> CcrResult:
-        """The LP result at data level beta, solved on its first request."""
-        res = self.solved.get(beta)
-        if res is None:
-            X = (*self._ends, beta, self.p, *self._buffers)
-            # Looked up on ccr at each call, so a rebinding sees every LP.
-            res = self.solved[beta] = ccr._solve(
-                X, self._n_outputs, self.name, self.policy
-            )
-        return res
+    lps = DmuLps(data, p, cfg.policy)
+    return lps.solve(beta_level(h, cfg.alpha, cfg.alpha_mode)).efficiency
 
 
 def solve_mo(
@@ -256,9 +213,10 @@ def solve_mo(
     cfg.policy, at most once per data level beta; the scores equal
     z_star and eff_at bit for bit.  Without lps, solve_mo builds its
     own; evaluate_all passes one DmuLps to all scores of a DMU, so they
-    share its LPs.  An lps of another dataset, DMU or
-    policy raises RangeError, and a cfg that is not a MoConfig raises
-    TypeError; both before any LP.
+    share its LPs.  An lps of another dataset, DMU or policy, or one
+    built with favor_p=False (the pessimistic ends), raises RangeError,
+    and a cfg that is not a MoConfig raises TypeError; both before any
+    LP.
     """
     if not isinstance(cfg, MoConfig):
         raise TypeError(f"solve_mo takes a MoConfig, got {cfg!r}")
@@ -272,9 +230,10 @@ def solve_mo(
             f"lps holds the LPs of DMU {lps.p} under {lps.policy}, "
             f"not of DMU {p} under {cfg.policy}"
         )
-    name = lps.name
+    elif not lps.favor_p:
+        raise RangeError("lps holds the pessimistic LPs, built with favor_p=False")
     ideal = _ideal_level(cfg.alpha, cfg.alpha_mode)
-    z = _checked_ideal(lps.solve(ideal).efficiency, name)
+    z = _z_star(lps, ideal)
     probed = {ideal}  # the data levels this score used
 
     def probe(h):
@@ -307,7 +266,7 @@ def solve_mo(
                     g_lo *= 0.5
                 moved = -1
     return MoResult(
-        dmu=name,
+        dmu=lps.name,
         h_star=h,
         efficiency=res.efficiency,
         z_star=z,

@@ -10,7 +10,7 @@ from fuzzydea.alphacut import (
     pessimistic_reduce,
     pessimistic_scores,
 )
-from fuzzydea.ccr import SelfPolicy, ccr_scores
+from fuzzydea.ccr import SelfPolicy, ccr_efficiency, ccr_scores
 from fuzzydea.errors import AlphaOutOfRange, DataError
 
 
@@ -93,6 +93,25 @@ class TestFixtureScores:
             cut = [s.score for s in alphacut_scores(gt, 1.0, policy)]
             crisp = [r.efficiency for r in ccr_scores(modal_reduce(gt), policy)]
             assert cut == pytest.approx(crisp, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "scores,reduce",
+    [(alphacut_scores, alphacut_reduce), (pessimistic_scores, pessimistic_reduce)],
+    ids=["optimistic", "pessimistic"],
+)
+def test_scores_equal_ccr_on_reduced_data(gt, ac, scores, reduce):
+    # Each score is the LP of the DMU's store at level alpha;
+    # ccr_efficiency on the reduced data is its reference, bit for bit.
+    rng = np.random.default_rng(31)
+    for data in (gt, ac, *(random_dataset(rng) for _ in range(10))):
+        for alpha in (0.0, 0.3, 1.0):
+            for policy in SelfPolicy:
+                got = [sc.score.hex() for sc in scores(data, alpha, policy)]
+                assert got == [
+                    ccr_efficiency(reduce(data, p, alpha), p, policy).efficiency.hex()
+                    for p in range(data.n_dmus)
+                ]
 
 
 class TestStructuralProperties:

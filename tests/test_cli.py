@@ -164,7 +164,9 @@ class TestExitCodes:
             errs.add(err)
         assert errs == {"fuzzydea: error: alpha must be a finite number, got nan\n"}
 
-    @pytest.mark.parametrize("sub", [("eval", "--model", "mo"), ("compare",)])
+    @pytest.mark.parametrize(
+        "sub", [("eval", "--model", "mo"), ("compare",), ("eval", "--model", "alpha")]
+    )
     @pytest.mark.parametrize("alphas,message", [
         ("0,2", "alpha must lie in [0, 1], got 2.0"),
         ("0.5,-1", "alpha must lie in [0, 1], got -1.0"),

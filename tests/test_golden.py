@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from fuzzydea import ccr
 from fuzzydea.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -68,6 +69,23 @@ def render(argv):
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
 def test_report_bytes_unchanged(name, argv):
+    assert render(argv) == (GOLDEN / name).read_bytes()
+
+
+# Every command and model, in every format, on one fixture.
+STORE_CASES = tuple(
+    c for c in CASES if c[0].startswith("guo_tanaka-") and "-exclude." in c[0]
+)
+
+
+@pytest.mark.parametrize("name,argv", STORE_CASES, ids=[c[0] for c in STORE_CASES])
+def test_every_model_scores_through_the_lp_store(name, argv, monkeypatch):
+    # Every model solves its LPs from a DMU's alphacut.DmuLps; none
+    # reduces the data to a CrispDataset (reduce_at builds one) first.
+    def refuse(self):
+        raise AssertionError("a model built a CrispDataset")
+
+    monkeypatch.setattr(ccr.CrispDataset, "__post_init__", refuse)
     assert render(argv) == (GOLDEN / name).read_bytes()
 
 

@@ -12,6 +12,7 @@ from _datagen import crisp_fuzzy_dataset, random_dataset
 from _oracles import grid_h_star
 from fuzzydea import ccr, mofdea
 from fuzzydea.alphacut import (
+    DmuLps,
     alphacut_reduce,
     alphacut_scores,
     modal_reduce,
@@ -25,7 +26,6 @@ from fuzzydea.errors import AlphaOutOfRange, DataError, RangeError
 from fuzzydea.mofdea import (
     ALPHA_MODES,
     MAX_BISECT,
-    DmuLps,
     MoConfig,
     beta_level,
     eff_at,

@@ -1,9 +1,11 @@
-"""DmuLps: the mo model's probes, solved from two data ends.
+"""DmuLps: every model's CCR LPs, solved from two data ends.
 
-A probe at level beta must give what ccr_efficiency gives on the data
-reduced to beta, bit for bit, on either kernel.  DmuLps keeps each
-level's result, so a test that means to solve a level again clears
-that record first.
+The alpha-cuts, crisp CCR at level 1 and the mo model's z* and probes
+all solve a DMU's LP at a data level through one alphacut.DmuLps.  Its
+LP at level beta must give what ccr_efficiency gives on
+reduce_at(data, p, beta, favor_p), bit for bit, on either kernel and
+with either favor_p.  DmuLps keeps each level's result, so a test that
+means to solve a level again clears that record first.
 """
 
 import numpy as np
@@ -12,11 +14,11 @@ import pytest
 from _datagen import random_dataset
 from fuzzydea import ccr
 from fuzzydea._speedups import fast_ccr_solve, pure_ccr_solve
-from fuzzydea.alphacut import _ends, reduce_at
+from fuzzydea.alphacut import DmuLps, _ends, reduce_at
 from fuzzydea.ccr import CrispDataset, SelfPolicy, ccr_efficiency
 from fuzzydea.dataio import FuzzyDataset, FuzzyDmu
-from fuzzydea.errors import DataError, NumericalBreakdown, SolverFailure
-from fuzzydea.mofdea import DmuLps, reduced_data
+from fuzzydea.errors import DataError, NumericalBreakdown, RangeError, SolverFailure
+from fuzzydea.mofdea import MoConfig, reduced_data, solve_mo
 from fuzzydea.trifuzzy import TriFuzzy, toward_modal
 
 KERNELS = [
@@ -39,19 +41,41 @@ def solve_afresh(lps, beta):
     return lps.solve(beta)
 
 
+# The favorable ends (favor_p) keep the plain policy id they always had.
+POLICY_ENDS = [
+    pytest.param(
+        policy, favor_p, id=str(policy) if favor_p else f"{policy}-pessimistic"
+    )
+    for favor_p in (True, False)
+    for policy in SelfPolicy
+]
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("policy", list(SelfPolicy))
-def test_probe_equals_ccr_on_reduced_data(kernel, policy, monkeypatch):
+@pytest.mark.parametrize("policy,favor_p", POLICY_ENDS)
+def test_probe_equals_ccr_on_reduced_data(kernel, policy, favor_p, monkeypatch):
     monkeypatch.setattr(ccr, "default_ccr_solve", kernel)
     rng = np.random.default_rng(20261018)
     for _ in range(40):
         data = random_dataset(rng, n_dmus=int(rng.integers(2, 9)))
         p = int(rng.integers(0, data.n_dmus))
-        lps = DmuLps(data, p, policy)
+        lps = DmuLps(data, p, policy, favor_p)
         for beta in (0.0, 1.0, *rng.random(4)):
             beta = float(beta)
-            ref = ccr_efficiency(reduced_data(data, p, beta), p, policy=policy)
+            crisp = reduce_at(data, p, beta, favor_p)
+            ref = ccr_efficiency(crisp, p, policy=policy)
             assert bits(lps.solve(beta)) == bits(ref)
+
+
+def test_solve_mo_refuses_pessimistic_ends(gt, monkeypatch):
+    # The mo model's z* and probes need p at its favorable ends.
+    lps = []
+    solve = ccr._solve
+    monkeypatch.setattr(ccr, "_solve", lambda *a: lps.append(a) or solve(*a))
+    pessimistic = DmuLps(gt, 1, SelfPolicy.EXCLUDE_SELF, favor_p=False)
+    with pytest.raises(RangeError, match="favor_p=False"):
+        solve_mo(gt, 1, MoConfig(), pessimistic)
+    assert lps == [] and not pessimistic.solved
 
 
 @pytest.mark.skipif(fast_ccr_solve is None, reason="compiled kernel not built")
