@@ -6,7 +6,8 @@
  * f * row[j] and the subtraction into one rounding.  The arrays come in
  * through the buffer protocol, so no numpy headers are needed.
  * pivot_loop pivots a tableau for linprog's simplex; ccr_solve blends a
- * CCR LP's data to a level, then writes and solves the LP's tableau.
+ * CCR LP's data to a level, then writes and solves the LP's tableau;
+ * mo_solve runs the mo model's root searches for one DMU on those LPs.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -16,6 +17,8 @@
 
 enum { OPTIMAL, UNBOUNDED, ITER_LIMIT, INFEASIBLE, BAD_DATA, /* as pure.py */
        PHASE1_UNBOUNDED, PHASE1_ITER_LIMIT };
+enum { LP_FAILED, DEGENERATE };  /* mo_solve's failure kinds, as pure.py */
+#define KERNEL_API 3             /* as pure.py */
 
 /* A C-contiguous buffer: 2-D doubles if `matrix`, else 1-D int64.
  * Returns 0, or -1 with an exception set and no buffer held. */
@@ -218,6 +221,53 @@ pivot_loop(PyObject *self, PyObject *args)
     return out;
 }
 
+/* end, modal, work and basis of DMU p's LP, checked as pure._check does.
+ * Returns 0, or -1 with an exception set and no buffer held. */
+static int
+get_lp(PyObject **obj, Py_buffer *buf, Py_ssize_t p, int exclude,
+       Py_ssize_t s)
+{
+    static const char *names[4] = {"end", "modal", "work", "basis"};
+    Py_ssize_t R, N, k;
+    int got;
+
+    for (got = 0; got < 4; got++)
+        if (get_array(obj[got], &buf[got], got < 2 ? 0 : PyBUF_WRITABLE,
+                      got < 3, names[got]) < 0)
+            goto fail;
+    R = buf[0].shape[0];
+    N = buf[0].shape[1];
+    k = N - exclude;  /* peers */
+    if (buf[1].shape[0] == R && buf[1].shape[1] == N && R >= 1 && N >= 1 &&
+        p >= 0 && p < N && s >= 0 && s <= R && buf[2].shape[0] == k + 3 &&
+        buf[2].shape[1] == R + k + 2 && buf[3].shape[0] == k + 1)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "no CCR LP: end %zdx%zd, modal %zdx%zd, "
+                 "p %zd, work %zdx%zd, basis %zd, n_outputs %zd", R, N,
+                 buf[1].shape[0], buf[1].shape[1], p, buf[2].shape[0],
+                 buf[2].shape[1], buf[3].shape[0], s);
+fail:
+    while (got-- > 0)
+        PyBuffer_Release(&buf[got]);
+    return -1;
+}
+
+/* A tuple of the n doubles at x. */
+static PyObject *
+floats(const double *x, Py_ssize_t n)
+{
+    PyObject *t = PyTuple_New(n), *f;
+    Py_ssize_t j;
+
+    for (j = 0; t != NULL && j < n; j++) {
+        if ((f = PyFloat_FromDouble(x[j])) == NULL)
+            Py_CLEAR(t);
+        else
+            PyTuple_SET_ITEM(t, j, f);
+    }
+    return t;
+}
+
 PyDoc_STRVAR(ccr_solve_doc,
 "ccr_solve(end, modal, level, p, exclude_self, work, basis, n_outputs, tol,\n"
 "          iters_per_dim) -> (status, value, u, v)\n\n"
@@ -226,63 +276,271 @@ PyDoc_STRVAR(ccr_solve_doc,
 static PyObject *
 ccr_solve(PyObject *self, PyObject *args)
 {
-    static const char *names[4] = {"end", "modal", "work", "basis"};
-    PyObject *obj[4], *out = NULL, *u = NULL, *v = NULL, *xj;
+    PyObject *obj[4], *out = NULL;
     Py_buffer buf[4];
-    Py_ssize_t R, N, k, p, s, j;
+    Py_ssize_t R, p, s;
     double level, tol, value = 0.0, *x = NULL;
     long long per_dim;
-    int exclude, status, got;
+    int exclude, status, i;
 
     if (!PyArg_ParseTuple(args, "OOdnpOOndL:ccr_solve", &obj[0], &obj[1],
                           &level, &p, &exclude, &obj[2], &obj[3], &s, &tol,
-                          &per_dim))
+                          &per_dim) ||
+        get_lp(obj, buf, p, exclude, s) < 0)
         return NULL;
-    for (got = 0; got < 4; got++)
-        if (get_array(obj[got], &buf[got], got < 2 ? 0 : PyBUF_WRITABLE,
-                      got < 3, names[got]) < 0)
-            goto done;
     R = buf[0].shape[0];
-    N = buf[0].shape[1];
-    k = N - exclude;  /* peers */
-    if (buf[1].shape[0] != R || buf[1].shape[1] != N || R < 1 || N < 1 ||
-        p < 0 || p >= N || s < 0 || s > R || buf[2].shape[0] != k + 3 ||
-        buf[2].shape[1] != R + k + 2 || buf[3].shape[0] != k + 1) {
-        PyErr_Format(PyExc_ValueError, "no CCR LP: end %zdx%zd, modal "
-                     "%zdx%zd, p %zd, work %zdx%zd, basis %zd, n_outputs %zd",
-                     R, N, buf[1].shape[0], buf[1].shape[1], p,
-                     buf[2].shape[0], buf[2].shape[1], buf[3].shape[0], s);
-        goto done;
-    }
     if ((x = PyMem_Malloc(R * sizeof(double))) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    status = solve_ccr(buf[0].buf, buf[1].buf, level, R, N, s, p, exclude,
-                       buf[2].buf, buf[3].buf, tol, per_dim, &value, x);
+    status = solve_ccr(buf[0].buf, buf[1].buf, level, R, buf[0].shape[1], s,
+                       p, exclude, buf[2].buf, buf[3].buf, tol, per_dim,
+                       &value, x);
     if (status != OPTIMAL)
         out = Py_BuildValue("idOO", status, value, Py_None, Py_None);
-    if (status != OPTIMAL || (u = PyTuple_New(s)) == NULL ||
-        (v = PyTuple_New(R - s)) == NULL)
-        goto done;
-    for (j = 0; j < R; j++) {
-        if ((xj = PyFloat_FromDouble(x[j])) == NULL)
-            goto done;
-        PyTuple_SET_ITEM(j < s ? u : v, j < s ? j : j - s, xj);
-    }
-    out = Py_BuildValue("idOO", status, value, u, v);
+    else
+        out = Py_BuildValue("idNN", status, value, floats(x, s),
+                            floats(x + s, R - s));
 done:
-    Py_XDECREF(u);
-    Py_XDECREF(v);
     PyMem_Free(x);
-    while (got-- > 0)
-        PyBuffer_Release(&buf[got]);
+    for (i = 0; i < 4; i++)
+        PyBuffer_Release(&buf[i]);
+    return out;
+}
+
+/* One DMU's LPs for mo_solve: the solved levels, each kept as an entry
+ * of R + 3 doubles (the level, the optimum, the last config to probe
+ * it, then the weights x), and the first failure. */
+typedef struct {
+    const double *E, *M;
+    double *W, tol, *cache;
+    int64_t *basis;
+    Py_ssize_t R, N, s, p, n, room;
+    int exclude, kind, status;  /* kind < 0 until a failure */
+    long long per_dim;
+    double at, value;           /* the failure's level and value */
+} Lps;
+
+#define ENTRY(L, i) ((L)->cache + (i) * ((L)->R + 3))
+
+/* The index of the LP at `level`, solved on its first request; the
+ * config c that probes it counts it in *probed once.  -1 after a
+ * failure, -2 with an exception set. */
+static Py_ssize_t
+lp_at(Lps *L, double level, double c, Py_ssize_t *probed)
+{
+    Py_ssize_t i;
+    double value = 0.0, *e, *grown;
+    int status;
+
+    for (i = 0; i < L->n && ENTRY(L, i)[0] != level; i++)
+        ;
+    if (i == L->n) {
+        if (i == L->room) {
+            L->room = L->room ? 2 * L->room : 16;
+            grown = PyMem_Realloc(L->cache,
+                                  L->room * (L->R + 3) * sizeof(double));
+            if (grown == NULL) {
+                PyErr_NoMemory();
+                return -2;
+            }
+            L->cache = grown;
+        }
+        e = ENTRY(L, i);
+        status = solve_ccr(L->E, L->M, level, L->R, L->N, L->s, L->p,
+                           L->exclude, L->W, L->basis, L->tol, L->per_dim,
+                           &value, e + 3);
+        if (status != OPTIMAL) {
+            L->kind = LP_FAILED;
+            L->status = status;
+            L->at = level;
+            L->value = value;
+            return -1;
+        }
+        e[0] = level;
+        e[1] = value;
+        e[2] = -1.0;
+        L->n++;
+    }
+    if (ENTRY(L, i)[2] != c) {
+        ENTRY(L, i)[2] = c;
+        (*probed)++;
+    }
+    return i;
+}
+
+static double
+beta(double h, double alpha, int rescale)
+{
+    if (rescale)
+        return alpha + (1.0 - alpha) * h;
+    return h > alpha ? h : alpha;
+}
+
+/* Config c's root search, as pure.mo_solve's search: the index of its
+ * last LP, with *h, *z and *iters set, or lp_at's -1 or -2. */
+static Py_ssize_t
+search(Lps *L, double c, double alpha, int rescale, double h_tol,
+       long long max_probes, double *h, double *z, Py_ssize_t *iters)
+{
+    Py_ssize_t i, j, probed = 0, start;
+    double ideal = rescale ? alpha : 0.0, lo, hi, g, g_lo, g_hi;
+    long long t;
+    int moved;
+
+    if ((i = lp_at(L, ideal, c, &probed)) < 0)
+        return i;
+    *z = ENTRY(L, i)[1];
+    if (*z <= L->tol) {
+        L->kind = DEGENERATE;
+        L->status = OPTIMAL;
+        L->at = ideal;
+        L->value = *z;
+        return -1;
+    }
+    *h = 1.0;
+    if ((i = lp_at(L, beta(*h, alpha, rescale), c, &probed)) < 0)
+        return i;
+    g_hi = ENTRY(L, i)[1] / *z - *h;
+    start = probed;
+    if (!(g_hi >= 0.0)) {
+        lo = 0.0;
+        hi = 1.0;
+        if ((j = lp_at(L, beta(lo, alpha, rescale), c, &probed)) < 0)
+            return j;
+        g_lo = ENTRY(L, j)[1] / *z - lo;
+        moved = 0;  /* +1: lo moved last, -1: hi moved last */
+        for (t = 0; t < max_probes; t++) {
+            *h = lo - g_lo * (hi - lo) / (g_hi - g_lo);
+            if (!(lo < *h && *h < hi))
+                *h = 0.5 * (lo + hi);
+            if ((i = lp_at(L, beta(*h, alpha, rescale), c, &probed)) < 0)
+                return i;
+            g = ENTRY(L, i)[1] / *z - *h;
+            if (fabs(g) <= h_tol)
+                break;
+            if (g > 0.0) {
+                lo = *h;
+                g_lo = g;
+                if (moved > 0)
+                    g_hi *= 0.5;
+                moved = 1;
+            } else {
+                hi = *h;
+                g_hi = g;
+                if (moved < 0)
+                    g_lo *= 0.5;
+                moved = -1;
+            }
+        }
+    }
+    *iters = probed - start;
+    return i;
+}
+
+PyDoc_STRVAR(mo_solve_doc,
+"mo_solve(end, modal, p, exclude_self, work, basis, n_outputs, tol,\n"
+"         iters_per_dim, max_probes, cfgs, levels)\n"
+"    -> (found, effs, solved, failure)\n\n"
+"DMU p's mo-model root searches and its LPs at levels; see pure.mo_solve.");
+
+static PyObject *
+mo_solve(PyObject *self, PyObject *args)
+{
+    PyObject *obj[4], *cfgs, *levels, *seq[2] = {NULL, NULL}, *found = NULL,
+             *effs = NULL, *solved = NULL, *item, *out = NULL;
+    Py_buffer buf[4];
+    Lps L = {0};
+    Py_ssize_t c, i, n, iters = 0;
+    double alpha, h_tol, h = 0.0, z = 0.0, *e;
+    long long max_probes;
+    int rescale;
+
+    if (!PyArg_ParseTuple(args, "OOnpOOndLLOO:mo_solve", &obj[0], &obj[1],
+                          &L.p, &L.exclude, &obj[2], &obj[3], &L.s, &L.tol,
+                          &L.per_dim, &max_probes, &cfgs, &levels) ||
+        get_lp(obj, buf, L.p, L.exclude, L.s) < 0)
+        return NULL;
+    L.E = buf[0].buf;
+    L.M = buf[1].buf;
+    L.W = buf[2].buf;
+    L.basis = buf[3].buf;
+    L.R = buf[0].shape[0];
+    L.N = buf[0].shape[1];
+    L.kind = -1;
+    if ((seq[0] = PySequence_Fast(cfgs, "cfgs must be a sequence")) == NULL ||
+        (seq[1] = PySequence_Fast(levels, "levels must be a sequence")) ==
+            NULL ||
+        (found = PyList_New(0)) == NULL || (effs = PyList_New(0)) == NULL)
+        goto done;
+    n = PySequence_Fast_GET_SIZE(seq[0]);
+    for (c = 0; c < n && L.kind < 0; c++) {
+        if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(seq[0], c),
+                              "dpd:mo_solve config", &alpha, &rescale, &h_tol))
+            goto done;
+        i = search(&L, (double)c, alpha, rescale, h_tol, max_probes, &h, &z,
+                   &iters);
+        if (i == -2)
+            goto done;
+        if (i < 0)
+            break;
+        e = ENTRY(&L, i);
+        item = Py_BuildValue("dddNNn", h, e[1], z, floats(e + 3, L.s),
+                             floats(e + 3 + L.s, L.R - L.s), iters);
+        if (item == NULL || PyList_Append(found, item) < 0) {
+            Py_XDECREF(item);
+            goto done;
+        }
+        Py_DECREF(item);
+    }
+    n = PySequence_Fast_GET_SIZE(seq[1]);
+    for (c = 0; c < n && L.kind < 0; c++) {
+        alpha = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(seq[1], c));
+        if (alpha == -1.0 && PyErr_Occurred())
+            goto done;
+        if ((i = lp_at(&L, alpha, -1.0, &iters)) == -2)
+            goto done;
+        if (i < 0)
+            break;
+        item = PyFloat_FromDouble(ENTRY(&L, i)[1]);
+        if (item == NULL || PyList_Append(effs, item) < 0) {
+            Py_XDECREF(item);
+            goto done;
+        }
+        Py_DECREF(item);
+    }
+    n = L.n + (L.kind == LP_FAILED);
+    if ((solved = PyTuple_New(n)) == NULL)
+        goto done;
+    for (i = 0; i < n; i++) {
+        item = PyFloat_FromDouble(i < L.n ? ENTRY(&L, i)[0] : L.at);
+        if (item == NULL)
+            goto done;
+        PyTuple_SET_ITEM(solved, i, item);
+    }
+    if (L.kind < 0)
+        out = Py_BuildValue("NNOO", PyList_AsTuple(found),
+                            PyList_AsTuple(effs), solved, Py_None);
+    else
+        out = Py_BuildValue("NNO(iidd)", PyList_AsTuple(found),
+                            PyList_AsTuple(effs), solved, L.kind, L.status,
+                            L.at, L.value);
+done:
+    Py_XDECREF(solved);
+    Py_XDECREF(effs);
+    Py_XDECREF(found);
+    Py_XDECREF(seq[1]);
+    Py_XDECREF(seq[0]);
+    PyMem_Free(L.cache);
+    for (i = 0; i < 4; i++)
+        PyBuffer_Release(&buf[i]);
     return out;
 }
 
 static PyMethodDef methods[] = {
     {"pivot_loop", pivot_loop, METH_VARARGS, pivot_loop_doc},
     {"ccr_solve", ccr_solve, METH_VARARGS, ccr_solve_doc},
+    {"mo_solve", mo_solve, METH_VARARGS, mo_solve_doc},
     {NULL, NULL, 0, NULL},
 };
 
@@ -294,5 +552,9 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit_fast(void)
 {
-    return PyModule_Create(&module);
+    PyObject *m = PyModule_Create(&module);
+
+    if (m != NULL && PyModule_AddIntConstant(m, "KERNEL_API", KERNEL_API) < 0)
+        Py_CLEAR(m);
+    return m;
 }

@@ -4,12 +4,17 @@ Twin of the compiled kernel in fast.c: the same operations in the same
 order on IEEE doubles, so tableaus and results are bit-identical
 between the two.  pivot_loop serves linprog's general simplex;
 ccr_solve solves one CCR multiplier LP, from its data at a level to its
-weights, in one call: it writes the LP's tableau itself.
+weights, in one call: it writes the LP's tableau itself.  mo_solve runs
+the mo model's whole root search for one DMU on those LPs.
 """
 
 import math
 
-__all__ = ["pivot_loop", "ccr_solve"]
+__all__ = ["KERNEL_API", "pivot_loop", "ccr_solve", "mo_solve"]
+
+# The entries' interface; fast.c exports the same number, and a compiled
+# module with another is not used.  Raised whenever an entry changes.
+KERNEL_API = 3
 
 # status codes shared with the compiled kernel
 OPTIMAL = 0
@@ -19,6 +24,10 @@ INFEASIBLE = 3
 BAD_DATA = 4
 PHASE1_UNBOUNDED = 5
 PHASE1_ITER_LIMIT = 6
+# mo_solve's failure kinds: an LP that did not end OPTIMAL, and an ideal
+# score z* too small for the ratio target
+LP_FAILED = 0
+DEGENERATE = 1
 
 
 def _run(T, basis, nrows, ncols, tol, max_iter):
@@ -172,6 +181,26 @@ def _solve_ccr(E, M, level, s, p, exclude, W, basis, tol, per_dim):
     return OPTIMAL, value, x
 
 
+def _check(end, modal, p, exclude_self, work, basis_arr, n_outputs):
+    """(R, N, k) of DMU p's LP, or ValueError unless the arrays fit it."""
+    R, N = end.shape if end.ndim == 2 else (0, 0)
+    k = N - bool(exclude_self)
+    if (
+        modal.shape != (R, N)
+        or R < 1
+        or N < 1
+        or not 0 <= p < N
+        or not 0 <= n_outputs <= R
+        or work.shape != (k + 3, R + k + 2)
+        or basis_arr.shape != (k + 1,)
+    ):
+        raise ValueError(
+            f"no CCR LP: end {end.shape}, modal {modal.shape}, p {p}, work "
+            f"{work.shape}, basis {basis_arr.shape}, n_outputs {n_outputs}"
+        )
+    return R, N, k
+
+
 def ccr_solve(
     end, modal, level, p, exclude_self, work, basis_arr, n_outputs, tol,
     iters_per_dim,
@@ -194,12 +223,8 @@ def ccr_solve(
     u @ y_j - v @ x_j <= 0 per peer, the phase-1 reduced costs, the
     objective), and then the simplex's tableaus; basis_arr gets its
     basis.  Phase 1 runs from the slack basis with the artificial basic
-    in row 0.  The normalisation row's right-hand side is 1 and every
-    peer row's is 0, so phase 1 either ends infeasible with the
-    artificial basic or drives it out, and no artificial is left to
-    purge; it can still end unbounded on a rounding residue in its
-    costs, for inputs of p's some 1e9 apart.  Phase 2 then runs on the
-    objective, the last row.  Each phase may pivot
+    in row 0 (fast.c says why no artificial is left to purge), then
+    phase 2 on the objective.  Each phase may pivot
     iters_per_dim * (rows + columns) times for its own tableau's shape.
 
     Returns (status, value, u, v): on OPTIMAL the optimum and the
@@ -207,21 +232,7 @@ def ccr_solve(
     and v are None and value is the iteration cap of the last phase run
     (0.0 for BAD_DATA).  Raises ValueError unless the shapes fit.
     """
-    R, N = end.shape if end.ndim == 2 else (0, 0)
-    k = N - bool(exclude_self)
-    if (
-        modal.shape != (R, N)
-        or R < 1
-        or N < 1
-        or not 0 <= p < N
-        or not 0 <= n_outputs <= R
-        or work.shape != (k + 3, R + k + 2)
-        or basis_arr.shape != (k + 1,)
-    ):
-        raise ValueError(
-            f"no CCR LP: end {end.shape}, modal {modal.shape}, p {p}, work "
-            f"{work.shape}, basis {basis_arr.shape}, n_outputs {n_outputs}"
-        )
+    R, N, k = _check(end, modal, p, exclude_self, work, basis_arr, n_outputs)
     W = [[0.0] * (R + k + 2) for _ in range(k + 3)]
     basis = basis_arr.tolist()
     status, value, x = _solve_ccr(
@@ -233,3 +244,102 @@ def ccr_solve(
     if x is None:
         return status, value, None, None
     return status, value, tuple(x[:n_outputs]), tuple(x[n_outputs:])
+
+
+def _beta(h, alpha, rescale):
+    """mofdea.beta_level's data level at satisfaction h, unchecked."""
+    return alpha + (1.0 - alpha) * h if rescale else (h if h > alpha else alpha)
+
+
+class _Failed(Exception):
+    """mo_solve's failure, its args (kind, status, level, value)."""
+
+
+def mo_solve(
+    end, modal, p, exclude_self, work, basis_arr, n_outputs, tol,
+    iters_per_dim, max_probes, cfgs, levels,
+):
+    """mofdea.solve_mo's root search for DMU p under each config, then
+    its LP at each of levels, in one call that solves each data level
+    once.  The arguments up to iters_per_dim are ccr_solve's.  A config
+    is (alpha, rescale, h_tol), rescale true in the "rescale" alpha mode.
+    After z* and the probes at h = 1 and 0, a search makes at most
+    max_probes more.
+
+    Returns (found, effs, solved, failure): per config (h*, efficiency,
+    z*, u, v, iterations); the optimum at each level; the level of every
+    LP run, in order; and None or the first failure, which ends the
+    call: (LP_FAILED, status, level, value) for an LP that ended as
+    ccr_solve's status and value, or (DEGENERATE, OPTIMAL, level, z*)
+    for z* <= tol.  work and basis_arr are left as the last LP left them.
+    """
+    R, N, k = _check(end, modal, p, exclude_self, work, basis_arr, n_outputs)
+    E, M, exclude = end.tolist(), modal.tolist(), bool(exclude_self)
+    basis, W = basis_arr.tolist(), None
+    cache, solved, found, effs, failure = {}, [], [], [], None
+
+    def lp(level):
+        """(optimum, x) at level, solved on its first request."""
+        nonlocal W
+        if level not in cache:
+            W = [[0.0] * (R + k + 2) for _ in range(k + 3)]
+            solved.append(level)
+            status, value, x = _solve_ccr(
+                E, M, level, n_outputs, p, exclude, W, basis, tol, iters_per_dim
+            )
+            if status != OPTIMAL:
+                raise _Failed(LP_FAILED, status, level, value)
+            cache[level] = value, x
+        return cache[level]
+
+    def search(alpha, rescale, h_tol):
+        """The config's entry of found, as mofdea.solve_mo describes it."""
+        ideal = alpha if rescale else 0.0
+        z = lp(ideal)[0]
+        if z <= tol:
+            raise _Failed(DEGENERATE, OPTIMAL, ideal, z)
+        probed = {ideal}  # the levels this config used
+
+        def probe(h):
+            level = _beta(h, alpha, rescale)
+            probed.add(level)
+            value, x = lp(level)
+            return value, x, value / z - h
+
+        h = 1.0
+        value, x, g_hi = probe(h)
+        start = len(probed)
+        if not g_hi >= 0.0:
+            lo, hi, g_lo = 0.0, 1.0, probe(0.0)[2]
+            moved = 0  # +1: lo moved last, -1: hi moved last
+            for _ in range(max_probes):
+                h = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+                if not lo < h < hi:
+                    h = 0.5 * (lo + hi)
+                value, x, g = probe(h)
+                if abs(g) <= h_tol:
+                    break
+                if g > 0.0:
+                    lo, g_lo = h, g
+                    if moved > 0:
+                        g_hi *= 0.5
+                    moved = 1
+                else:
+                    hi, g_hi = h, g
+                    if moved < 0:
+                        g_lo *= 0.5
+                    moved = -1
+        u, v = tuple(x[:n_outputs]), tuple(x[n_outputs:])
+        return h, value, z, u, v, len(probed) - start
+
+    try:
+        for alpha, rescale, h_tol in cfgs:
+            found.append(search(float(alpha), bool(rescale), float(h_tol)))
+        for level in levels:
+            effs.append(lp(float(level))[0])
+    except _Failed as exc:
+        failure = exc.args
+    if W is not None:
+        work[:] = W
+        basis_arr[:] = basis
+    return tuple(found), tuple(effs), tuple(solved), failure

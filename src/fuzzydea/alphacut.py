@@ -11,7 +11,7 @@ the roles.  Normalization fixes the evaluated DMU's weighted input at 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -90,40 +90,33 @@ def modal_reduce(data: FuzzyDataset) -> CrispDataset:
 
 
 class DmuLps:
-    """DMU p's multiplier LP under one self policy, and its results by level.
+    """DMU p's multiplier LP under one self policy, at any data level.
 
     It keeps _ends(data, p, favor_p)'s two arrays, and solve(level) hands
     them to the kernel, which blends them to the level by toward_modal's
     formula and writes the LP's tableau itself; the result is
     ccr_efficiency on reduce_at(data, p, level, favor_p) bit for bit.
-    Every model scores through it: the alpha-cuts at alpha, crisp CCR at
-    1, and the mo model's z* and probes at their beta levels.  The ends
+    Every model scores through it: the alpha-cuts at alpha and crisp
+    CCR at 1 by solve, the mo model's z* and probes by the kernel's
+    mo_solve on the same ends and buffers (see mofdea._search).  The ends
     do not depend on the level, so one DmuLps serves all of p's LPs
-    under its policy and favor_p; it solves each level once, into one
-    work tableau and basis.
+    under its policy and favor_p, in one work tableau and basis.
     """
 
     def __init__(
         self, data: FuzzyDataset, p: int, policy: SelfPolicy, favor_p: bool = True
     ):
         p = _check_index(data, p)
-        self.data, self.p, self.policy = data, p, _check_policy(policy)
-        self.favor_p = favor_p
+        self.p, self.policy = p, _check_policy(policy)
         self.name, self._n_outputs = data.dmus[p].name, data.n_outputs
         self._ends = _ends(data, p, favor_p)
         self._buffers = _lp_buffers(self._ends[0], policy)
-        self.solved: Dict[float, ccr.CcrResult] = {}
 
     def solve(self, level: float) -> ccr.CcrResult:
-        """The LP result at data level `level`, solved on its first request."""
-        res = self.solved.get(level)
-        if res is None:
-            X = (*self._ends, level, self.p, *self._buffers)
-            # Looked up on ccr at each call, so a rebinding sees every LP.
-            res = self.solved[level] = ccr._solve(
-                X, self._n_outputs, self.name, self.policy
-            )
-        return res
+        """The LP result at data level `level`."""
+        X = (*self._ends, level, self.p, *self._buffers)
+        # Looked up on ccr at each call, so a rebinding sees every LP.
+        return ccr._solve(X, self._n_outputs, self.name, self.policy)
 
 
 def _scores(data: FuzzyDataset, alpha: float, policy: SelfPolicy, favor_p: bool):

@@ -144,10 +144,7 @@ def _solve(X, n_outputs: int, name: str, policy: SelfPolicy) -> CcrResult:
     data to level with trifuzzy.toward_modal's formula, writes the LP's
     starting tableau in linprog._tableau's layout and runs both simplex
     phases as linprog._simplex would on it, so the result is the one
-    _simplex gives, bit for bit.  Raises DataError when a data cell at
-    level is 0 or not finite (positive data reach neither at a level in
-    [0, 1]), SolverFailure when the LP is infeasible or unbounded, and
-    NumericalBreakdown when a phase hits its iteration cap.
+    _simplex gives, bit for bit.  A failure raises _raise's error.
     """
     end, modal, level, p, work, basis = X
     status, value, u, v = default_ccr_solve(
@@ -156,6 +153,15 @@ def _solve(X, n_outputs: int, name: str, policy: SelfPolicy) -> CcrResult:
     )
     if status == OPTIMAL:
         return CcrResult(dmu=name, efficiency=value, u=u, v=v, policy=policy)
+    _raise(status, value, level, name)
+
+
+def _raise(status: int, value: float, level: float, name: str):
+    """Raise the error of the kernel's status and value other than
+    OPTIMAL for the DMU called name's LP at level: DataError when a data
+    cell at level is 0 or not finite (positive data reach neither at a
+    level in [0, 1]), SolverFailure when the LP is infeasible or
+    unbounded, NumericalBreakdown when a phase hits its iteration cap."""
     if status == BAD_DATA:
         raise DataError(
             f"data at level {level} for DMU {name!r} "

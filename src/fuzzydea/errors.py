@@ -12,9 +12,7 @@ class FuzzyDeaError(Exception):
 
 class RangeError(FuzzyDeaError, ValueError):
     """A parameter lies outside its range or set: a level (alpha or h)
-    outside [0, 1], a bad h_tol, an unknown alpha mode or self policy,
-    or an alphacut.DmuLps that solve_mo cannot use: one of another
-    dataset, DMU or policy, or one built with favor_p=False."""
+    outside [0, 1], a bad h_tol, an unknown alpha mode or self policy."""
 
 
 class AlphaOutOfRange(RangeError):

@@ -35,11 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from ._speedups import default_mo_solve
+from ._speedups.pure import DEGENERATE, _beta
 from .alphacut import DmuLps, reduce_at
-from .ccr import CrispDataset, SelfPolicy, _check_index, _check_policy
+from .ccr import CrispDataset, SelfPolicy, _check_index, _check_policy, _raise
 from .dataio import FuzzyDataset
 from .errors import DataError, DegenerateZStar, RangeError
-from .linprog import LP_TOL
+from .linprog import ITERS_PER_DIM, LP_TOL
 from .trifuzzy import check_alpha, is_finite_real
 # Unused here; perfbench/tracing.py rebinds it by name in this module.
 from .ccr import ccr_efficiency  # noqa: F401
@@ -65,22 +67,19 @@ DEFAULT_ALPHA_MODE = "rescale"
 MAX_BISECT = 60
 
 
+def _rescale(mode) -> bool:
+    """Whether mode is "rescale"; RangeError unless it is in ALPHA_MODES."""
+    if mode not in ALPHA_MODES:
+        raise RangeError(f"unknown alpha mode {mode!r}; use one of {ALPHA_MODES}")
+    return mode == "rescale"
+
+
 def beta_level(h: float, alpha: float, mode: str = DEFAULT_ALPHA_MODE) -> float:
     """Effective membership level at satisfaction h under an alpha level."""
     if not is_finite_real(h) or not 0.0 <= h <= 1.0:
         raise RangeError(f"h must lie in [0, 1], got {h!r}")
-    return _beta(float(h), check_alpha(alpha), mode)
-
-
-def _beta(h: float, alpha: float, mode: str) -> float:
-    """beta_level without its checks of h and alpha, for a float h and
-    alpha in [0, 1]; solve_mo's probes use it, as MoConfig has checked
-    alpha."""
-    if mode == "rescale":
-        return alpha + (1.0 - alpha) * h
-    if mode == "floor":
-        return h if h > alpha else alpha
-    raise RangeError(f"unknown alpha mode {mode!r}; use one of {ALPHA_MODES}")
+    alpha = check_alpha(alpha)
+    return _beta(float(h), alpha, _rescale(mode))
 
 
 @dataclass(frozen=True)
@@ -93,10 +92,7 @@ class MoConfig:
     alpha_mode: str = DEFAULT_ALPHA_MODE
 
     def __post_init__(self):
-        if self.alpha_mode not in ALPHA_MODES:
-            raise RangeError(
-                f"unknown alpha mode {self.alpha_mode!r}; use one of {ALPHA_MODES}"
-            )
+        _rescale(self.alpha_mode)
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
         _check_policy(self.policy)
         h_tol = self.h_tol
@@ -111,7 +107,7 @@ class MoResult:
 
     iterations counts the distinct data levels this score's own root
     search probed beyond those of z* and the h = 1 probe (0 when
-    h* = 1).  Standalone, solve_mo solves one LP per level; under
+    h* = 1).  The kernel solves each level once per call: under
     evaluate_all a level that another alpha of the same DMU already
     solved is not solved again, but still counts here.
     """
@@ -145,21 +141,12 @@ def reduced_data(
     return reduce_at(data, p, beta_level(h, alpha, mode))
 
 
-def _ideal_level(alpha: float, mode: str) -> float:
-    """Data level of the ideal z*: the alpha-cut under rescale, else 0.
-
-    Unchecked; solve_mo's cfg has checked alpha and mode.
-    """
-    return alpha if mode == "rescale" else 0.0
-
-
-def _z_star(lps: DmuLps, level: float) -> float:
-    """lps's score at data level `level`, the ideal z*; DegenerateZStar
-    unless it is positive, as the ratio target eff / z* needs."""
-    value = lps.solve(level).efficiency
+def _check_z(name: str, value: float) -> float:
+    """value, DMU name's ideal score z*; DegenerateZStar unless it is
+    positive, as the ratio target eff / z* needs."""
     if value <= LP_TOL:
         raise DegenerateZStar(
-            f"ideal score for DMU {lps.name!r} is {value}; "
+            f"ideal score for DMU {name!r} is {value}; "
             "the ratio target is undefined"
         )
     return value
@@ -180,7 +167,9 @@ def z_star(
     alpha = 0 both modes give the full-support ideal.
     """
     beta_level(0.0, alpha, mode)  # validates alpha and mode
-    return _z_star(DmuLps(data, p, policy), _ideal_level(float(alpha), mode))
+    lps = DmuLps(data, p, policy)
+    level = float(alpha) if mode == "rescale" else 0.0
+    return _check_z(lps.name, lps.solve(level).efficiency)
 
 
 def eff_at(data: FuzzyDataset, p: int, h: float, cfg: MoConfig = MoConfig()) -> float:
@@ -189,12 +178,31 @@ def eff_at(data: FuzzyDataset, p: int, h: float, cfg: MoConfig = MoConfig()) -> 
     return lps.solve(beta_level(h, cfg.alpha, cfg.alpha_mode)).efficiency
 
 
-def solve_mo(
-    data: FuzzyDataset,
-    p: int,
-    cfg: MoConfig = MoConfig(),
-    lps: Optional[DmuLps] = None,
-) -> MoResult:
+def _search(lps: DmuLps, cfgs, levels=()):
+    """The kernel's mo_solve on lps's ends and buffers: the root search
+    under each of cfgs, (alpha, rescale, h_tol) triples, then the LP at
+    each of levels; returns mo_solve's (found, effs, solved, failure).
+    Looked up here at each call, so a rebinding sees every search."""
+    return default_mo_solve(
+        *lps._ends, lps.p, lps.policy is SelfPolicy.EXCLUDE_SELF, *lps._buffers,
+        lps._n_outputs, LP_TOL, ITERS_PER_DIM, MAX_BISECT, cfgs, levels,
+    )
+
+
+def _fail(name: str, failure):
+    """Raise the error of mo_solve's failure for DMU name."""
+    kind, status, level, value = failure
+    if kind == DEGENERATE:
+        _check_z(name, value)
+    _raise(status, value, level, name)
+
+
+def _triple(cfg: MoConfig):
+    """cfg as mo_solve takes it: (alpha, rescale, h_tol)."""
+    return cfg.alpha, cfg.alpha_mode == "rescale", cfg.h_tol
+
+
+def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult:
     """Maximal satisfaction level h* and the efficiency attained there.
 
     g(h) = eff(h)/z* - h is strictly decreasing and g(0) > 0, so h* = 1
@@ -209,92 +217,56 @@ def solve_mo(
     increases in h, so |g(h)| >= |h - h*| and the returned h_star is
     within h_tol of the root.
 
-    Every LP, z* included, is solved by lps, p's DmuLps under
-    cfg.policy, at most once per data level beta; the scores equal
-    z_star and eff_at bit for bit.  Without lps, solve_mo builds its
-    own; evaluate_all passes one DmuLps to all scores of a DMU, so they
-    share its LPs.  An lps of another dataset, DMU or policy, or one
-    built with favor_p=False (the pessimistic ends), raises RangeError,
-    and a cfg that is not a MoConfig raises TypeError; both before any
-    LP.
+    The whole search, z* included, is one call of the kernel's mo_solve
+    on p's DmuLps under cfg.policy, which solves each data level once;
+    the scores equal z_star and eff_at bit for bit.  A cfg that is not
+    a MoConfig raises TypeError before any LP.
     """
     if not isinstance(cfg, MoConfig):
         raise TypeError(f"solve_mo takes a MoConfig, got {cfg!r}")
-    p = _check_index(data, p)
-    if lps is None:
-        lps = DmuLps(data, p, cfg.policy)
-    elif lps.data is not data:
-        raise RangeError("lps holds the LPs of another dataset")
-    elif (lps.p, lps.policy) != (p, cfg.policy):
-        raise RangeError(
-            f"lps holds the LPs of DMU {lps.p} under {lps.policy}, "
-            f"not of DMU {p} under {cfg.policy}"
-        )
-    elif not lps.favor_p:
-        raise RangeError("lps holds the pessimistic LPs, built with favor_p=False")
-    ideal = _ideal_level(cfg.alpha, cfg.alpha_mode)
-    z = _z_star(lps, ideal)
-    probed = {ideal}  # the data levels this score used
-
-    def probe(h):
-        """The LP result at satisfaction level h, and g(h)."""
-        beta = _beta(h, cfg.alpha, cfg.alpha_mode)
-        probed.add(beta)
-        res = lps.solve(beta)
-        return res, res.efficiency / z - h
-
-    res, g_hi = probe(1.0)
-    h, start = 1.0, len(probed)
-    if not g_hi >= 0.0:
-        lo, hi, g_lo = 0.0, 1.0, probe(0.0)[1]
-        moved = 0  # +1: lo moved last, -1: hi moved last
-        for _ in range(MAX_BISECT):
-            h = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-            if not lo < h < hi:
-                h = 0.5 * (lo + hi)
-            res, g = probe(h)
-            if abs(g) <= cfg.h_tol:
-                break
-            if g > 0.0:
-                lo, g_lo = h, g
-                if moved > 0:
-                    g_hi *= 0.5
-                moved = 1
-            else:
-                hi, g_hi = h, g
-                if moved < 0:
-                    g_lo *= 0.5
-                moved = -1
-    return MoResult(
-        dmu=lps.name,
-        h_star=h,
-        efficiency=res.efficiency,
-        z_star=z,
-        u=res.u,
-        v=res.v,
-        iterations=len(probed) - start,
-        alpha=cfg.alpha,
-        policy=cfg.policy,
-    )
+    lps = DmuLps(data, p, cfg.policy)
+    found, _, _, failure = _search(lps, (_triple(cfg),))
+    if failure is not None:
+        _fail(lps.name, failure)
+    return MoResult(lps.name, *found[0], cfg.alpha, cfg.policy)
 
 
-def _by_dmu(data: FuzzyDataset, cfgs: Sequence[MoConfig]):
-    """Check cfgs, then yield, DMU by DMU, p's DmuLps by policy and its
-    solve_mo result under each cfg."""
+def _by_dmu(data: FuzzyDataset, cfgs: Sequence[MoConfig], cuts: bool = False):
+    """Check cfgs, then score the DMUs one at a time, with one _search
+    per self policy.  Returns cfgs as a tuple and, per DMU, its mo_solve
+    entry under each cfg and, with cuts, its LP optimum at each cfg's
+    alpha.  A DMU's failures raise as if each cfg were scored alone in
+    order and the cuts taken after: the first one in that order does."""
     if data.n_dmus < 2:
         raise DataError("ranking needs at least two DMUs")
     cfgs = tuple(cfgs)
     for cfg in cfgs:
         if not isinstance(cfg, MoConfig):
             raise TypeError(f"evaluate_all takes MoConfig items, got {cfg!r}")
+    groups = {}  # policy -> the indices of its cfgs
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(cfg.policy, []).append(i)
+    calls = [
+        (policy, idx, tuple(_triple(cfgs[i]) for i in idx),
+         tuple(cfgs[i].alpha for i in idx) if cuts else ())
+        for policy, idx in groups.items()
+    ]
+    rows = []
     for p in range(data.n_dmus):
-        shared = {}  # policy -> p's DmuLps; one DMU's LPs at a time
-        scores = []
-        for cfg in cfgs:
-            if cfg.policy not in shared:
-                shared[cfg.policy] = DmuLps(data, p, cfg.policy)
-            scores.append(solve_mo(data, p, cfg, shared[cfg.policy]))
-        yield shared, scores
+        found, effs, failures = [None] * len(cfgs), [None] * len(cfgs), []
+        for policy, idx, triples, levels in calls:
+            got, at, _, failure = _search(DmuLps(data, p, policy), triples, levels)
+            for i, out in zip(idx, got):
+                found[i] = out
+            for i, eff in zip(idx, at):
+                effs[i] = eff
+            if failure is not None:
+                n = len(got)
+                failures.append(((n == len(idx), idx[n if n < len(idx) else len(at)]), failure))
+        if failures:
+            _fail(data.dmus[p].name, min(failures)[1])
+        rows.append((found, effs))
+    return cfgs, rows
 
 
 def evaluate_all(
@@ -308,35 +280,37 @@ def evaluate_all(
 
     Every item is checked to be a MoConfig, which checks its own fields,
     before any LP is solved.  The DMUs are then scored one at a time:
-    each builds one DmuLps per self policy used, and all its scores
-    under that policy share it, so a data level that several alpha
+    each runs one kernel search per self policy used, over all its
+    configs under that policy, so a data level that several alpha
     levels probe (h = 1 always, z* under floor) is solved once per DMU.
     The results equal standalone solve_mo calls bit for bit.
     """
-    per_dmu = [scores for _, scores in _by_dmu(data, cfgs)]
-    return tuple(_ranked(scores) for scores in zip(*per_dmu))
+    cfgs, rows = _by_dmu(data, cfgs)
+    names = data.dmu_names
+    return tuple(
+        _ranked(names, outs, cfg) for cfg, outs in zip(cfgs, zip(*(f for f, _ in rows)))
+    )
 
 
 def compare_all(data: FuzzyDataset, cfgs: Sequence[MoConfig]):
     """Per config, each DMU's (alpha-cut score, solve_mo result), in
-    dataset order: the cut is the LP at data level alpha of the DmuLps
-    the mo score used, and equals alphacut_scores' bit for bit."""
-    per_dmu = [
-        [(shared[r.policy].solve(r.alpha).efficiency, r) for r in scores]
-        for shared, scores in _by_dmu(data, cfgs)
-    ]
-    return tuple(zip(*per_dmu))
-
-
-def _ranked(results) -> Tuple[MoResult, ...]:
-    """results in rank order, each with its rank set."""
-    order = sorted(
-        range(len(results)),
-        key=lambda j: (-results[j].efficiency, -results[j].h_star, j),
-    )
-    # The constructor takes about half the time of dataclasses.replace.
+    dataset order: the cut is the LP at data level alpha in the kernel
+    search the mo score ran in, and equals alphacut_scores' bit for bit."""
+    cfgs, rows = _by_dmu(data, cfgs, cuts=True)
     return tuple(
-        MoResult(r.dmu, r.h_star, r.efficiency, r.z_star, r.u, r.v,
-                 r.iterations, r.alpha, r.policy, pos + 1)
-        for pos, r in enumerate(results[j] for j in order)
+        tuple(
+            (effs[i], MoResult(name, *found[i], cfg.alpha, cfg.policy))
+            for name, (found, effs) in zip(data.dmu_names, rows)
+        )
+        for i, cfg in enumerate(cfgs)
+    )
+
+
+def _ranked(names, outs, cfg: MoConfig) -> Tuple[MoResult, ...]:
+    """cfg's MoResults of the DMUs called names from their mo_solve
+    entries outs, in rank order, each with its rank set."""
+    order = sorted(range(len(outs)), key=lambda j: (-outs[j][1], -outs[j][0], j))
+    return tuple(
+        MoResult(names[j], *outs[j], cfg.alpha, cfg.policy, pos + 1)
+        for pos, j in enumerate(order)
     )

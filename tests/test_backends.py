@@ -1,9 +1,10 @@
 """The compiled kernel must be a bit-for-bit twin of the pure one.
 
-Both entries are checked: pivot_loop, linprog's pivot loop, and
+All three entries are checked: pivot_loop, linprog's pivot loop;
 ccr_solve, which writes and solves a whole CCR multiplier LP from its
 data and must also write the tableau linprog._tableau builds and give
-what linprog._simplex gives on it.
+what linprog._simplex gives on it; and mo_solve, one DMU's whole mo
+root search on those LPs.
 """
 
 import importlib.util
@@ -24,15 +25,21 @@ from fuzzydea import ccr, linprog
 from fuzzydea._speedups import (
     BACKEND,
     default_ccr_solve,
+    default_mo_solve,
     default_pivot_loop,
     fast_ccr_solve,
+    fast_mo_solve,
     fast_pivot_loop,
+    pure,
     pure_ccr_solve,
+    pure_mo_solve,
     pure_pivot_loop,
 )
 from fuzzydea._speedups.pure import (
     BAD_DATA,
+    DEGENERATE,
     INFEASIBLE,
+    LP_FAILED,
     OPTIMAL,
     PHASE1_ITER_LIMIT,
     PHASE1_UNBOUNDED,
@@ -41,6 +48,7 @@ from fuzzydea._speedups.pure import (
 from fuzzydea.alphacut import _ends, alphacut_scores
 from fuzzydea.dataio import load_fixture
 from fuzzydea.errors import NumericalBreakdown
+from fuzzydea.mofdea import MAX_BISECT
 from fuzzydea.linprog import (
     ITERS_PER_DIM,
     LP_TOL,
@@ -127,13 +135,13 @@ def assert_short_basis_rejected(kernel):
     assert T.tobytes() == before.tobytes()
 
 
-def ccr_lps():
+def ccr_lps(n_sets=40):
     """(name, lp): lp is (end, modal, p, exclude_self, n_outputs), DMU p's
     data at levels 0 and 1, for every DMU of both fixtures and one of
-    each of 40 _datagen sets, under both self policies."""
+    each of n_sets _datagen sets, under both self policies."""
     rng = np.random.default_rng(20261019)
     picks = [(load_fixture(f), p) for f in ("guo_tanaka", "aircraft") for p in range(5)]
-    for _ in range(40):
+    for _ in range(n_sets):
         data = random_dataset(rng, n_dmus=int(rng.integers(2, 9)))
         picks.append((data, int(rng.integers(0, data.n_dmus))))
     for data, p in picks:
@@ -263,6 +271,82 @@ def assert_ccr_errors(kernel):
         assert w.tobytes() == before.tobytes()
 
 
+# An unsorted alpha list with a repeat, under both alpha modes: configs
+# that meet at levels, as a report's scores of one DMU do.
+MO_ALPHAS = (1.0, 0.0, 0.5, 0.5, 0.25)
+MO_CFGS = tuple((a, rescale, 1e-6) for a in MO_ALPHAS for rescale in (False, True))
+
+
+def run_mo(kernel, lp, cfgs=MO_CFGS, levels=MO_ALPHAS, iters_per_dim=ITERS_PER_DIM,
+           max_probes=MAX_BISECT):
+    """kernel's mo_solve result, work tableau and basis, from fixed buffers."""
+    end, modal, p, exclude, s = lp
+    rows, n_dmus = end.shape
+    k = n_dmus - exclude
+    work = np.full((k + 3, rows + k + 2), 7.0)
+    basis = np.full(k + 1, 3, dtype=np.int64)
+    out = kernel(end, modal, p, exclude, work, basis, s, LP_TOL, iters_per_dim,
+                 max_probes, cfgs, levels)
+    return out, work, basis
+
+
+def mo_bits(out, work, basis):
+    found, effs, solved, failure = out
+
+    def hexed(xs):
+        return [x.hex() for x in xs]
+
+    return (
+        [(hexed((h, eff, z, *u, *v)), type(n), n) for h, eff, z, u, v, n in found],
+        hexed(effs),
+        hexed(solved),
+        None if failure is None else (*failure[:2], *hexed(failure[2:])),
+        work.tobytes(),
+        basis.tobytes(),
+    )
+
+
+def mo_cases():
+    """(name, lp, kwargs, failure kind or None, status, found, effs): the
+    mo_solve calls of the twin test, the failing ones with the number of
+    configs and levels done before the failure."""
+    cases = [(name, lp, {}, None, OPTIMAL, 10, 5) for name, lp in ccr_lps(200)]
+    tiny = SMALL.copy()  # p = 0's output: z* about 1e-12
+    tiny[2, 0] = 1e-12
+    solo = np.ones((2, 1))
+    lp = (*_ends(load_fixture("guo_tanaka"), 1), 1, True, 2)
+    half = (lp[1] * 0.5, *lp[1:])  # at level -1 every cell that moves reaches 0
+    ok, bad = (0.5, True, 1e-6), (-1.0, True, 1e-6)  # bad: z* at level -1
+    return cases + [
+        ("degenerate z*", (tiny, tiny, 0, True, 1), {}, DEGENERATE, OPTIMAL, 0, 0),
+        ("no peer", (solo, solo, 0, True, 1), {}, LP_FAILED, UNBOUNDED, 0, 0),
+        ("iteration cap", lp, {"iters_per_dim": 0}, LP_FAILED, PHASE1_ITER_LIMIT, 0, 0),
+        ("second config", half, {"cfgs": (ok, bad)}, LP_FAILED, BAD_DATA, 1, 0),
+        ("second level", half, {"cfgs": (ok,), "levels": (0.5, -1.0)},
+         LP_FAILED, BAD_DATA, 1, 1),
+        ("probe cap", lp, {"cfgs": ((0.3, False, 1e-300),), "max_probes": 2},
+         None, OPTIMAL, 1, 5),
+        ("no config", lp, {"cfgs": ()}, None, OPTIMAL, 0, 5),
+    ]
+
+
+def assert_mo_twin(kernel):
+    """kernel's mo_solve against the pure entry: the same bits, iterations
+    and solved levels, and the same failure at the same place."""
+    for name, lp, kwargs, kind, status, n_found, n_effs in mo_cases():
+        got = run_mo(kernel, lp, **kwargs)
+        assert mo_bits(*got) == mo_bits(*run_mo(pure_mo_solve, lp, **kwargs)), name
+        found, effs, solved, failure = got[0]
+        assert (len(found), len(effs)) == (n_found, n_effs), name
+        assert (None if failure is None else failure[:2]) == (
+            None if kind is None else (kind, status)), name
+        assert len(set(solved)) == len(solved), name
+    end, modal, p, exclude, s = lp
+    work, basis = np.zeros((3, 3)), np.zeros(2, dtype=np.int64)
+    with pytest.raises(ValueError, match="no CCR LP"):
+        kernel(end, modal, p, exclude, work, basis, s, LP_TOL, 1, 1, MO_CFGS, ())
+
+
 @needs_fast
 class TestKernelTwins:
     def test_random_tableaus_bitwise_identical(self):
@@ -318,6 +402,29 @@ def test_ccr_solve_error_paths(kernel):
     assert_ccr_errors(kernel)
 
 
+@needs_fast
+def test_mo_solve_twin_of_pure():
+    assert_mo_twin(fast_mo_solve)
+
+
+def test_mo_solve_reports_each_lp_it_runs(monkeypatch):
+    # solved is the record of the pure kernel's own LP calls, one per
+    # level, and each config's efficiency and z* are ccr_solve's there.
+    runs = []
+    solve = pure._solve_ccr
+    monkeypatch.setattr(
+        pure, "_solve_ccr", lambda E, M, level, *a: runs.append(level) or solve(E, M, level, *a)
+    )
+    for name, lp in ccr_lps(10):
+        runs.clear()
+        found, effs, solved, failure = run_mo(pure_mo_solve, lp)[0]
+        assert failure is None and list(solved) == runs == list(dict.fromkeys(runs)), name
+        for (alpha, rescale, _), (h, eff, z, u, v, _) in zip(MO_CFGS, found):
+            for level, value in ((pure._beta(h, alpha, rescale), eff),
+                                 (alpha if rescale else 0.0, z)):
+                assert run_ccr(pure_ccr_solve, lp, level)[0][1] == value, name
+
+
 def test_committed_c_source_builds_a_twin(tmp_path):
     """Build fast.c out of tree and check the fresh module, not any in-place .so."""
     subprocess.run(
@@ -351,6 +458,8 @@ def test_committed_c_source_builds_a_twin(tmp_path):
     assert_short_basis_rejected(module.pivot_loop)
     assert_ccr_twin(module.ccr_solve)
     assert_ccr_errors(module.ccr_solve)
+    assert module.KERNEL_API == pure.KERNEL_API
+    assert_mo_twin(module.mo_solve)
 
 
 def test_c_source_compiles_cleanly_under_wall():
@@ -375,30 +484,38 @@ class TestBackendSelection:
         assert fuzzydea.BACKEND == BACKEND
 
     def test_both_entries_from_one_backend(self):
+        # All three entries, in fact.
         module = f"fuzzydea._speedups.{BACKEND}"
         assert default_pivot_loop.__module__ == module
         assert default_ccr_solve.__module__ == module
+        assert default_mo_solve.__module__ == module
 
     def test_stale_compiled_module_is_not_mixed_in(self):
-        # An in-place build of an older fast.c has pivot_loop but no
-        # ccr_solve; neither of its entries may be used.
-        code = (
-            "import sys, types\n"
-            "stale = types.ModuleType('fuzzydea._speedups.fast')\n"
-            "stale.pivot_loop = lambda *args: (0, 0)\n"
-            "sys.modules[stale.__name__] = stale\n"
-            "from fuzzydea import _speedups as s\n"
-            "print(s.BACKEND, s.default_pivot_loop.__module__,"
-            " s.default_ccr_solve.__module__, s.fast_pivot_loop)\n"
-        )
-        env = {k: v for k, v in os.environ.items() if k != "FUZZYDEA_PURE"}
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [
-            "pure", "fuzzydea._speedups.pure", "fuzzydea._speedups.pure", "None"
-        ]
+        # No entry of a compiled module without the current KERNEL_API
+        # may be used: an older fast.c with pivot_loop and no ccr_solve
+        # or tag, or one with every entry, a same-named mo_solve among
+        # them, and another interface.
+        for stale in ("", "stale.ccr_solve = stale.mo_solve = stale.pivot_loop\n"
+                          "stale.KERNEL_API = 2\n"):
+            code = (
+                "import sys, types\n"
+                "stale = types.ModuleType('fuzzydea._speedups.fast')\n"
+                "stale.pivot_loop = lambda *args: (0, 0)\n"
+                f"{stale}"
+                "sys.modules[stale.__name__] = stale\n"
+                "from fuzzydea import _speedups as s\n"
+                "print(s.BACKEND, s.default_pivot_loop.__module__,"
+                " s.default_ccr_solve.__module__, s.default_mo_solve.__module__,"
+                " s.fast_pivot_loop, s.fast_mo_solve)\n"
+            )
+            env = {k: v for k, v in os.environ.items() if k != "FUZZYDEA_PURE"}
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == [
+                "pure", *["fuzzydea._speedups.pure"] * 3, "None", "None"
+            ], stale
 
     def test_env_forces_pure(self):
         env = dict(os.environ, FUZZYDEA_PURE="1")

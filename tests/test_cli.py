@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from fuzzydea import ccr
+from fuzzydea import ccr, mofdea
 from fuzzydea.alphacut import alphacut_scores
 from fuzzydea.ccr import SelfPolicy
 from fuzzydea.cli import main
@@ -176,8 +176,9 @@ class TestExitCodes:
         self, capsys, monkeypatch, sub, alphas, message
     ):
         lps = []
-        solve = ccr._solve
+        solve, search = ccr._solve, mofdea._search
         monkeypatch.setattr(ccr, "_solve", lambda *a: lps.append(a) or solve(*a))
+        monkeypatch.setattr(mofdea, "_search", lambda *a: lps.append(a) or search(*a))
         code, out, err = run(
             capsys, *sub, "--data", "fixture:guo_tanaka", "--alpha", alphas
         )
@@ -187,10 +188,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("sub", [("eval", "--model", "mo"), ("compare",)])
     @pytest.mark.parametrize("exc", [SolverFailure, NumericalBreakdown])
     def test_mo_solver_failure_exits_2(self, capsys, monkeypatch, sub, exc):
-        def failing(X, n_outputs, name, policy):
-            raise exc(f"CCR multiplier model for DMU {name!r} failed")
+        def failing(lps, cfgs, levels=()):
+            raise exc(f"CCR multiplier model for DMU {lps.name!r} failed")
 
-        monkeypatch.setattr(ccr, "_solve", failing)
+        monkeypatch.setattr(mofdea, "_search", failing)
         code, out, err = run(
             capsys, *sub, "--data", "fixture:guo_tanaka", "--alpha", "0,0.5"
         )

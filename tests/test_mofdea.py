@@ -22,7 +22,8 @@ from fuzzydea.alphacut import (
 from fuzzydea.ccr import SelfPolicy, ccr_efficiency, ccr_scores
 from fuzzydea.cli import DEFAULT_ALPHAS, main
 from fuzzydea.dataio import FuzzyDataset, FuzzyDmu, load_fixture
-from fuzzydea.errors import AlphaOutOfRange, DataError, RangeError
+from fuzzydea._speedups.pure import BAD_DATA, LP_FAILED
+from fuzzydea.errors import AlphaOutOfRange, DataError, DegenerateZStar, RangeError
 from fuzzydea.mofdea import (
     ALPHA_MODES,
     MAX_BISECT,
@@ -226,6 +227,7 @@ class TestSolveMo:
         # MoConfig checks alpha and mode once; solve_mo's probes then
         # skip those checks, so a look-alike must not get that far.
         monkeypatch.setattr(ccr, "_solve", lambda *a: pytest.fail("an LP was solved"))
+        monkeypatch.setattr(mofdea, "_search", lambda *a: pytest.fail("an LP was solved"))
         fake = SimpleNamespace(
             alpha=2.0, policy=SelfPolicy.EXCLUDE_SELF, h_tol=1e-6, alpha_mode="bogus"
         )
@@ -344,15 +346,22 @@ class TestRootAccuracy:
 
 
 def _count_lps(monkeypatch):
-    """Counter of the LPs solved from now on, by DMU name, at ccr._solve."""
+    """Counter of the LPs solved from now on, by DMU name: one per
+    ccr._solve call, and one per level that a mofdea._search call solved."""
     lps = collections.Counter()
-    solve = ccr._solve
+    solve, search = ccr._solve, mofdea._search
 
     def counted(X, n_outputs, name, policy):
         lps[name] += 1
         return solve(X, n_outputs, name, policy)
 
+    def searched(store, cfgs, levels=()):
+        out = search(store, cfgs, levels)
+        lps[store.name] += len(out[2])
+        return out
+
     monkeypatch.setattr(ccr, "_solve", counted)
+    monkeypatch.setattr(mofdea, "_search", searched)
     return lps
 
 
@@ -382,8 +391,8 @@ def _standalone_scores(lps):
 
 
 class TestLpCounts:
-    """LPs of the mo model, counted at ccr._solve: per standalone score,
-    and per DMU of a report, whose scores share their LPs."""
+    """LPs of the mo model, counted at mofdea._search: per standalone
+    score, and per DMU of a report, whose scores share their LPs."""
 
     def test_fixture_lp_budget(self, monkeypatch):
         scores = _standalone_scores(_count_lps(monkeypatch))
@@ -400,19 +409,20 @@ class TestLpCounts:
 
     def test_cli_solves_each_level_of_a_dmu_once(self, monkeypatch):
         lps = _count_lps(monkeypatch)
-        probed = collections.defaultdict(set)  # DMU name -> levels asked for
-        solve = DmuLps.solve
+        solved = collections.defaultdict(list)  # DMU name -> levels solved
+        search = mofdea._search
 
-        def recorded(self, beta):
-            probed[self.name].add(beta)
-            return solve(self, beta)
+        def recorded(store, cfgs, levels=()):
+            out = search(store, cfgs, levels)
+            solved[store.name].extend(out[2])
+            return out
 
-        monkeypatch.setattr(DmuLps, "solve", recorded)
+        monkeypatch.setattr(mofdea, "_search", recorded)
         totals = {}
         for sub in (("eval", "--model", "mo"), ("compare",)):
             for fixture, policy, mode in FIXTURE_GRID:
                 lps.clear()
-                probed.clear()
+                solved.clear()
                 argv = [*sub, "--data", f"fixture:{fixture}",
                         "--alpha-mode", mode, "--format", "csv"]
                 if policy is SelfPolicy.INCLUDE_SELF:
@@ -420,9 +430,9 @@ class TestLpCounts:
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert main(argv) == 0
                 names = sorted(load_fixture(fixture).dmu_names)
-                assert sorted(lps) == sorted(probed) == names
-                for name in probed:
-                    assert lps[name] == len(probed[name]), (sub, fixture, policy, mode)
+                assert sorted(lps) == sorted(solved) == names
+                for name in solved:
+                    assert lps[name] == len(set(solved[name])), (sub, fixture, policy, mode)
                 totals[sub[0], fixture, policy, mode] = sum(lps.values())
         # compare takes its alpha-cut column from the mo model's LPs: the
         # level alpha is z* under rescale, and the h = 0 probe under floor
@@ -438,7 +448,7 @@ class TestLpCounts:
             ("aircraft", "rescale"): 71,
             ("aircraft", "floor"): 63,
         }
-        monkeypatch.setattr(DmuLps, "solve", solve)
+        monkeypatch.setattr(mofdea, "_search", search)
         lps.clear()
         standalone = sum(n for _, n, _ in _standalone_scores(lps))
         assert sum(n for k, n in totals.items() if k[0] == "eval") < standalone
@@ -515,24 +525,6 @@ class TestEvaluateAllEquivalence:
 
 
 class TestDmuLps:
-    def test_other_dmu_policy_or_dataset_refused(self, gt, ac, monkeypatch):
-        lps = _count_lps(monkeypatch)
-        shared = DmuLps(gt, 1, SelfPolicy.EXCLUDE_SELF)
-        with pytest.raises(RangeError, match="not of DMU 2 under"):
-            solve_mo(gt, 2, MoConfig(), shared)
-        with pytest.raises(RangeError, match="not of DMU 1 under SelfPolicy.INCLUDE"):
-            solve_mo(gt, 1, MoConfig(policy=SelfPolicy.INCLUDE_SELF), shared)
-        with pytest.raises(RangeError, match="another dataset"):
-            solve_mo(ac, 1, MoConfig(), shared)
-        assert not lps and not shared.solved
-
-    def test_own_dmu_accepted_and_shared(self, gt):
-        shared = DmuLps(gt, 1, SelfPolicy.EXCLUDE_SELF)
-        for alpha in EQUIV_ALPHAS:
-            cfg = MoConfig(alpha=alpha)
-            assert solve_mo(gt, 1, cfg, shared) == solve_mo(gt, 1, cfg)
-        assert 1.0 in shared.solved
-
     def test_bad_index_and_policy_refused(self, gt):
         with pytest.raises(DataError, match="DMU index"):
             DmuLps(gt, 5, SelfPolicy.EXCLUDE_SELF)
@@ -575,6 +567,59 @@ class TestEvaluateAll:
         with pytest.raises(TypeError, match="MoConfig"):
             evaluate_all(gt, cfgs)
         assert not lps
+
+
+EX, IN = SelfPolicy.EXCLUDE_SELF, SelfPolicy.INCLUDE_SELF
+
+
+class TestFirstFailure:
+    """A DMU's kernel searches run one per self policy, yet its error is
+    the one that scoring each config alone, in order, and then taking
+    the cuts would raise."""
+
+    @pytest.mark.parametrize("order,at,cuts,level", [
+        # at: where each policy's search of D2 fails, counting its
+        # configs and then its cuts; level tags the policy that failed.
+        ((EX, IN, EX, IN), {EX: 1, IN: 1}, False, 0.25),
+        ((EX, IN, IN, EX), {EX: 1, IN: 1}, False, 0.75),
+        # at the first cut: cuts come in config order
+        ((IN, EX), {EX: 1, IN: 1}, True, 0.75),
+        # at the first cut and at a second config: the search's comes first
+        ((EX, IN, IN, EX), {EX: 2, IN: 1}, True, 0.75),
+    ])
+    def test_first_in_cfg_order(self, gt, monkeypatch, order, at, cuts, level):
+        search = mofdea._search
+        tag = {EX: 0.25, IN: 0.75}
+
+        def failing(lps, triples, cut_levels=()):
+            found, effs, solved, _ = search(lps, triples, cut_levels)
+            if lps.name != "D2":
+                return found, effs, solved, None
+            k = at[lps.policy]
+            failure = (LP_FAILED, BAD_DATA, tag[lps.policy], 0.0)
+            return found[:k], effs[:max(0, k - len(triples))], solved, failure
+
+        monkeypatch.setattr(mofdea, "_search", failing)
+        cfgs = [MoConfig(alpha=0.5 * (i // 2), policy=pol) for i, pol in enumerate(order)]
+        run = mofdea.compare_all if cuts else evaluate_all
+        with pytest.raises(DataError, match=f"^data at level {level} for DMU 'D2' "):
+            run(gt, cfgs)
+
+    def test_degenerate_z_star_of_the_first_cfg(self):
+        # U2's outputs are some 1e-12 of its peers', so its z* is too.
+        big, tiny = TriFuzzy(1.0, 2.0, 3.0), TriFuzzy(1e-12, 2e-12, 3e-12)
+        data = FuzzyDataset("tiny", ("I1",), ("O1",), (
+            FuzzyDmu("U1", (big,), (big,)), FuzzyDmu("U2", (big,), (tiny,)),
+            FuzzyDmu("U3", (big,), (big,))))
+        for pols in ((EX, IN), (IN, EX)):
+            cfgs = [MoConfig(alpha=a, policy=pol) for a, pol in zip((0.5, 0.0), pols)]
+            with pytest.raises(DegenerateZStar) as alone:
+                solve_mo(data, 1, cfgs[0])
+            for run in (evaluate_all, mofdea.compare_all):
+                with pytest.raises(DegenerateZStar) as got:
+                    run(data, cfgs)
+                assert str(got.value) == str(alone.value)
+                assert str(got.value).startswith("ideal score for DMU 'U2' is ")
 
 
 def _digest(out):

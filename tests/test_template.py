@@ -1,11 +1,10 @@
 """DmuLps: every model's CCR LPs, solved from two data ends.
 
 The alpha-cuts, crisp CCR at level 1 and the mo model's z* and probes
-all solve a DMU's LP at a data level through one alphacut.DmuLps.  Its
+all solve a DMU's LP at a data level from one alphacut.DmuLps.  Its
 LP at level beta must give what ccr_efficiency gives on
 reduce_at(data, p, beta, favor_p), bit for bit, on either kernel and
-with either favor_p.  DmuLps keeps each level's result, so a test that
-means to solve a level again clears that record first.
+with either favor_p.
 """
 
 import numpy as np
@@ -17,8 +16,8 @@ from fuzzydea._speedups import fast_ccr_solve, pure_ccr_solve
 from fuzzydea.alphacut import DmuLps, _ends, reduce_at
 from fuzzydea.ccr import CrispDataset, SelfPolicy, ccr_efficiency
 from fuzzydea.dataio import FuzzyDataset, FuzzyDmu
-from fuzzydea.errors import DataError, NumericalBreakdown, RangeError, SolverFailure
-from fuzzydea.mofdea import MoConfig, reduced_data, solve_mo
+from fuzzydea.errors import DataError, NumericalBreakdown, SolverFailure
+from fuzzydea.mofdea import reduced_data
 from fuzzydea.trifuzzy import TriFuzzy, toward_modal
 
 KERNELS = [
@@ -33,12 +32,6 @@ KERNELS = [
 
 def bits(res):
     return (res.efficiency.hex(), [x.hex() for x in res.u], [x.hex() for x in res.v])
-
-
-def solve_afresh(lps, beta):
-    """lps's LP at beta, solved now even if it was solved before."""
-    lps.solved.clear()
-    return lps.solve(beta)
 
 
 # The favorable ends (favor_p) keep the plain policy id they always had.
@@ -67,17 +60,6 @@ def test_probe_equals_ccr_on_reduced_data(kernel, policy, favor_p, monkeypatch):
             assert bits(lps.solve(beta)) == bits(ref)
 
 
-def test_solve_mo_refuses_pessimistic_ends(gt, monkeypatch):
-    # The mo model's z* and probes need p at its favorable ends.
-    lps = []
-    solve = ccr._solve
-    monkeypatch.setattr(ccr, "_solve", lambda *a: lps.append(a) or solve(*a))
-    pessimistic = DmuLps(gt, 1, SelfPolicy.EXCLUDE_SELF, favor_p=False)
-    with pytest.raises(RangeError, match="favor_p=False"):
-        solve_mo(gt, 1, MoConfig(), pessimistic)
-    assert lps == [] and not pessimistic.solved
-
-
 @pytest.mark.skipif(fast_ccr_solve is None, reason="compiled kernel not built")
 def test_probe_identical_across_kernels(monkeypatch):
     rng = np.random.default_rng(5)
@@ -86,9 +68,9 @@ def test_probe_identical_across_kernels(monkeypatch):
         lps = DmuLps(data, 0, SelfPolicy.EXCLUDE_SELF)
         beta = float(rng.random())
         monkeypatch.setattr(ccr, "default_ccr_solve", pure_ccr_solve)
-        pure = bits(solve_afresh(lps, beta))
+        pure = bits(lps.solve(beta))
         monkeypatch.setattr(ccr, "default_ccr_solve", fast_ccr_solve)
-        assert bits(solve_afresh(lps, beta)) == pure
+        assert bits(lps.solve(beta)) == pure
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -110,7 +92,7 @@ def test_reused_work_buffer_leaks_no_state(kernel, monkeypatch):
         for _ in range(3):
             order = [levels[int(i)] for i in rng.permutation(len(levels))]
             for a, b in zip(order, order[1:]):
-                assert [bits(solve_afresh(lps, x)) for x in (a, b, a)] == [
+                assert [bits(lps.solve(x)) for x in (a, b, a)] == [
                     fresh[a], fresh[b], fresh[a]
                 ]
 
