@@ -1,5 +1,5 @@
-"""Alpha-cut fuzzy CCR scores via extreme-value reduction, and the one
-per-DMU LP store that every model scores through.
+"""Alpha-cut fuzzy CCR scores via extreme-value reduction, and the LP
+store, one per dataset and self policy, that every model scores through.
 
 At level alpha each triangular value collapses to its alpha-cut interval
 and the evaluated DMU takes the favorable endpoints (low inputs, high
@@ -24,7 +24,7 @@ from .ccr import ccr_efficiency  # noqa: F401
 
 __all__ = [
     "AlphaScore",
-    "DmuLps",
+    "DataLps",
     "alphacut_reduce",
     "pessimistic_reduce",
     "modal_reduce",
@@ -41,17 +41,15 @@ class AlphaScore:
     policy: SelfPolicy
 
 
-def _ends(data: FuzzyDataset, p: int, favor_p: bool = True):
-    """DMU p's data at level 0, and the read-only modal data; each is
-    (inputs + outputs) x DMUs.  p must be a valid index."""
+def _ends(data: FuzzyDataset, favor_p: bool = True):
+    """(own, other, modal): every DMU's data at level 0 as the evaluated
+    DMU and as a peer, and the read-only modal data; each (inputs +
+    outputs) x DMUs.  own is the favorable ends with favor_p, else other."""
     lower, modal, upper = data.bounds
     m = data.n_inputs
     good = np.concatenate((lower[:m], upper[m:]))
     bad = np.concatenate((upper[:m], lower[m:]))
-    if not favor_p:
-        good, bad = bad, good
-    bad[:, p] = good[:, p]
-    return bad, modal
+    return (good, bad, modal) if favor_p else (bad, good, modal)
 
 
 def reduce_at(
@@ -63,13 +61,15 @@ def reduce_at(
     With favor_p, p starts from its favorable ends (low inputs, high
     outputs) and its peers from the unfavorable ones; without, the roles
     swap.  The alpha-cut, the mo model's beta level and the modal data
-    are all this one reduction.  No model scores through it: DmuLps
+    are all this one reduction.  No model scores through it: DataLps
     blends the same ends in the kernel, and its LP at a level is
     ccr_efficiency on this data bit for bit.
     """
     p = _check_index(data, p)
     level = check_alpha(level)
-    crisp = toward_modal(*_ends(data, p, favor_p), level)
+    own, end, modal = _ends(data, favor_p)
+    end[:, p] = own[:, p]
+    crisp = toward_modal(end, modal, level)
     m = data.n_inputs
     return CrispDataset(data.dmu_names, crisp[:m], crisp[m:])
 
@@ -89,39 +89,46 @@ def modal_reduce(data: FuzzyDataset) -> CrispDataset:
     return reduce_at(data, 0, 1.0)
 
 
-class DmuLps:
-    """DMU p's multiplier LP under one self policy, at any data level.
+class DataLps:
+    """Every DMU's multiplier LP on one dataset under one self policy and
+    favor_p, at any data level, in one work tableau and basis.
 
-    It keeps _ends(data, p, favor_p)'s two arrays, and solve(level) hands
-    them to the kernel, which blends them to the level by toward_modal's
-    formula and writes the LP's tableau itself; the result is
-    ccr_efficiency on reduce_at(data, p, level, favor_p) bit for bit.
-    Every model scores through it: the alpha-cuts at alpha and crisp
-    CCR at 1 by solve, the mo model's z* and probes by the kernel's
-    mo_solve on the same ends and buffers (see mofdea._search).  The ends
-    do not depend on the level, so one DmuLps serves all of p's LPs
-    under its policy and favor_p, in one work tableau and basis.
+    It keeps _ends(data, favor_p)'s arrays and a scratch copy `end` of
+    the peers' ends.  select(p) copies p's own column into end and puts
+    back the one of the DMU selected before.  solve(p, level) hands end
+    and the modal data to the kernel, which blends them by toward_modal's
+    formula and writes the LP's tableau: the result is ccr_efficiency on
+    reduce_at(data, p, level, favor_p) bit for bit.  The alpha-cuts and
+    crisp CCR score by solve, the mo model by mo_solve (mofdea._search).
     """
 
-    def __init__(
-        self, data: FuzzyDataset, p: int, policy: SelfPolicy, favor_p: bool = True
-    ):
-        p = _check_index(data, p)
-        self.p, self.policy = p, _check_policy(policy)
-        self.name, self._n_outputs = data.dmus[p].name, data.n_outputs
-        self._ends = _ends(data, p, favor_p)
-        self._buffers = _lp_buffers(self._ends[0], policy)
+    def __init__(self, data: FuzzyDataset, policy: SelfPolicy, favor_p: bool = True):
+        self.policy = _check_policy(policy)
+        self.names, self.n_dmus, self.n_outputs = data.dmu_names, data.n_dmus, data.n_outputs
+        self._own, self._other, self.modal = _ends(data, favor_p)
+        self.end, self.p = self._other.copy(), 0  # no own column in yet
+        self.buffers = _lp_buffers(self.end, policy)
 
-    def solve(self, level: float) -> ccr.CcrResult:
-        """The LP result at data level `level`."""
-        X = (*self._ends, level, self.p, *self._buffers)
+    def select(self, p) -> int:
+        """Set end to DMU p's data at level 0; returns p as an int."""
+        p, q = _check_index(self, p), self.p
+        self.end[:, q] = self._other[:, q]
+        self.end[:, p] = self._own[:, p]
+        self.p = p
+        return p
+
+    def solve(self, p, level: float) -> ccr.CcrResult:
+        """DMU p's LP result at data level `level`."""
+        p = self.select(p)
+        X = (self.end, self.modal, level, p, *self.buffers)
         # Looked up on ccr at each call, so a rebinding sees every LP.
-        return ccr._solve(X, self._n_outputs, self.name, self.policy)
+        return ccr._solve(X, self.n_outputs, self.names[p], self.policy)
 
 
 def _scores(data: FuzzyDataset, alpha: float, policy: SelfPolicy, favor_p: bool):
     alpha = check_alpha(alpha)
-    solved = [DmuLps(data, p, policy, favor_p).solve(alpha) for p in range(data.n_dmus)]
+    lps = DataLps(data, policy, favor_p)
+    solved = [lps.solve(p, alpha) for p in range(data.n_dmus)]
     return tuple(AlphaScore(r.dmu, alpha, r.efficiency, policy) for r in solved)
 
 

@@ -188,11 +188,7 @@ def _eval_report(args) -> Report:
         mo = {r.dmu: r for r in ranked}
         for name in data.dmu_names:
             r = mo[name]
-            rows.append(
-                ReportRow(
-                    name, a, r.efficiency, h_star=r.h_star, z_star=r.z_star, rank=r.rank
-                )
-            )
+            rows.append(ReportRow(name, a, r.efficiency, r.h_star, r.z_star, None, r.rank))
     return Report("mo", policy.value, tuple(alphas), tuple(rows))
 
 

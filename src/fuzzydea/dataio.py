@@ -13,9 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
@@ -123,36 +125,39 @@ class FuzzyDataset:
     @cached_property
     def bounds(self) -> np.ndarray:
         """Read-only lower, modal and upper values: (3, inputs + outputs, DMUs)."""
-        cells = [
-            [(t.lower, t.modal, t.upper) for t in d.inputs + d.outputs]
-            for d in self.dmus
-        ]
-        arr = np.ascontiguousarray(np.array(cells, dtype=np.float64).transpose(2, 1, 0))
+        cells = [(t.lower, t.modal, t.upper) for d in self.dmus for t in d.inputs + d.outputs]
+        arr = np.array(cells, dtype=np.float64).reshape(self.n_dmus, -1, 3)
+        arr = np.ascontiguousarray(arr.transpose(2, 1, 0))
         arr.flags.writeable = False
         return arr
 
 
-def _tri_from_cell(value, where: str) -> TriFuzzy:
-    number = (int, float)
-    if isinstance(value, number) and not isinstance(value, bool):
+def _tri_from_cell(value, where) -> TriFuzzy:
+    number = {int, float}
+    if type(value) in number:
         value = (value, value, value)
     elif not isinstance(value, (list, tuple)):
-        raise SchemaError(f"{where}: expected a number or [l, m, u], got {value!r}")
-    elif len(value) != 3 or any(
-        isinstance(v, bool) or not isinstance(v, number) for v in value
-    ):
-        raise SchemaError(f"{where}: expected [l, m, u] numbers, got {value!r}")
+        raise SchemaError(f"{where()}: expected a number or [l, m, u], got {value!r}")
+    elif len(value) != 3 or not set(map(type, value)) <= number:
+        raise SchemaError(f"{where()}: expected [l, m, u] numbers, got {value!r}")
     return _tri(value, where)
 
 
-def _tri(values, where: str) -> TriFuzzy:
-    """TriFuzzy of three numbers, or DataError naming the cell where."""
+def _tri(values, where) -> TriFuzzy:
+    """TriFuzzy of three numbers or number texts, or DataError or
+    ParseError naming the cell where()."""
     try:
         return TriFuzzy(*map(float, values))
     except OverflowError:
-        raise DataError(f"{where}: integer too large for a float") from None
+        raise DataError(f"{where()}: integer too large for a float") from None
     except OrderingViolation as exc:
-        raise DataError(f"{where}: {exc}") from None
+        raise DataError(f"{where()}: {exc}") from None
+    except ValueError:  # a text that is not a number
+        for text in values:
+            try:
+                float(text)
+            except ValueError:
+                raise ParseError(f"{where()}: not a number: {text!r}") from None
 
 
 def _dataset_from_json(raw: str) -> FuzzyDataset:
@@ -186,7 +191,7 @@ def _dataset_from_json(raw: str) -> FuzzyDataset:
             if key not in entry or not isinstance(entry[key], list):
                 raise SchemaError(f"dmus[{k}] ({dname!r}) needs an array {key!r}")
             cells[key] = tuple(
-                _tri_from_cell(v, f"DMU {dname!r} {key}[{i}]")
+                _tri_from_cell(v, lambda: f"DMU {dname!r} {key}[{i}]")
                 for i, v in enumerate(entry[key])
             )
         dmus.append(FuzzyDmu(dname, cells["inputs"], cells["outputs"]))
@@ -199,23 +204,16 @@ def _dataset_from_json(raw: str) -> FuzzyDataset:
     )
 
 
-def _parse_number(text: str, where: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"{where}: not a number: {text!r}") from None
-
-
-def _tri_from_csv_cell(text: str, where: str) -> TriFuzzy:
+def _tri_from_csv_cell(text: str, where) -> TriFuzzy:
     text = text.strip()
     if not text:
-        raise ParseError(f"{where}: empty cell")
+        raise ParseError(f"{where()}: empty cell")
     parts = text.split(";")
     if len(parts) == 1:
         parts *= 3
     elif len(parts) != 3:
-        raise ParseError(f"{where}: expected 'l;m;u' or a single number, got {text!r}")
-    return _tri([_parse_number(p, where) for p in parts], where)
+        raise ParseError(f"{where()}: expected 'l;m;u' or a single number, got {text!r}")
+    return _tri(parts, where)
 
 
 def _dataset_from_csv(raw: str) -> FuzzyDataset:
@@ -266,8 +264,8 @@ def _dataset_from_csv(raw: str) -> FuzzyDataset:
         if not dname:
             raise SchemaError(f"row {rownum}: empty DMU name")
         tris = [
-            _tri_from_csv_cell(cell, f"row {rownum} ({dname!r}) column {header[1 + i]!r}")
-            for i, cell in enumerate(row[1:])
+            _tri_from_csv_cell(cell, lambda: f"row {rownum} ({dname!r}) column {col!r}")
+            for col, cell in zip(header[1:], row[1:])
         ]
         k = len(input_names)
         dmus.append(FuzzyDmu(dname, tuple(tris[:k]), tuple(tris[k:])))
@@ -384,7 +382,7 @@ def load_fixture(name: str) -> FuzzyDataset:
 # Reports
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportRow:
     dmu: str
     alpha: float
@@ -509,29 +507,52 @@ def _report_csv(report: Report) -> str:
     return out.getvalue()
 
 
-def _row_dict(r: ReportRow) -> dict:
-    doc = {"dmu": r.dmu, "alpha": r.alpha, "score": r.score}
-    if r.h_star is not None:
-        doc["h_star"] = r.h_star
-    if r.z_star is not None:
-        doc["z_star"] = r.z_star
-    if r.mo_score is not None:
-        doc["mo_score"] = r.mo_score
-    if r.rank is not None:
-        doc["rank"] = r.rank
-    return doc
+# json's words for the constants, and for the floats repr spells otherwise
+_JSON_WORDS = {None: "null", True: "true", False: "false",
+               "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+_ROW_KEYS = tuple(f.name for f in fields(ReportRow))
+_row_values = attrgetter(*_ROW_KEYS)
+
+
+def _json_scalar(x) -> str:
+    """x, a str, None, bool, int or float, as json.dumps writes it; any
+    other value raises json's TypeError."""
+    if isinstance(x, float):
+        text = float.__repr__(x)
+        return _JSON_WORDS.get(text, text)
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or x is True or x is False:
+        return _JSON_WORDS[x]
+    if isinstance(x, int):
+        return int.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _report_json(report: Report) -> str:
-    doc = {
-        "model": report.model,
-        "policy": report.policy,
-        "alphas": list(report.alphas),
-        "rows": [_row_dict(r) for r in report.rows],
+    """json.dumps(doc, indent=2) + "\n" of the report's document, byte for
+    byte, without the pure-Python encoder that json.dumps runs whenever it
+    indents.  A row's fields past score are left out when None."""
+    rows = [
+        "{\n      " + ",\n      ".join(
+            f'"{key}": {_json_scalar(x)}' for key, x in zip(_ROW_KEYS, _row_values(r))
+            if x is not None or key in ("dmu", "alpha", "score")
+        ) + "\n    }"
+        for r in report.rows
+    ]
+    alphas, rows = (
+        "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+        for items in ([_json_scalar(a) for a in report.alphas], rows)
+    )
+    return (
+        f'{{\n  "model": {_json_scalar(report.model)},\n'
+        f'  "policy": {_json_scalar(report.policy)},\n'
+        f'  "alphas": {alphas},\n  "rows": {rows},\n'
         # Kept so that reports stay byte-identical to earlier versions.
-        "deviations": [],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        '  "deviations": []\n}\n'
+    )
 
 
 def write_report(report: Report, format: str = "md") -> str:
@@ -545,8 +566,23 @@ def write_report(report: Report, format: str = "md") -> str:
     raise ParseError(f"unknown report format {format!r}; use one of {REPORT_FORMATS}")
 
 
+def _check(value, key: str, kind: str):
+    """value of report field key, TypeError unless it is of the JSON kind
+    "string", "number" (returned as a float) or "integer", and no bool."""
+    types = {"string": str, "number": (int, float), "integer": int}[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"{key!r} must be a JSON {kind}, got {value!r}")
+    return float(value) if kind == "number" else value
+
+
 def read_report(raw: Union[str, bytes]) -> Report:
-    """Parse a JSON report produced by write_report(..., "json")."""
+    """Parse a JSON report produced by write_report(..., "json").
+
+    model, policy and dmu must be strings; alphas, alpha and score JSON
+    numbers, kept as floats, as must be h_star, z_star and mo_score unless
+    absent or null; rank, unless absent or null, an integer.  Anything else
+    raises SchemaError naming the field, so every format renders the result.
+    """
     try:
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8")
@@ -556,20 +592,19 @@ def read_report(raw: Union[str, bytes]) -> Report:
     try:
         rows = tuple(
             ReportRow(
-                dmu=r["dmu"],
-                alpha=float(r["alpha"]),
-                score=float(r["score"]),
-                h_star=r.get("h_star"),
-                z_star=r.get("z_star"),
-                mo_score=r.get("mo_score"),
-                rank=r.get("rank"),
+                _check(r["dmu"], "dmu", "string"),
+                _check(r["alpha"], "alpha", "number"),
+                _check(r["score"], "score", "number"),
+                *(None if r.get(k) is None else _check(r[k], k, "number")
+                  for k in ("h_star", "z_star", "mo_score")),
+                rank=None if r.get("rank") is None else _check(r["rank"], "rank", "integer"),
             )
             for r in doc["rows"]
         )
         return Report(
-            model=doc["model"],
-            policy=doc["policy"],
-            alphas=tuple(float(a) for a in doc["alphas"]),
+            model=_check(doc["model"], "model", "string"),
+            policy=_check(doc["policy"], "policy", "string"),
+            alphas=tuple(_check(a, "alphas", "number") for a in doc["alphas"]),
             rows=rows,
         )
     except DataError:  # a ValueError too: the rows do not fit the alphas

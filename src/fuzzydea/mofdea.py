@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Tuple
 
 from ._speedups import default_mo_solve
 from ._speedups.pure import DEGENERATE, _beta
-from .alphacut import DmuLps, reduce_at
+from .alphacut import DataLps, reduce_at
 from .ccr import CrispDataset, SelfPolicy, _check_index, _check_policy, _raise
 from .dataio import FuzzyDataset
 from .errors import DataError, DegenerateZStar, RangeError
@@ -101,7 +101,7 @@ class MoConfig:
         object.__setattr__(self, "h_tol", float(h_tol))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MoResult:
     """h* and the efficiency there.
 
@@ -167,25 +167,25 @@ def z_star(
     alpha = 0 both modes give the full-support ideal.
     """
     beta_level(0.0, alpha, mode)  # validates alpha and mode
-    lps = DmuLps(data, p, policy)
+    p = _check_index(data, p)
     level = float(alpha) if mode == "rescale" else 0.0
-    return _check_z(lps.name, lps.solve(level).efficiency)
+    return _check_z(data.dmus[p].name, DataLps(data, policy).solve(p, level).efficiency)
 
 
 def eff_at(data: FuzzyDataset, p: int, h: float, cfg: MoConfig = MoConfig()) -> float:
     """Crisp CCR score of DMU p on reduced_data at satisfaction level h."""
-    lps = DmuLps(data, p, cfg.policy)
-    return lps.solve(beta_level(h, cfg.alpha, cfg.alpha_mode)).efficiency
+    lps = DataLps(data, cfg.policy)
+    return lps.solve(p, beta_level(h, cfg.alpha, cfg.alpha_mode)).efficiency
 
 
-def _search(lps: DmuLps, cfgs, levels=()):
-    """The kernel's mo_solve on lps's ends and buffers: the root search
+def _search(lps: DataLps, p: int, cfgs, levels=()):
+    """The kernel's mo_solve for DMU p, selected in lps: the root search
     under each of cfgs, (alpha, rescale, h_tol) triples, then the LP at
     each of levels; returns mo_solve's (found, effs, solved, failure).
     Looked up here at each call, so a rebinding sees every search."""
     return default_mo_solve(
-        *lps._ends, lps.p, lps.policy is SelfPolicy.EXCLUDE_SELF, *lps._buffers,
-        lps._n_outputs, LP_TOL, ITERS_PER_DIM, MAX_BISECT, cfgs, levels,
+        lps.end, lps.modal, lps.select(p), lps.policy is SelfPolicy.EXCLUDE_SELF,
+        *lps.buffers, lps.n_outputs, LP_TOL, ITERS_PER_DIM, MAX_BISECT, cfgs, levels,
     )
 
 
@@ -218,23 +218,25 @@ def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult
     within h_tol of the root.
 
     The whole search, z* included, is one call of the kernel's mo_solve
-    on p's DmuLps under cfg.policy, which solves each data level once;
+    on a DataLps under cfg.policy, which solves each data level once;
     the scores equal z_star and eff_at bit for bit.  A cfg that is not
     a MoConfig raises TypeError before any LP.
     """
     if not isinstance(cfg, MoConfig):
         raise TypeError(f"solve_mo takes a MoConfig, got {cfg!r}")
-    lps = DmuLps(data, p, cfg.policy)
-    found, _, _, failure = _search(lps, (_triple(cfg),))
+    p = _check_index(data, p)
+    found, _, _, failure = _search(DataLps(data, cfg.policy), p, (_triple(cfg),))
+    name = data.dmus[p].name
     if failure is not None:
-        _fail(lps.name, failure)
-    return MoResult(lps.name, *found[0], cfg.alpha, cfg.policy)
+        _fail(name, failure)
+    return MoResult(name, *found[0], cfg.alpha, cfg.policy)
 
 
 def _by_dmu(data: FuzzyDataset, cfgs: Sequence[MoConfig], cuts: bool = False):
     """Check cfgs, then score the DMUs one at a time, with one _search
-    per self policy.  Returns cfgs as a tuple and, per DMU, its mo_solve
-    entry under each cfg and, with cuts, its LP optimum at each cfg's
+    per self policy on that policy's DataLps.  Returns cfgs as a tuple
+    and, per DMU, its mo_solve entry under each cfg and, with cuts, its
+    LP optimum at each cfg's
     alpha.  A DMU's failures raise as if each cfg were scored alone in
     order and the cuts taken after: the first one in that order does."""
     if data.n_dmus < 2:
@@ -247,15 +249,15 @@ def _by_dmu(data: FuzzyDataset, cfgs: Sequence[MoConfig], cuts: bool = False):
     for i, cfg in enumerate(cfgs):
         groups.setdefault(cfg.policy, []).append(i)
     calls = [
-        (policy, idx, tuple(_triple(cfgs[i]) for i in idx),
+        (DataLps(data, policy), idx, tuple(_triple(cfgs[i]) for i in idx),
          tuple(cfgs[i].alpha for i in idx) if cuts else ())
         for policy, idx in groups.items()
     ]
     rows = []
     for p in range(data.n_dmus):
         found, effs, failures = [None] * len(cfgs), [None] * len(cfgs), []
-        for policy, idx, triples, levels in calls:
-            got, at, _, failure = _search(DmuLps(data, p, policy), triples, levels)
+        for lps, idx, triples, levels in calls:
+            got, at, _, failure = _search(lps, p, triples, levels)
             for i, out in zip(idx, got):
                 found[i] = out
             for i, eff in zip(idx, at):
@@ -279,11 +281,12 @@ def evaluate_all(
     ranks are 1-based positions in that ordering.
 
     Every item is checked to be a MoConfig, which checks its own fields,
-    before any LP is solved.  The DMUs are then scored one at a time:
-    each runs one kernel search per self policy used, over all its
-    configs under that policy, so a data level that several alpha
-    levels probe (h = 1 always, z* under floor) is solved once per DMU.
-    The results equal standalone solve_mo calls bit for bit.
+    before any LP is solved.  The DMUs are then scored one at a time
+    from one DataLps per self policy used: each runs one kernel search
+    per policy, over all its configs under that policy, so a data level
+    that several alpha levels probe (h = 1 always, z* under floor) is
+    solved once per DMU.  The results equal standalone solve_mo calls
+    bit for bit.
     """
     cfgs, rows = _by_dmu(data, cfgs)
     names = data.dmu_names
@@ -309,8 +312,8 @@ def compare_all(data: FuzzyDataset, cfgs: Sequence[MoConfig]):
 def _ranked(names, outs, cfg: MoConfig) -> Tuple[MoResult, ...]:
     """cfg's MoResults of the DMUs called names from their mo_solve
     entries outs, in rank order, each with its rank set."""
-    order = sorted(range(len(outs)), key=lambda j: (-outs[j][1], -outs[j][0], j))
+    order = sorted((-out[1], -out[0], j, out) for j, out in enumerate(outs))
     return tuple(
-        MoResult(names[j], *outs[j], cfg.alpha, cfg.policy, pos + 1)
-        for pos, j in enumerate(order)
+        MoResult(names[j], *out, cfg.alpha, cfg.policy, pos + 1)
+        for pos, (_, _, j, out) in enumerate(order)
     )

@@ -31,7 +31,7 @@ def is_finite_real(x) -> bool:
     An int too large for a float is not one either: math.isfinite
     would raise OverflowError on it.
     """
-    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+    if type(x) is not float and (not isinstance(x, numbers.Real) or isinstance(x, bool)):
         return False
     try:
         return math.isfinite(x)
@@ -70,7 +70,7 @@ class Interval:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriFuzzy:
     """Triangular fuzzy number with support [lower, upper] and peak at modal."""
 
@@ -79,9 +79,8 @@ class TriFuzzy:
     upper: float
 
     def __post_init__(self):
-        for v in (self.lower, self.modal, self.upper):
-            if not math.isfinite(v):
-                raise OrderingViolation(f"triangular bounds must be finite, got {self!r}")
+        if not all(map(math.isfinite, (self.lower, self.modal, self.upper))):
+            raise OrderingViolation(f"triangular bounds must be finite, got {self!r}")
         if not (self.lower <= self.modal <= self.upper):
             raise OrderingViolation(
                 f"triangular bounds out of order: ({self.lower}, {self.modal}, {self.upper})"

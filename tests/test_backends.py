@@ -45,7 +45,8 @@ from fuzzydea._speedups.pure import (
     PHASE1_UNBOUNDED,
     UNBOUNDED,
 )
-from fuzzydea.alphacut import _ends, alphacut_scores
+from fuzzydea.alphacut import DataLps, alphacut_scores
+from fuzzydea.ccr import SelfPolicy
 from fuzzydea.dataio import load_fixture
 from fuzzydea.errors import NumericalBreakdown
 from fuzzydea.mofdea import MAX_BISECT
@@ -135,6 +136,13 @@ def assert_short_basis_rejected(kernel):
     assert T.tobytes() == before.tobytes()
 
 
+def unit_ends(data, p):
+    """DMU p's data at levels 0 and 1, as a DataLps hands them to the kernel."""
+    lps = DataLps(data, SelfPolicy.INCLUDE_SELF)
+    lps.select(p)
+    return lps.end, lps.modal
+
+
 def ccr_lps(n_sets=40):
     """(name, lp): lp is (end, modal, p, exclude_self, n_outputs), DMU p's
     data at levels 0 and 1, for every DMU of both fixtures and one of
@@ -146,7 +154,7 @@ def ccr_lps(n_sets=40):
         picks.append((data, int(rng.integers(0, data.n_dmus))))
     for data, p in picks:
         for exclude in (False, True):
-            yield f"{data.name}/{p}/{exclude}", (*_ends(data, p), p, exclude, data.n_outputs)
+            yield f"{data.name}/{p}/{exclude}", (*unit_ends(data, p), p, exclude, data.n_outputs)
 
 
 def run_ccr(kernel, lp, level, iters_per_dim=ITERS_PER_DIM):
@@ -239,7 +247,7 @@ def assert_ccr_twin(kernel):
 
 def assert_ccr_errors(kernel):
     """Bad data, the iteration cap and misshapen buffers."""
-    end, modal = _ends(load_fixture("guo_tanaka"), 1)
+    end, modal = unit_ends(load_fixture("guo_tanaka"), 1)
     half = modal * 0.5  # at level -1 every cell that moves reaches 0
     huge = np.full_like(modal, 1e308)  # at level -1 every cell overflows
     for lo, level in ((half, -1.0), (huge, -1.0), (half, np.nan)):
@@ -314,7 +322,7 @@ def mo_cases():
     tiny = SMALL.copy()  # p = 0's output: z* about 1e-12
     tiny[2, 0] = 1e-12
     solo = np.ones((2, 1))
-    lp = (*_ends(load_fixture("guo_tanaka"), 1), 1, True, 2)
+    lp = (*unit_ends(load_fixture("guo_tanaka"), 1), 1, True, 2)
     half = (lp[1] * 0.5, *lp[1:])  # at level -1 every cell that moves reaches 0
     ok, bad = (0.5, True, 1e-6), (-1.0, True, 1e-6)  # bad: z* at level -1
     return cases + [

@@ -188,8 +188,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("sub", [("eval", "--model", "mo"), ("compare",)])
     @pytest.mark.parametrize("exc", [SolverFailure, NumericalBreakdown])
     def test_mo_solver_failure_exits_2(self, capsys, monkeypatch, sub, exc):
-        def failing(lps, cfgs, levels=()):
-            raise exc(f"CCR multiplier model for DMU {lps.name!r} failed")
+        def failing(lps, p, cfgs, levels=()):
+            raise exc(f"CCR multiplier model for DMU {lps.names[p]!r} failed")
 
         monkeypatch.setattr(mofdea, "_search", failing)
         code, out, err = run(

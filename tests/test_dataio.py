@@ -1,8 +1,12 @@
 import json
+import math
+import random
+from pathlib import Path
 
 import pytest
 
 from fuzzydea.dataio import (
+    _report_json,
     FuzzyDataset,
     FuzzyDmu,
     Report,
@@ -288,3 +292,148 @@ class TestReports:
     def test_unknown_format(self):
         with pytest.raises(ParseError):
             write_report(sample_report(), "pdf")
+
+
+class TestReadReportTypes:
+    """read_report keeps only what every report format can render."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("model", 5), ("model", [1]), ("model", None), ("policy", True),
+        ("dmu", 5), ("dmu", None), ("dmu", ["a"]),
+        ("alpha", "0"), ("alpha", True), ("alpha", None), ("alpha", [0.0]),
+        ("score", "oops"), ("score", False), ("score", {}),
+        ("h_star", "oops"), ("h_star", True), ("z_star", "1.0"), ("mo_score", [1]),
+        ("rank", True), ("rank", 1.0), ("rank", "1"),
+        ("alphas", "0.0"), ("alphas", False), ("alphas", None),
+    ])
+    def test_wrongly_typed_field_is_schema_error(self, field, value):
+        doc = json.loads(write_report(sample_report(), "json"))
+        if field in ("model", "policy"):
+            doc[field] = value
+        elif field == "alphas":
+            doc["alphas"][0] = value
+        else:
+            doc["rows"][0][field] = value
+        with pytest.raises(SchemaError, match=f"^malformed report document: '{field}' "):
+            read_report(json.dumps(doc))
+
+    def test_h_star_text_no_longer_reaches_the_renderer(self):
+        # It used to read fine and then fail the md writer with a bare
+        # "Unknown format code 'f'".
+        doc = json.loads(write_report(sample_report(), "json"))
+        doc["rows"][0]["h_star"] = "oops"
+        with pytest.raises(SchemaError, match="'h_star' must be a JSON number"):
+            read_report(json.dumps(doc))
+
+    def test_integers_become_floats_and_ranks_stay_integers(self):
+        doc = json.loads(write_report(sample_report(), "json"))
+        doc["alphas"] = [0]
+        doc["rows"][0].update(alpha=0, score=2, h_star=1, z_star=3, mo_score=4, rank=7)
+        doc["rows"][1].update(alpha=0, h_star=None, rank=None)
+        rep = read_report(json.dumps(doc))
+        first, second = rep.rows
+        assert [type(x) for x in (*rep.alphas, first.alpha, first.score, first.h_star,
+                                  first.z_star, first.mo_score)] == [float] * 6
+        assert (first.score, first.mo_score, first.rank) == (2.0, 4.0, 7)
+        assert (second.h_star, second.rank) == (None, None)
+        for fmt in ("md", "csv", "json"):
+            write_report(rep, fmt)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# Names that json escapes: quotes, backslashes, control characters,
+# non-ASCII and astral-plane characters.
+NAMES = ("a", "", 'q"uote', "back\\slash", "tab\tnew\nline\x00\x1f", "caf\u00e9",
+         "\u2028", "\U0001f600 astral", "\ud800", "D/1")
+FLOATS = (0.0, -0.0, 1.0, 0.5, 1e300, -1e300, 5e-324, math.inf, -math.inf, math.nan,
+          0.1 + 0.2, 1 / 3, 123456789.125)
+
+
+def _random_value(rng):
+    """A float, or now and then a bool, None or an int past 64 bits."""
+    kind = rng.random()
+    if kind < 0.7:
+        return rng.choice(FLOATS) if rng.random() < 0.5 else rng.uniform(-5, 5)
+    if kind < 0.8:
+        return rng.choice((True, False, None))
+    return rng.choice((0, -3, 2 ** 64 + 1, -(10 ** 30), 7))
+
+
+def random_report(rng):
+    """A seeded Report whose fields range over what json can write."""
+    dmus = rng.sample(NAMES, rng.randint(0, 4))
+    alphas = tuple(_random_value(rng) for _ in range(rng.randint(0, 3)))
+    rows = tuple(
+        ReportRow(dmu, alpha, _random_value(rng),
+                  *(rng.choice((None, _random_value(rng))) for _ in range(4)))
+        for alpha in (alphas if dmus else ())
+        for dmu in dmus
+    )
+    return Report(rng.choice(NAMES), rng.choice(NAMES), alphas, rows)
+
+
+def json_dumps_report(rep):
+    """The report as json.dumps(indent=2) writes its document."""
+    rows = []
+    for r in rep.rows:
+        row = {"dmu": r.dmu, "alpha": r.alpha, "score": r.score}
+        for key in ("h_star", "z_star", "mo_score", "rank"):
+            if getattr(r, key) is not None:
+                row[key] = getattr(r, key)
+        rows.append(row)
+    doc = {"model": rep.model, "policy": rep.policy, "alphas": list(rep.alphas),
+           "rows": rows, "deviations": []}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class TestJsonWriter:
+    def test_twin_of_json_dumps(self):
+        rng = random.Random(20261019)
+        for k in range(5000):
+            rep = random_report(rng)
+            assert _report_json(rep) == json_dumps_report(rep), k
+
+    def test_empty_alphas_and_rows(self):
+        rep = Report("mo", "exclude-self", (), ())
+        assert _report_json(rep) == json_dumps_report(rep)
+        assert '"alphas": [],' in _report_json(rep)
+
+    @pytest.mark.parametrize("value", [b"x", 1j, (1.0,), {"a": 1}, object()])
+    def test_other_values_raise_type_error(self, value):
+        rep = Report("mo", "exclude-self", (0.0,), (ReportRow("a", 0.0, value),))
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _report_json(rep)
+
+    def test_read_report_round_trips_every_report_it_can_read(self):
+        # In read_report's domain: str names, float numbers (NaN and the
+        # infinities included) and int ranks.
+        rng = random.Random(7)
+
+        def number():
+            return rng.choice(FLOATS) if rng.random() < 0.5 else rng.uniform(0, 2)
+
+        for k in range(1000):
+            dmus = rng.sample(NAMES, rng.randint(0, 4))
+            alphas = tuple(number() for _ in range(rng.randint(0, 3)))
+            rows = tuple(
+                ReportRow(dmu, alpha, number(),
+                          *(rng.choice((None, number())) for _ in range(3)),
+                          rank=rng.choice((None, 1, 2 ** 70)))
+                for alpha in (alphas if dmus else ())
+                for dmu in dmus
+            )
+            rep = Report(rng.choice(NAMES), rng.choice(NAMES), alphas, rows)
+            text = write_report(rep, "json")
+            assert write_report(read_report(text), "json") == text, k
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+    def test_every_json_golden_reads_back_to_its_siblings(self, path):
+        # read_report gives back the Report the CLI wrote: it renders the
+        # same json, and the md and csv goldens of the same command.
+        text = path.read_text(encoding="utf-8")
+        rep = read_report(text)
+        assert write_report(rep, "json") == text
+        for fmt in ("md", "csv"):
+            sibling = path.with_suffix(f".{fmt}")
+            if sibling.exists():
+                assert write_report(rep, fmt) == sibling.read_text(encoding="utf-8")

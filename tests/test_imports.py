@@ -4,10 +4,15 @@ __all__, or rebound there by the benchmark's tracer.
 No linter runs on this package, so this is what keeps an import that a
 refactor left behind from lingering.  perfbench/tracing.py rebinds
 names by (module, attribute); an import that only the tracer needs is
-allowed for that module alone, and carries a comment saying so.
+allowed for that module alone, and carries a comment saying so.  It
+also checks that importing fuzzydea loads numpy, which the benchmark's
+set-up probe relies on.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +62,15 @@ def test_every_import_is_used_exported_or_traced(path):
     keep = used | _all(tree) | traced
     unused = [(name, line) for name, line in _imported(tree) if name not in keep]
     assert unused == [], f"{path.relative_to(SRC)}: unused imports {unused}"
+
+
+def test_import_fuzzydea_keeps_numpy_loaded():
+    # perfbench/run.py's set-up probe reads sys.modules['numpy'] right
+    # after `import fuzzydea`, so an import that leaves numpy out would
+    # fail every benchmark run with "cannot import fuzzydea".  The
+    # numpy-free import of ROADMAP item 6 has to change that probe first.
+    code = "import sys, fuzzydea; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr

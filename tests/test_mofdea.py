@@ -12,7 +12,7 @@ from _datagen import crisp_fuzzy_dataset, random_dataset
 from _oracles import grid_h_star
 from fuzzydea import ccr, mofdea
 from fuzzydea.alphacut import (
-    DmuLps,
+    DataLps,
     alphacut_reduce,
     alphacut_scores,
     modal_reduce,
@@ -355,9 +355,9 @@ def _count_lps(monkeypatch):
         lps[name] += 1
         return solve(X, n_outputs, name, policy)
 
-    def searched(store, cfgs, levels=()):
-        out = search(store, cfgs, levels)
-        lps[store.name] += len(out[2])
+    def searched(store, p, cfgs, levels=()):
+        out = search(store, p, cfgs, levels)
+        lps[store.names[p]] += len(out[2])
         return out
 
     monkeypatch.setattr(ccr, "_solve", counted)
@@ -412,9 +412,9 @@ class TestLpCounts:
         solved = collections.defaultdict(list)  # DMU name -> levels solved
         search = mofdea._search
 
-        def recorded(store, cfgs, levels=()):
-            out = search(store, cfgs, levels)
-            solved[store.name].extend(out[2])
+        def recorded(store, p, cfgs, levels=()):
+            out = search(store, p, cfgs, levels)
+            solved[store.names[p]].extend(out[2])
             return out
 
         monkeypatch.setattr(mofdea, "_search", recorded)
@@ -470,7 +470,7 @@ def _fields(r):
 class TestEvaluateAllEquivalence:
     @pytest.mark.parametrize("mode", ALPHA_MODES)
     def test_equals_standalone_solve_mo(self, gt, ac, mode):
-        # Both policies in one call, so each DMU keeps two DmuLps.
+        # Both policies in one call, so the call keeps two DataLps.
         cfgs = [
             MoConfig(alpha=a, policy=policy, alpha_mode=mode)
             for a in EQUIV_ALPHAS
@@ -525,11 +525,16 @@ class TestEvaluateAllEquivalence:
 
 
 class TestDmuLps:
+    """A DMU's LPs, selected from a dataset's DataLps."""
+
     def test_bad_index_and_policy_refused(self, gt):
+        lps = DataLps(gt, SelfPolicy.EXCLUDE_SELF)
         with pytest.raises(DataError, match="DMU index"):
-            DmuLps(gt, 5, SelfPolicy.EXCLUDE_SELF)
+            lps.solve(5, 0.5)
+        with pytest.raises(DataError, match="DMU index"):
+            lps.select(-1)
         with pytest.raises(RangeError, match="self policy"):
-            DmuLps(gt, 0, "exclude-self")
+            DataLps(gt, "exclude-self")
 
 
 class TestEvaluateAll:
@@ -591,9 +596,9 @@ class TestFirstFailure:
         search = mofdea._search
         tag = {EX: 0.25, IN: 0.75}
 
-        def failing(lps, triples, cut_levels=()):
-            found, effs, solved, _ = search(lps, triples, cut_levels)
-            if lps.name != "D2":
+        def failing(lps, p, triples, cut_levels=()):
+            found, effs, solved, _ = search(lps, p, triples, cut_levels)
+            if lps.names[p] != "D2":
                 return found, effs, solved, None
             k = at[lps.policy]
             failure = (LP_FAILED, BAD_DATA, tag[lps.policy], 0.0)
@@ -632,7 +637,8 @@ def _digest(out):
 # Every public entry that takes a DMU index p, on fixture:guo_tanaka.
 INDEX_ENTRIES = {
     "ccr_efficiency": lambda d, p: ccr_efficiency(modal_reduce(d), p),
-    "DmuLps": lambda d, p: DmuLps(d, p, SelfPolicy.EXCLUDE_SELF).solve(0.5),
+    # DMU p's LP, selected from its dataset's DataLps
+    "DmuLps": lambda d, p: DataLps(d, SelfPolicy.EXCLUDE_SELF).solve(p, 0.5),
     "alphacut_reduce": lambda d, p: alphacut_reduce(d, p, 0.5),
     "pessimistic_reduce": lambda d, p: pessimistic_reduce(d, p, 0.5),
     "reduced_data": lambda d, p: reduced_data(d, p, 0.5),
@@ -660,7 +666,8 @@ class TestDmuIndex:
 POLICY_ENTRIES = {
     "ccr_efficiency": lambda d, pol: ccr_efficiency(modal_reduce(d), 1, pol),
     "ccr_scores": lambda d, pol: ccr_scores(modal_reduce(d), pol),
-    "DmuLps": lambda d, pol: DmuLps(d, 1, pol).solve(0.5),
+    # DMU 1's LP, selected from its dataset's DataLps
+    "DmuLps": lambda d, pol: DataLps(d, pol).solve(1, 0.5),
     "alphacut_scores": lambda d, pol: alphacut_scores(d, 0.0, pol),
     "pessimistic_scores": lambda d, pol: pessimistic_scores(d, 0.0, pol),
     "z_star": lambda d, pol: z_star(d, 1, pol),

@@ -1,10 +1,12 @@
-"""DmuLps: every model's CCR LPs, solved from two data ends.
+"""DataLps: every model's CCR LPs, solved from two data ends.
 
 The alpha-cuts, crisp CCR at level 1 and the mo model's z* and probes
-all solve a DMU's LP at a data level from one alphacut.DmuLps.  Its
-LP at level beta must give what ccr_efficiency gives on
-reduce_at(data, p, beta, favor_p), bit for bit, on either kernel and
-with either favor_p.
+all solve a DMU's LP at a data level from one alphacut.DataLps per
+dataset, self policy and favor_p, which selects the DMU by swapping its
+column into one scratch array.  Its LP for DMU p at level beta must
+give what ccr_efficiency gives on reduce_at(data, p, beta, favor_p), bit
+for bit, on either kernel and with either favor_p, whichever DMUs the
+store served before.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from _datagen import random_dataset
 from fuzzydea import ccr
 from fuzzydea._speedups import fast_ccr_solve, pure_ccr_solve
-from fuzzydea.alphacut import DmuLps, _ends, reduce_at
+from fuzzydea.alphacut import DataLps, reduce_at
 from fuzzydea.ccr import CrispDataset, SelfPolicy, ccr_efficiency
 from fuzzydea.dataio import FuzzyDataset, FuzzyDmu
 from fuzzydea.errors import DataError, NumericalBreakdown, SolverFailure
@@ -52,12 +54,31 @@ def test_probe_equals_ccr_on_reduced_data(kernel, policy, favor_p, monkeypatch):
     for _ in range(40):
         data = random_dataset(rng, n_dmus=int(rng.integers(2, 9)))
         p = int(rng.integers(0, data.n_dmus))
-        lps = DmuLps(data, p, policy, favor_p)
+        lps = DataLps(data, policy, favor_p)
         for beta in (0.0, 1.0, *rng.random(4)):
             beta = float(beta)
             crisp = reduce_at(data, p, beta, favor_p)
             ref = ccr_efficiency(crisp, p, policy=policy)
-            assert bits(lps.solve(beta)) == bits(ref)
+            assert bits(lps.solve(p, beta)) == bits(ref)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("policy,favor_p", POLICY_ENDS)
+def test_one_store_serves_every_dmu_in_any_order(kernel, policy, favor_p, monkeypatch):
+    # The DMUs come in a shuffled order with repeats, so each swap puts
+    # back a column that another DMU's LP must see at its peer ends.
+    monkeypatch.setattr(ccr, "default_ccr_solve", kernel)
+    rng = np.random.default_rng(20261019)
+    for _ in range(15):
+        data = random_dataset(rng, n_dmus=int(rng.integers(2, 9)))
+        lps = DataLps(data, policy, favor_p)
+        order = rng.integers(0, data.n_dmus, size=3 * data.n_dmus).tolist()
+        order += rng.permutation(data.n_dmus).tolist()
+        for p in order:
+            beta = float(rng.choice([0.0, 1.0, rng.random()]))
+            ref = ccr_efficiency(reduce_at(data, p, beta, favor_p), p, policy=policy)
+            assert bits(lps.solve(p, beta)) == bits(ref), (p, beta)
+            assert lps.p == p
 
 
 @pytest.mark.skipif(fast_ccr_solve is None, reason="compiled kernel not built")
@@ -65,17 +86,17 @@ def test_probe_identical_across_kernels(monkeypatch):
     rng = np.random.default_rng(5)
     for _ in range(20):
         data = random_dataset(rng)
-        lps = DmuLps(data, 0, SelfPolicy.EXCLUDE_SELF)
+        lps = DataLps(data, SelfPolicy.EXCLUDE_SELF)
         beta = float(rng.random())
         monkeypatch.setattr(ccr, "default_ccr_solve", pure_ccr_solve)
-        pure = bits(lps.solve(beta))
+        pure = bits(lps.solve(0, beta))
         monkeypatch.setattr(ccr, "default_ccr_solve", fast_ccr_solve)
-        assert bits(lps.solve(beta)) == pure
+        assert bits(lps.solve(0, beta)) == pure
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_reused_work_buffer_leaks_no_state(kernel, monkeypatch):
-    # One DmuLps solves every level into the same work tableau and
+    # One DataLps solves every level into the same work tableau and
     # basis; each result must equal a fresh solve, in any order.
     monkeypatch.setattr(ccr, "default_ccr_solve", kernel)
     rng = np.random.default_rng(11)
@@ -88,19 +109,19 @@ def test_reused_work_buffer_leaks_no_state(kernel, monkeypatch):
             b: bits(ccr_efficiency(reduced_data(data, p, b), p, policy=policy))
             for b in levels
         }
-        lps = DmuLps(data, p, policy)
+        lps = DataLps(data, policy)
         for _ in range(3):
             order = [levels[int(i)] for i in rng.permutation(len(levels))]
             for a, b in zip(order, order[1:]):
-                assert [bits(lps.solve(x)) for x in (a, b, a)] == [
+                assert [bits(lps.solve(p, x)) for x in (a, b, a)] == [
                     fresh[a], fresh[b], fresh[a]
                 ]
 
 
 @pytest.mark.parametrize("favor_p", [True, False])
 def test_ends_take_each_dmus_support_end(favor_p):
-    # The store's two ends and reduce_at share one end helper.  With
-    # favor_p, p sits at low inputs and high outputs and its peers at
+    # The store and reduce_at share one end helper.  With favor_p, the
+    # selected p sits at low inputs and high outputs and its peers at
     # the opposite ends; without, the roles swap.
     rng = np.random.default_rng(17)
     for _ in range(10):
@@ -109,8 +130,10 @@ def test_ends_take_each_dmus_support_end(favor_p):
         lower, modal, upper = data.bounds
         best = np.concatenate((lower[:m], upper[m:]))
         worst = np.concatenate((upper[:m], lower[m:]))
-        for p in range(data.n_dmus):
-            end, mid = _ends(data, p, favor_p)
+        lps = DataLps(data, SelfPolicy.EXCLUDE_SELF, favor_p)
+        for p in [*rng.permutation(data.n_dmus).tolist(), 0, data.n_dmus - 1, 0]:
+            assert lps.select(p) == p
+            end, mid = lps.end, lps.modal
             for j in range(data.n_dmus):
                 want = best if (j == p) == favor_p else worst
                 assert end[:, j].tolist() == want[:, j].tolist()
@@ -143,15 +166,15 @@ def test_probe_data_must_stay_positive_and_finite(lower, modal):
             toward_modal(end.outputs, mid.outputs, -1.0),
         )
     with pytest.raises(DataError, match="data at level -1.0 for DMU 'U1'"):
-        DmuLps(data, 0, SelfPolicy.EXCLUDE_SELF).solve(-1.0)
+        DataLps(data, SelfPolicy.EXCLUDE_SELF).solve(0, -1.0)
 
 
 def test_unbounded_probe_raises_like_ccr():
     one = (TriFuzzy(1.0, 1.0, 1.0),)
     solo = FuzzyDataset("solo", ("I1",), ("O1",), (FuzzyDmu("A", one, one),))
-    lps = DmuLps(solo, 0, SelfPolicy.EXCLUDE_SELF)
+    lps = DataLps(solo, SelfPolicy.EXCLUDE_SELF)
     with pytest.raises(SolverFailure) as got:
-        lps.solve(0.5)
+        lps.solve(0, 0.5)
     with pytest.raises(SolverFailure) as want:
         ccr_efficiency(CrispDataset(("A",), [[1.0]], [[1.0]]), 0,
                        policy=SelfPolicy.EXCLUDE_SELF)
@@ -170,8 +193,8 @@ def test_iteration_cap_reaches_the_probe(monkeypatch):
         return kernel(*args[:-1], 0)
 
     data = random_dataset(np.random.default_rng(3), n_dmus=4)
-    lps = DmuLps(data, 1, SelfPolicy.INCLUDE_SELF)
+    lps = DataLps(data, SelfPolicy.INCLUDE_SELF)
     monkeypatch.setattr(ccr, "default_ccr_solve", capped)
     with pytest.raises(NumericalBreakdown, match=r"cap \(0\) in phase 1"):
-        lps.solve(0.5)
+        lps.solve(1, 0.5)
     assert calls == [0.5]
