@@ -174,6 +174,7 @@ def z_star(
 
 def eff_at(data: FuzzyDataset, p: int, h: float, cfg: MoConfig = MoConfig()) -> float:
     """Crisp CCR score of DMU p on reduced_data at satisfaction level h."""
+    p = _check_index(data, p)
     lps = DataLps(data, cfg.policy)
     return lps.solve(p, beta_level(h, cfg.alpha, cfg.alpha_mode)).efficiency
 
@@ -233,12 +234,11 @@ def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult
 
 
 def _by_dmu(data: FuzzyDataset, cfgs: Sequence[MoConfig], cuts: bool = False):
-    """Check cfgs, then score the DMUs one at a time, with one _search
-    per self policy on that policy's DataLps.  Returns cfgs as a tuple
-    and, per DMU, its mo_solve entry under each cfg and, with cuts, its
-    LP optimum at each cfg's
-    alpha.  A DMU's failures raise as if each cfg were scored alone in
-    order and the cuts taken after: the first one in that order does."""
+    """Check cfgs, then score the DMUs one at a time, one _search per
+    self policy on its DataLps.  Returns cfgs as a tuple and, per DMU,
+    its mo_solve entry under each cfg and, with cuts, its LP optimum at
+    each cfg's alpha.  A DMU's failures raise as if each cfg were scored
+    alone in order and the cuts taken after: the first in order does."""
     if data.n_dmus < 2:
         raise DataError("ranking needs at least two DMUs")
     cfgs = tuple(cfgs)
