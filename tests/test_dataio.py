@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from fuzzydea.dataio import (
-    _report_json,
     FuzzyDataset,
     FuzzyDmu,
     Report,
@@ -19,6 +18,7 @@ from fuzzydea.dataio import (
     read_report,
     write_dataset,
     write_report,
+    _report_json,
 )
 from fuzzydea.errors import DataError, ParseError, SchemaError
 from fuzzydea.trifuzzy import TriFuzzy
@@ -317,8 +317,8 @@ class TestReadReportTypes:
         with pytest.raises(SchemaError, match=f"^malformed report document: '{field}' "):
             read_report(json.dumps(doc))
 
-    def test_h_star_text_no_longer_reaches_the_renderer(self):
-        # It used to read fine and then fail the md writer with a bare
+    def test_h_star_text_is_refused_before_rendering(self):
+        # Read as it stands, it would fail the md writer with a bare
         # "Unknown format code 'f'".
         doc = json.loads(write_report(sample_report(), "json"))
         doc["rows"][0]["h_star"] = "oops"
