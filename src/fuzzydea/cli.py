@@ -28,18 +28,12 @@ from .dataio import (
     write_report,
 )
 from .errors import FuzzyDeaError, NumericalBreakdown, SolverFailure
-from .mofdea import (
-    ALPHA_MODES,
-    DEFAULT_ALPHA_MODE,
-    MoConfig,
-    compare_all,
-    evaluate_all,
-    z_star,
-)
+from .mofdea import ALPHA_MODES, DEFAULT_ALPHA_MODE, MoConfig, _rankings, compare_all, z_star
 from .trifuzzy import check_alpha
 # Unused here; perfbench/tracing.py rebinds them by name in this module.
 from .alphacut import modal_reduce  # noqa: F401
 from .ccr import ccr_efficiency  # noqa: F401
+from .mofdea import evaluate_all  # noqa: F401
 
 __all__ = ["main"]
 
@@ -182,13 +176,12 @@ def _eval_report(args) -> Report:
         ]
         return Report(args.model, policy.value, tuple(alphas), tuple(rows))
 
+    # evaluate_all's ranking, but rows straight from the kernel's (h*, eff, z*, ...)
     rows = []
-    rankings = evaluate_all(data, _mo_configs(alphas, policy, args))
-    for a, ranked in zip(alphas, rankings):
-        mo = {r.dmu: r for r in ranked}
-        for name in data.dmu_names:
-            r = mo[name]
-            rows.append(ReportRow(name, a, r.efficiency, r.h_star, r.z_star, None, r.rank))
+    for a, (_, outs, order) in zip(alphas, _rankings(data, _mo_configs(alphas, policy, args))):
+        places = sorted(range(len(order)), key=order.__getitem__)  # j's place in order
+        rows += [ReportRow(name, a, out[1], out[0], out[2], None, place + 1)
+                 for name, out, place in zip(data.dmu_names, outs, places)]
     return Report("mo", policy.value, tuple(alphas), tuple(rows))
 
 
@@ -200,7 +193,7 @@ def _zstar_report(args) -> Report:
     else:
         indices = list(range(data.n_dmus))
     rows = tuple(
-        ReportRow(data.dmus[p].name, 0.0, z_star(data, p, policy=policy))
+        ReportRow(data.dmu_names[p], 0.0, z_star(data, p, policy=policy))
         for p in indices
     )
     return Report("zstar", policy.value, (0.0,), rows)

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass, fields
-from functools import cached_property
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -58,7 +57,14 @@ class FuzzyDmu:
 
 @dataclass(frozen=True)
 class FuzzyDataset:
-    """Named collection of DMUs sharing input/output coordinates."""
+    """Named collection of DMUs sharing input/output coordinates.
+
+    Its cells are one buffer of doubles, `bounds`: the read-only,
+    C-contiguous lower, modal and upper values, shaped (3, inputs +
+    outputs, DMUs).  The loaders fill it straight from the parsed numbers;
+    a dataset they load builds `dmus`, its FuzzyDmu/TriFuzzy cells, from
+    it on first access.  `dmu_names` holds the DMUs' names in order.
+    """
 
     name: str
     input_names: Tuple[str, ...]
@@ -66,43 +72,24 @@ class FuzzyDataset:
     dmus: Tuple[FuzzyDmu, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "input_names", tuple(self.input_names))
-        object.__setattr__(self, "output_names", tuple(self.output_names))
-        object.__setattr__(self, "dmus", tuple(self.dmus))
-        if not self.input_names:
-            raise DataError("dataset needs at least one input coordinate")
-        if not self.output_names:
-            raise DataError("dataset needs at least one output coordinate")
-        if not self.dmus:
-            raise DataError("dataset has no DMUs")
-        names = [d.name for d in self.dmus]
-        if len(set(names)) != len(names):
-            raise DataError("DMU names must be unique")
-        for d in self.dmus:
-            if len(d.inputs) != len(self.input_names):
-                raise DataError(
-                    f"DMU {d.name!r}: {len(d.inputs)} inputs, "
-                    f"expected {len(self.input_names)}"
-                )
-            if len(d.outputs) != len(self.output_names):
-                raise DataError(
-                    f"DMU {d.name!r}: {len(d.outputs)} outputs, "
-                    f"expected {len(self.output_names)}"
-                )
-            for label, items, coord_names in (
-                ("input", d.inputs, self.input_names),
-                ("output", d.outputs, self.output_names),
-            ):
-                for coord, tri in zip(coord_names, items):
-                    if tri.lower <= 0.0:
-                        raise DataError(
-                            f"DMU {d.name!r} {label} {coord!r}: bounds must be "
-                            f"strictly positive, got lower bound {tri.lower}"
-                        )
+        dmus = vars(self)["dmus"] = tuple(self.dmus)
+        _fill(self, self.name, self.input_names, self.output_names, [d.name for d in dmus],
+              [(len(d.inputs), len(d.outputs)) for d in dmus],
+              [x for d in dmus for t in d.inputs + d.outputs for x in (t.lower, t.modal, t.upper)])
+
+    def __getattr__(self, attr):
+        # Reached only for what the instance lacks: a loaded dataset's dmus.
+        if attr != "dmus" or "bounds" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        m, coords = self.n_inputs, [list(map(TriFuzzy, *e)) for e in zip(*self.bounds.tolist())]
+        dmus = vars(self)["dmus"] = tuple(
+            FuzzyDmu(name, [c[j] for c in coords[:m]], [c[j] for c in coords[m:]])
+            for j, name in enumerate(self.dmu_names))
+        return dmus
 
     @property
     def n_dmus(self) -> int:
-        return len(self.dmus)
+        return len(self.dmu_names)
 
     @property
     def n_inputs(self) -> int:
@@ -112,52 +99,93 @@ class FuzzyDataset:
     def n_outputs(self) -> int:
         return len(self.output_names)
 
-    @property
-    def dmu_names(self) -> Tuple[str, ...]:
-        return tuple(d.name for d in self.dmus)
-
     def index_of(self, name: str) -> int:
-        for j, d in enumerate(self.dmus):
-            if d.name == name:
-                return j
-        raise DataError(f"unknown DMU {name!r}")
-
-    @cached_property
-    def bounds(self) -> np.ndarray:
-        """Read-only lower, modal and upper values: (3, inputs + outputs, DMUs)."""
-        cells = [(t.lower, t.modal, t.upper) for d in self.dmus for t in d.inputs + d.outputs]
-        arr = np.array(cells, dtype=np.float64).reshape(self.n_dmus, -1, 3)
-        arr = np.ascontiguousarray(arr.transpose(2, 1, 0))
-        arr.flags.writeable = False
-        return arr
+        try:
+            return self.dmu_names.index(name)
+        except ValueError:
+            raise DataError(f"unknown DMU {name!r}") from None
 
 
-def _tri_from_cell(value, where) -> TriFuzzy:
-    number = {int, float}
-    if type(value) in number:
-        value = (value, value, value)
-    elif not isinstance(value, (list, tuple)):
-        raise SchemaError(f"{where()}: expected a number or [l, m, u], got {value!r}")
-    elif len(value) != 3 or not set(map(type, value)) <= number:
-        raise SchemaError(f"{where()}: expected [l, m, u] numbers, got {value!r}")
-    return _tri(value, where)
+def _fill(data: FuzzyDataset, name, input_names, output_names, names, shapes, cells):
+    """data with every field but dmus set, and dmu_names and bounds, from
+    the DMUs called names, their (inputs, outputs) counts shapes and cells,
+    every cell's lower, modal and upper value in order, DMU by DMU.  The
+    cells are checked already; the dataset's rules are checked here, in
+    order.  A loader passes a bare FuzzyDataset and leaves dmus unset."""
+    vars(data).update(name=name, input_names=tuple(input_names),
+                      output_names=tuple(output_names))
+    m, s = data.n_inputs, data.n_outputs
+    for fault, message in ((not m, "dataset needs at least one input coordinate"),
+                           (not s, "dataset needs at least one output coordinate"),
+                           (not names, "dataset has no DMUs"),
+                           (len(set(names)) != len(names), "DMU names must be unique")):
+        if fault:
+            raise DataError(message)
+    lows = cells[0::3]
+    if shapes.count((m, s)) != len(shapes) or min(lows) <= 0.0:
+        coords = [("input", c) for c in data.input_names] + [
+            ("output", c) for c in data.output_names]
+        for j, (name, shape) in enumerate(zip(names, shapes)):
+            for label, count, expected in zip(("inputs", "outputs"), shape, (m, s)):
+                if count != expected:
+                    raise DataError(f"DMU {name!r}: {count} {label}, expected {expected}")
+            for (label, coord), low in zip(coords, lows[j * (m + s):]):
+                if low <= 0.0:
+                    raise DataError(f"DMU {name!r} {label} {coord!r}: bounds must be "
+                                    f"strictly positive, got lower bound {low}")
+    bounds = np.array(cells, dtype=np.float64).reshape(len(names), m + s, 3).T.copy()
+    bounds.flags.writeable = False
+    vars(data).update(dmu_names=tuple(names), bounds=bounds)
+    return data
 
 
-def _tri(values, where) -> TriFuzzy:
-    """TriFuzzy of three numbers or number texts, or DataError or
-    ParseError naming the cell where()."""
+_NUMBER = {int, float}
+_INF = float("inf")
+
+
+def _floats(values, where):
+    """Three numbers or number texts as floats, lower, modal and upper;
+    a DataError or ParseError naming the cell where() unless they are
+    finite and in order."""
     try:
-        return TriFuzzy(*map(float, values))
+        low, mid, up = map(float, values)
     except OverflowError:
         raise DataError(f"{where()}: integer too large for a float") from None
-    except OrderingViolation as exc:
-        raise DataError(f"{where()}: {exc}") from None
-    except ValueError:  # a text that is not a number
-        for text in values:
-            try:
-                float(text)
-            except ValueError:
-                raise ParseError(f"{where()}: not a number: {text!r}") from None
+    except ValueError:
+        raise _not_a_number(values, where) from None
+    if not -_INF < low <= mid <= up < _INF:
+        try:
+            TriFuzzy(low, mid, up)  # raises with the fault's message
+        except OrderingViolation as exc:
+            raise DataError(f"{where()}: {exc}") from None
+    return low, mid, up
+
+
+def _not_a_number(texts, where) -> ParseError:
+    """The ParseError of the first of texts that is not a number.  float()
+    reads '1_5' as 15; a JSON number cannot hold a '_', nor can a CSV cell."""
+    for text in texts:
+        try:
+            float(text.replace("_", "x"))  # no float text holds an "x"
+        except ValueError:
+            return ParseError(f"{where()}: not a number: {text!r}")
+
+
+def _json_cells(row, dname, key, cells) -> None:
+    """Append the checked values of row, the JSON array of DMU dname's
+    key cells, each a number or [l, m, u], to cells."""
+    for i, value in enumerate(row):
+        cell = [value] * 3 if type(value) in _NUMBER else value
+        if type(cell) is list and len(cell) == 3:
+            low, mid, up = cell
+            if type(low) is type(mid) is type(up) is float and -_INF < low <= mid <= up < _INF:
+                cells += cell
+                continue
+            if set(map(type, cell)) <= _NUMBER:
+                cells += _floats(cell, lambda: f"DMU {dname!r} {key}[{i}]")
+                continue
+        got = "[l, m, u] numbers" if type(value) is list else "a number or [l, m, u]"
+        raise SchemaError(f"DMU {dname!r} {key}[{i}]: expected {got}, got {value!r}")
 
 
 def _dataset_from_json(raw: str) -> FuzzyDataset:
@@ -179,32 +207,25 @@ def _dataset_from_json(raw: str) -> FuzzyDataset:
         if not all(isinstance(v, str) for v in doc[key]):
             raise SchemaError(f"{key!r} must be an array of strings")
 
-    dmus = []
+    names, shapes, cells = [], [], []
     for k, entry in enumerate(doc["dmus"]):
         if not isinstance(entry, dict):
             raise SchemaError(f"dmus[{k}] must be an object")
         if "name" not in entry or not isinstance(entry["name"], str):
             raise SchemaError(f"dmus[{k}] needs a string 'name'")
         dname = entry["name"]
-        cells = {}
         for key in ("inputs", "outputs"):
-            if key not in entry or not isinstance(entry[key], list):
+            if not isinstance(entry.get(key), list):
                 raise SchemaError(f"dmus[{k}] ({dname!r}) needs an array {key!r}")
-            cells[key] = tuple(
-                _tri_from_cell(v, lambda: f"DMU {dname!r} {key}[{i}]")
-                for i, v in enumerate(entry[key])
-            )
-        dmus.append(FuzzyDmu(dname, cells["inputs"], cells["outputs"]))
-
-    return FuzzyDataset(
-        name=name,
-        input_names=tuple(doc["inputs"]),
-        output_names=tuple(doc["outputs"]),
-        dmus=tuple(dmus),
-    )
+            _json_cells(entry[key], dname, key, cells)
+        names.append(dname)
+        shapes.append((len(entry["inputs"]), len(entry["outputs"])))
+    return _fill(object.__new__(FuzzyDataset), name, doc["inputs"], doc["outputs"],
+                 names, shapes, cells)
 
 
-def _tri_from_csv_cell(text: str, where) -> TriFuzzy:
+def _csv_cell(text: str, where):
+    """The checked values of a CSV cell, 'l;m;u' or a single number."""
     text = text.strip()
     if not text:
         raise ParseError(f"{where()}: empty cell")
@@ -213,24 +234,23 @@ def _tri_from_csv_cell(text: str, where) -> TriFuzzy:
         parts *= 3
     elif len(parts) != 3:
         raise ParseError(f"{where()}: expected 'l;m;u' or a single number, got {text!r}")
-    return _tri(parts, where)
+    if "_" in text:
+        raise _not_a_number(parts, where)
+    return _floats(parts, where)
 
 
 def _dataset_from_csv(raw: str) -> FuzzyDataset:
     name = ""
     lines = raw.splitlines()
     body_start = 0
-    for line in lines:
+    for line in lines:  # comments and blank lines before the header
         stripped = line.strip()
-        if stripped.startswith("#"):
-            comment = stripped.lstrip("#").strip()
-            if comment.startswith("name="):
-                name = comment[len("name=") :].strip()
-            body_start += 1
-        elif stripped == "":
-            body_start += 1
-        else:
+        if stripped and not stripped.startswith("#"):
             break
+        comment = stripped.lstrip("#").strip()
+        if comment.startswith("name="):
+            name = comment[len("name=") :].strip()
+        body_start += 1
     reader = csv.reader(io.StringIO("\n".join(lines[body_start:])))
     try:
         header = next(reader)
@@ -251,31 +271,22 @@ def _dataset_from_csv(raw: str) -> FuzzyDataset:
         else:
             raise SchemaError(f"CSV column {col!r} must be prefixed 'in:' or 'out:'")
 
-    dmus = []
+    names, cells = [], []
     n_cols = len(header)
     for rownum, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
+        if not "".join(row).strip():
             continue
         if len(row) != n_cols:
-            raise SchemaError(
-                f"row {rownum}: {len(row)} cells, header has {n_cols}"
-            )
+            raise SchemaError(f"row {rownum}: {len(row)} cells, header has {n_cols}")
         dname = row[0].strip()
         if not dname:
             raise SchemaError(f"row {rownum}: empty DMU name")
-        tris = [
-            _tri_from_csv_cell(cell, lambda: f"row {rownum} ({dname!r}) column {col!r}")
-            for col, cell in zip(header[1:], row[1:])
-        ]
-        k = len(input_names)
-        dmus.append(FuzzyDmu(dname, tuple(tris[:k]), tuple(tris[k:])))
-
-    return FuzzyDataset(
-        name=name,
-        input_names=tuple(input_names),
-        output_names=tuple(output_names),
-        dmus=tuple(dmus),
-    )
+        for col, text in zip(header[1:], row[1:]):
+            cells += _csv_cell(text, lambda: f"row {rownum} ({dname!r}) column {col!r}")
+        names.append(dname)
+    shapes = [(len(input_names), len(output_names))] * len(names)
+    return _fill(object.__new__(FuzzyDataset), name, input_names, output_names,
+                 names, shapes, cells)
 
 
 def load_dataset(raw: Union[str, bytes], format: str) -> FuzzyDataset:
@@ -297,11 +308,10 @@ def load_dataset_path(path: Union[str, Path]) -> FuzzyDataset:
     path = Path(path)
     suffix = path.suffix.lower().lstrip(".")
     if suffix not in DATASET_FORMATS:
-        raise ParseError(
-            f"cannot infer format from {path.name!r}; expected a .json or .csv file"
-        )
+        raise ParseError(f"cannot infer format from {path.name!r}; expected a .json or .csv file")
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     return load_dataset(raw, suffix)
@@ -341,17 +351,10 @@ def write_dataset(data: FuzzyDataset, format: str = "json") -> str:
         if data.name:
             out.write(f"# name={data.name}\n")
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["dmu"]
-            + [f"in:{c}" for c in data.input_names]
-            + [f"out:{c}" for c in data.output_names]
-        )
+        writer.writerow(["dmu"] + [f"in:{c}" for c in data.input_names]
+                        + [f"out:{c}" for c in data.output_names])
         for d in data.dmus:
-            writer.writerow(
-                [d.name]
-                + [_cell_csv(t) for t in d.inputs]
-                + [_cell_csv(t) for t in d.outputs]
-            )
+            writer.writerow([d.name] + [_cell_csv(t) for t in d.inputs + d.outputs])
         return out.getvalue()
     raise ParseError(f"unknown dataset format {format!r}; use one of {DATASET_FORMATS}")
 
@@ -361,9 +364,7 @@ def fixture_path(name: str) -> Path:
     base = resources.files(__package__) / "fixtures" / f"{name}.json"
     with resources.as_file(base) as p:
         if not p.exists():
-            raise DataError(
-                f"unknown fixture {name!r}; available: {', '.join(list_fixtures())}"
-            )
+            raise DataError(f"unknown fixture {name!r}; available: {', '.join(list_fixtures())}")
         return Path(p)
 
 
@@ -407,10 +408,8 @@ class Report:
         object.__setattr__(self, "rows", tuple(self.rows))
         dmus = {r.dmu for r in self.rows}
         if self.rows and len(self.rows) != len(dmus) * len(self.alphas):
-            raise DataError(
-                f"report shape mismatch: {len(self.rows)} rows for "
-                f"{len(dmus)} DMUs x {len(self.alphas)} alpha levels"
-            )
+            raise DataError(f"report shape mismatch: {len(self.rows)} rows for "
+                            f"{len(dmus)} DMUs x {len(self.alphas)} alpha levels")
 
     def row_for(self, dmu: str, alpha: float) -> ReportRow:
         for r in self.rows:
@@ -432,9 +431,7 @@ def _md_table(headers, rows) -> str:
 
 
 def _report_md(report: Report) -> str:
-    out = [f"# {report.model} report", ""]
-    out.append(f"policy: {report.policy}")
-    out.append("")
+    out = [f"# {report.model} report", "", f"policy: {report.policy}", ""]
     dmu_order = list(dict.fromkeys(r.dmu for r in report.rows))
 
     if report.model == "compare":
@@ -487,23 +484,11 @@ def _report_md(report: Report) -> str:
 def _report_csv(report: Report) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["model", "policy", "dmu", "alpha", "score", "h_star", "z_star", "mo_score", "rank"]
-    )
-    for r in report.rows:
-        writer.writerow(
-            [
-                report.model,
-                report.policy,
-                r.dmu,
-                repr(r.alpha),
-                repr(r.score),
-                "" if r.h_star is None else repr(r.h_star),
-                "" if r.z_star is None else repr(r.z_star),
-                "" if r.mo_score is None else repr(r.mo_score),
-                "" if r.rank is None else r.rank,
-            ]
-        )
+    writer.writerow(["model", "policy", *_ROW_KEYS])
+    for r in report.rows:  # the writer writes None as ""
+        writer.writerow([report.model, report.policy, r.dmu, repr(r.alpha), repr(r.score),
+                         *[x if x is None else repr(x) for x in (r.h_star, r.z_star, r.mo_score)],
+                         r.rank])
     return out.getvalue()
 
 
@@ -531,17 +516,35 @@ def _json_scalar(x) -> str:
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
+def _row_templates(kinds):
+    """(fast, general): the templates of a report row whose values have the
+    exact types kinds; "%.0s" drops a None past score.  general takes each
+    value's _json_scalar text.  fast, unless None, takes dmu's json text
+    and the other values, each a float or an int, for "%r" to write."""
+    pieces, fast = [], kinds[0] is str
+    for k, (key, kind) in enumerate(zip(_ROW_KEYS, kinds)):
+        if k >= 3 and kind is type(None):
+            pieces[-1] += "%.0s"
+        else:
+            pieces.append(f'"{key}": %s')
+            fast = fast and (k == 0 or kind is float or kind is int)
+    general = "{\n      " + ",\n      ".join(pieces) + "\n    }"
+    return fast and general.replace("%s", "%r").replace("%r", "%s", 1), general
+
+
 def _report_json(report: Report) -> str:
     """json.dumps(doc, indent=2) + "\n" of the report's document, byte for
     byte, without the pure-Python encoder that json.dumps runs whenever it
-    indents.  A row's fields past score are left out when None."""
-    rows = [
-        "{\n      " + ",\n      ".join(
-            f'"{key}": {_json_scalar(x)}' for key, x in zip(_ROW_KEYS, _row_values(r))
-            if x is not None or key in ("dmu", "alpha", "score")
-        ) + "\n    }"
-        for r in report.rows
-    ]
+    indents.  A row's fields past score are left out when None.  Each row
+    fills the template of its values' types."""
+    templates, rows = {}, []
+    for values in map(_row_values, report.rows):
+        kinds = tuple(map(type, values))
+        fast, general = templates.get(kinds) or templates.setdefault(kinds, _row_templates(kinds))
+        text = fast and fast % ((encode_basestring_ascii(values[0]),) + values[1:])
+        if not text or "nan" in text or "inf" in text:  # json spells these NaN, Infinity
+            text = general % tuple(map(_json_scalar, values))
+        rows.append(text)
     alphas, rows = (
         "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
         for items in ([_json_scalar(a) for a in report.alphas], rows)

@@ -169,7 +169,7 @@ def z_star(
     beta_level(0.0, alpha, mode)  # validates alpha and mode
     p = _check_index(data, p)
     level = float(alpha) if mode == "rescale" else 0.0
-    return _check_z(data.dmus[p].name, DataLps(data, policy).solve(p, level).efficiency)
+    return _check_z(data.dmu_names[p], DataLps(data, policy).solve(p, level).efficiency)
 
 
 def eff_at(data: FuzzyDataset, p: int, h: float, cfg: MoConfig = MoConfig()) -> float:
@@ -227,7 +227,7 @@ def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult
         raise TypeError(f"solve_mo takes a MoConfig, got {cfg!r}")
     p = _check_index(data, p)
     found, _, _, failure = _search(DataLps(data, cfg.policy), p, (_triple(cfg),))
-    name = data.dmus[p].name
+    name = data.dmu_names[p]
     if failure is not None:
         _fail(name, failure)
     return MoResult(name, *found[0], cfg.alpha, cfg.policy)
@@ -266,7 +266,7 @@ def _by_dmu(data: FuzzyDataset, cfgs: Sequence[MoConfig], cuts: bool = False):
                 n = len(got)
                 failures.append(((n == len(idx), idx[n if n < len(idx) else len(at)]), failure))
         if failures:
-            _fail(data.dmus[p].name, min(failures)[1])
+            _fail(data.dmu_names[p], min(failures)[1])
         rows.append((found, effs))
     return cfgs, rows
 
@@ -288,11 +288,24 @@ def evaluate_all(
     solved once per DMU.  The results equal standalone solve_mo calls
     bit for bit.
     """
-    cfgs, rows = _by_dmu(data, cfgs)
     names = data.dmu_names
     return tuple(
-        _ranked(names, outs, cfg) for cfg, outs in zip(cfgs, zip(*(f for f, _ in rows)))
+        tuple(MoResult(names[j], *outs[j], cfg.alpha, cfg.policy, rank)
+              for rank, j in enumerate(order, 1))
+        for cfg, outs, order in _rankings(data, cfgs)
     )
+
+
+def _rankings(data: FuzzyDataset, cfgs: Sequence[MoConfig]):
+    """Per config of cfgs, as _by_dmu checks them: the config, every DMU's mo_solve entry
+    and the DMUs in rank order (by efficiency, then h*, highest first, then dataset order)."""
+    cfgs, rows = _by_dmu(data, cfgs)
+    ranked = []
+    for i, cfg in enumerate(cfgs):  # a list per config: a zip(*...) transpose lifts peak RSS
+        outs = [found[i] for found, _ in rows]
+        ranked.append((cfg, outs, sorted(range(len(outs)),
+                                          key=lambda j: (-outs[j][1], -outs[j][0], j))))
+    return ranked
 
 
 def compare_all(data: FuzzyDataset, cfgs: Sequence[MoConfig]):
@@ -308,12 +321,3 @@ def compare_all(data: FuzzyDataset, cfgs: Sequence[MoConfig]):
         for i, cfg in enumerate(cfgs)
     )
 
-
-def _ranked(names, outs, cfg: MoConfig) -> Tuple[MoResult, ...]:
-    """cfg's MoResults of the DMUs called names from their mo_solve
-    entries outs, in rank order, each with its rank set."""
-    order = sorted((-out[1], -out[0], j, out) for j, out in enumerate(outs))
-    return tuple(
-        MoResult(names[j], *out, cfg.alpha, cfg.policy, pos + 1)
-        for pos, (_, _, j, out) in enumerate(order)
-    )

@@ -1,15 +1,24 @@
-"""Independent oracles used to cross-check the solvers.
+"""Independent oracles used to cross-check the solvers and the loaders.
 
 The LP oracle enumerates candidate vertices directly from constraint
 intersections (no simplex machinery shared with the implementation);
-the h* oracle is a plain grid scan of the target function.
+the h* oracle is a plain grid scan of the target function.  The dataset
+oracle is the per-cell loader that fuzzydea.dataio used before it filled
+one buffer of doubles: a TriFuzzy per cell, a FuzzyDmu per unit, then
+the dataset's rules checked on those cells.
 """
 
+import csv
+import io
+import json
 from itertools import combinations
 
 import numpy as np
 
+from fuzzydea.dataio import FuzzyDataset, FuzzyDmu
+from fuzzydea.errors import DataError, OrderingViolation, ParseError, SchemaError
 from fuzzydea.mofdea import MoConfig, eff_at, z_star
+from fuzzydea.trifuzzy import TriFuzzy
 
 BOX = 1e7  # artificial bound used to detect unbounded problems
 
@@ -118,3 +127,173 @@ def grid_h_star(data, p, cfg=MoConfig(), steps=1000):
         else:
             break
     return last
+
+
+# ---------------------------------------------------------------------------
+# The per-cell dataset loader
+
+
+def _dataset(name, input_names, output_names, dmus) -> FuzzyDataset:
+    """FuzzyDataset(...) after the dataset's rules, checked on its cells in
+    the order the per-cell loader checked them."""
+    if not input_names:
+        raise DataError("dataset needs at least one input coordinate")
+    if not output_names:
+        raise DataError("dataset needs at least one output coordinate")
+    if not dmus:
+        raise DataError("dataset has no DMUs")
+    names = [d.name for d in dmus]
+    if len(set(names)) != len(names):
+        raise DataError("DMU names must be unique")
+    for d in dmus:
+        if len(d.inputs) != len(input_names):
+            raise DataError(
+                f"DMU {d.name!r}: {len(d.inputs)} inputs, expected {len(input_names)}"
+            )
+        if len(d.outputs) != len(output_names):
+            raise DataError(
+                f"DMU {d.name!r}: {len(d.outputs)} outputs, expected {len(output_names)}"
+            )
+        for label, items, coord_names in (
+            ("input", d.inputs, input_names),
+            ("output", d.outputs, output_names),
+        ):
+            for coord, tri in zip(coord_names, items):
+                if tri.lower <= 0.0:
+                    raise DataError(
+                        f"DMU {d.name!r} {label} {coord!r}: bounds must be "
+                        f"strictly positive, got lower bound {tri.lower}"
+                    )
+    return FuzzyDataset(name, input_names, output_names, dmus)
+
+
+def _tri_from_cell(value, where) -> TriFuzzy:
+    number = {int, float}
+    if type(value) in number:
+        value = (value, value, value)
+    elif not isinstance(value, (list, tuple)):
+        raise SchemaError(f"{where()}: expected a number or [l, m, u], got {value!r}")
+    elif len(value) != 3 or not set(map(type, value)) <= number:
+        raise SchemaError(f"{where()}: expected [l, m, u] numbers, got {value!r}")
+    return _tri(value, where)
+
+
+def _tri(values, where) -> TriFuzzy:
+    """TriFuzzy of three numbers or number texts, or DataError or
+    ParseError naming the cell where()."""
+    try:
+        return TriFuzzy(*map(float, values))
+    except OverflowError:
+        raise DataError(f"{where()}: integer too large for a float") from None
+    except OrderingViolation as exc:
+        raise DataError(f"{where()}: {exc}") from None
+    except ValueError:  # a text that is not a number
+        for text in values:
+            try:
+                float(text)
+            except ValueError:
+                raise ParseError(f"{where()}: not a number: {text!r}") from None
+
+
+def _dataset_from_json(raw: str) -> FuzzyDataset:
+    try:
+        doc = json.loads(raw)
+    except ValueError as exc:  # also an integer past int()'s digit limit
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError("top level must be an object")
+    for key, kind in (("inputs", list), ("outputs", list), ("dmus", list)):
+        if key not in doc:
+            raise SchemaError(f"missing top-level key {key!r}")
+        if not isinstance(doc[key], kind):
+            raise SchemaError(f"{key!r} must be an array")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise SchemaError("'name' must be a string")
+    for key in ("inputs", "outputs"):
+        if not all(isinstance(v, str) for v in doc[key]):
+            raise SchemaError(f"{key!r} must be an array of strings")
+
+    dmus = []
+    for k, entry in enumerate(doc["dmus"]):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"dmus[{k}] must be an object")
+        if "name" not in entry or not isinstance(entry["name"], str):
+            raise SchemaError(f"dmus[{k}] needs a string 'name'")
+        dname = entry["name"]
+        cells = {}
+        for key in ("inputs", "outputs"):
+            if key not in entry or not isinstance(entry[key], list):
+                raise SchemaError(f"dmus[{k}] ({dname!r}) needs an array {key!r}")
+            cells[key] = tuple(
+                _tri_from_cell(v, lambda: f"DMU {dname!r} {key}[{i}]")
+                for i, v in enumerate(entry[key])
+            )
+        dmus.append(FuzzyDmu(dname, cells["inputs"], cells["outputs"]))
+    return _dataset(name, tuple(doc["inputs"]), tuple(doc["outputs"]), tuple(dmus))
+
+
+def _tri_from_csv_cell(text: str, where) -> TriFuzzy:
+    text = text.strip()
+    if not text:
+        raise ParseError(f"{where()}: empty cell")
+    parts = text.split(";")
+    if len(parts) == 1:
+        parts *= 3
+    elif len(parts) != 3:
+        raise ParseError(f"{where()}: expected 'l;m;u' or a single number, got {text!r}")
+    return _tri(parts, where)
+
+
+def _dataset_from_csv(raw: str) -> FuzzyDataset:
+    name = ""
+    lines = raw.splitlines()
+    body_start = 0
+    for line in lines:
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            comment = stripped.lstrip("#").strip()
+            if comment.startswith("name="):
+                name = comment[len("name=") :].strip()
+            body_start += 1
+        elif stripped == "":
+            body_start += 1
+        else:
+            break
+    reader = csv.reader(io.StringIO("\n".join(lines[body_start:])))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("CSV has no header row") from None
+    if not header or header[0].strip() != "dmu":
+        raise SchemaError("CSV header must start with a 'dmu' column")
+
+    input_names, output_names = [], []
+    for col in header[1:]:
+        col = col.strip()
+        if col.startswith("in:"):
+            if output_names:
+                raise SchemaError("input columns must precede output columns")
+            input_names.append(col[3:])
+        elif col.startswith("out:"):
+            output_names.append(col[4:])
+        else:
+            raise SchemaError(f"CSV column {col!r} must be prefixed 'in:' or 'out:'")
+
+    dmus = []
+    n_cols = len(header)
+    for rownum, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != n_cols:
+            raise SchemaError(f"row {rownum}: {len(row)} cells, header has {n_cols}")
+        dname = row[0].strip()
+        if not dname:
+            raise SchemaError(f"row {rownum}: empty DMU name")
+        tris = [
+            _tri_from_csv_cell(cell, lambda: f"row {rownum} ({dname!r}) column {col!r}")
+            for col, cell in zip(header[1:], row[1:])
+        ]
+        k = len(input_names)
+        dmus.append(FuzzyDmu(dname, tuple(tris[:k]), tuple(tris[k:])))
+    return _dataset(name, tuple(input_names), tuple(output_names), tuple(dmus))

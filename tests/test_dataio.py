@@ -3,6 +3,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fuzzydea.dataio import (
@@ -137,6 +138,46 @@ class TestCsvLoading:
     def test_unknown_format(self):
         with pytest.raises(ParseError):
             load_dataset(GOOD_JSON, "yaml")
+
+    @pytest.mark.parametrize("cell,part", [("1_5", "1_5"), ("1;1_5;20", "1_5"), ("x;1_5;2", "x")])
+    def test_underscore_in_a_number_is_not_a_number(self, cell, part):
+        # float() reads "1_5" as 15.0; a JSON number cannot hold a "_".
+        with pytest.raises(ParseError) as err:
+            load_dataset(f"dmu,in:I1,out:O1\na,{cell},3\n", "csv")
+        assert str(err.value) == f"row 2 ('a') column 'in:I1': not a number: {part!r}"
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load_dataset(GOOD_JSON.replace("[2.5]", "[1_5]"), "json")
+
+
+class TestCellBuffer:
+    """A dataset keeps its cells in one buffer of doubles."""
+
+    @pytest.mark.parametrize("fmt,raw", [("json", GOOD_JSON), ("csv", GOOD_CSV)])
+    def test_loaded_cells_are_built_on_first_access(self, fmt, raw):
+        ds = load_dataset(raw, fmt)
+        assert "dmus" not in vars(ds)
+        assert ds.n_dmus == 2 and ds.index_of("b") == 1
+        assert ds.dmus[0].inputs[0] == TriFuzzy(1, 2, 3)
+        assert "dmus" in vars(ds) and ds.dmus is ds.dmus
+
+    def test_bounds_is_the_read_only_buffer(self):
+        ds = load_dataset(GOOD_JSON, "json")
+        b = ds.bounds
+        assert b.shape == (3, 3, 2) and b.dtype == np.float64
+        assert b.flags.c_contiguous and not b.flags.writeable
+        assert b[:, 0, 0].tolist() == [1.0, 2.0, 3.0]  # a's input
+        assert b[:, 2, 1].tolist() == [6.0, 6.0, 6.0]  # b's second output
+
+    def test_loaded_and_constructed_datasets_are_equal(self):
+        ds = load_dataset(GOOD_JSON, "json")
+        built = FuzzyDataset(ds.name, ds.input_names, ds.output_names, ds.dmus)
+        assert ds == built and hash(ds) == hash(built)
+        assert built.dmu_names == ds.dmu_names
+        assert (built.bounds == ds.bounds).all()
+
+    def test_unknown_dmu(self):
+        with pytest.raises(DataError, match="unknown DMU 'z'"):
+            load_dataset(GOOD_JSON, "json").index_of("z")
 
 
 @pytest.mark.parametrize("fmt,raw", [

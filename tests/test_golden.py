@@ -19,6 +19,7 @@ import pytest
 
 from fuzzydea import ccr
 from fuzzydea.cli import main
+from fuzzydea.trifuzzy import TriFuzzy
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURES = ("guo_tanaka", "aircraft")
@@ -86,6 +87,17 @@ def test_every_model_scores_through_the_lp_store(name, argv, monkeypatch):
         raise AssertionError("a model built a CrispDataset")
 
     monkeypatch.setattr(ccr.CrispDataset, "__post_init__", refuse)
+    assert render(argv) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name,argv", STORE_CASES, ids=[c[0] for c in STORE_CASES])
+def test_no_command_builds_a_tri_fuzzy_cell(name, argv, monkeypatch):
+    # The loaders fill a dataset's buffer of doubles, and every command
+    # reads that buffer and dmu_names; none builds the dmus' TriFuzzy cells.
+    def refuse(self):
+        raise AssertionError("a command built a TriFuzzy")
+
+    monkeypatch.setattr(TriFuzzy, "__post_init__", refuse)
     assert render(argv) == (GOLDEN / name).read_bytes()
 
 
