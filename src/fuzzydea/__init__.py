@@ -7,8 +7,8 @@ Three efficiency models over the same datasets:
 * a multi-objective model that trades a joint membership level h
   against the fraction of the ideal score achieved (mofdea).
 
-A small deterministic two-phase simplex (linprog) backs all of them,
-with a compiled pivot kernel when available.
+A small deterministic two-phase simplex kernel (_speedups.mo_solve,
+compiled when available) solves all of their LPs.
 """
 
 from . import errors

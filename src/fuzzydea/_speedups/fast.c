@@ -1,13 +1,13 @@
 /* Compiled simplex kernel: module fuzzydea._speedups.fast.
  *
- * Twin of pure.py: the same operations in the same order on IEEE
- * doubles, so the two give bit-identical tableaus and results.  Build
- * it with -ffp-contract=off (setup.py does), or the compiler may fuse
- * f * row[j] and the subtraction into one rounding.  The arrays come in
- * through the buffer protocol, so no numpy headers are needed.
- * pivot_loop pivots a tableau for linprog's simplex; ccr_solve blends a
- * CCR LP's data to a level, then writes and solves the LP's tableau;
- * mo_solve runs the mo model's root searches for one DMU on those LPs.
+ * Twin of pure.py's mo_solve: the same operations in the same order on
+ * IEEE doubles, so the two give bit-identical tableaus and results.
+ * Build it with -ffp-contract=off (setup.py does), or the compiler may
+ * fuse f * row[j] and the subtraction into one rounding.  The arrays
+ * come in through the buffer protocol, so no numpy headers are needed.
+ * mo_solve, the one entry, blends a CCR LP's data to a level, writes and
+ * solves the LP's tableau, and runs the mo model's root searches for one
+ * DMU on those LPs, or just solves the LPs at a list of levels.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -18,7 +18,7 @@
 enum { OPTIMAL, UNBOUNDED, ITER_LIMIT, INFEASIBLE, BAD_DATA, /* as pure.py */
        PHASE1_UNBOUNDED, PHASE1_ITER_LIMIT };
 enum { LP_FAILED, DEGENERATE };  /* mo_solve's failure kinds, as pure.py */
-#define KERNEL_API 3             /* as pure.py */
+#define KERNEL_API 4             /* as pure.py */
 
 /* A C-contiguous buffer: 2-D doubles if `matrix`, else 1-D int64.
  * Returns 0, or -1 with an exception set and no buffer held. */
@@ -95,7 +95,7 @@ run(double *T, int64_t *basis, Py_ssize_t nrows, Py_ssize_t ncols,
 }
 
 /* DMU p's CCR LP on the data at `level`, written into W and solved as
- * linprog._simplex solves it; see pure.ccr_solve.  E and M, the data at
+ * linprog._simplex solves it; see pure.mo_solve.  E and M, the data at
  * levels 0 and 1, are R rows (the inputs, then s outputs) by N DMUs.
  * Phase 2 keeps phase 1's row stride, its RHS in the artificial's
  * column.  Fills x[0..R) and *value on OPTIMAL, else *value is the cap
@@ -188,40 +188,7 @@ solve_ccr(const double *E, const double *M, double level, Py_ssize_t R,
     return OPTIMAL;
 }
 
-PyDoc_STRVAR(pivot_loop_doc, "pivot_loop(T, basis, tol, max_iter) -> "
-"(status, iterations)\n\nBland-rule pivots in place; see pure.pivot_loop.");
-
-static PyObject *
-pivot_loop(PyObject *self, PyObject *args)
-{
-    PyObject *T_obj, *basis_obj, *out = NULL;
-    Py_buffer T, basis;
-    double tol;
-    long long max_iter, iters = 0;
-    int status;
-
-    if (!PyArg_ParseTuple(args, "OOdL:pivot_loop", &T_obj, &basis_obj, &tol,
-                          &max_iter) ||
-        get_array(T_obj, &T, PyBUF_WRITABLE, 1, "T") < 0)
-        return NULL;
-    if (get_array(basis_obj, &basis, PyBUF_WRITABLE, 0, "basis") < 0) {
-        PyBuffer_Release(&T);
-        return NULL;
-    }
-    if (basis.shape[0] != T.shape[0] - 1)
-        PyErr_Format(PyExc_ValueError, "basis has %zd entries for %zd rows",
-                     basis.shape[0], T.shape[0] - 1);
-    else {
-        status = run(T.buf, basis.buf, T.shape[0], T.shape[1], T.shape[1],
-                     tol, max_iter, &iters);
-        out = Py_BuildValue("iL", status, iters);
-    }
-    PyBuffer_Release(&basis);
-    PyBuffer_Release(&T);
-    return out;
-}
-
-/* end, modal, work and basis of DMU p's LP, checked as pure._check does.
+/* end, modal, work and basis of DMU p's LP, checked as pure.mo_solve does.
  * Returns 0, or -1 with an exception set and no buffer held. */
 static int
 get_lp(PyObject **obj, Py_buffer *buf, Py_ssize_t p, int exclude,
@@ -266,46 +233,6 @@ floats(const double *x, Py_ssize_t n)
             PyTuple_SET_ITEM(t, j, f);
     }
     return t;
-}
-
-PyDoc_STRVAR(ccr_solve_doc,
-"ccr_solve(end, modal, level, p, exclude_self, work, basis, n_outputs, tol,\n"
-"          iters_per_dim) -> (status, value, u, v)\n\n"
-"DMU p's CCR multiplier LP at one data level; see pure.ccr_solve.");
-
-static PyObject *
-ccr_solve(PyObject *self, PyObject *args)
-{
-    PyObject *obj[4], *out = NULL;
-    Py_buffer buf[4];
-    Py_ssize_t R, p, s;
-    double level, tol, value = 0.0, *x = NULL;
-    long long per_dim;
-    int exclude, status, i;
-
-    if (!PyArg_ParseTuple(args, "OOdnpOOndL:ccr_solve", &obj[0], &obj[1],
-                          &level, &p, &exclude, &obj[2], &obj[3], &s, &tol,
-                          &per_dim) ||
-        get_lp(obj, buf, p, exclude, s) < 0)
-        return NULL;
-    R = buf[0].shape[0];
-    if ((x = PyMem_Malloc(R * sizeof(double))) == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    status = solve_ccr(buf[0].buf, buf[1].buf, level, R, buf[0].shape[1], s,
-                       p, exclude, buf[2].buf, buf[3].buf, tol, per_dim,
-                       &value, x);
-    if (status != OPTIMAL)
-        out = Py_BuildValue("idOO", status, value, Py_None, Py_None);
-    else
-        out = Py_BuildValue("idNN", status, value, floats(x, s),
-                            floats(x + s, R - s));
-done:
-    PyMem_Free(x);
-    for (i = 0; i < 4; i++)
-        PyBuffer_Release(&buf[i]);
-    return out;
 }
 
 /* One DMU's LPs for mo_solve: the solved levels, each kept as an entry
@@ -502,7 +429,9 @@ mo_solve(PyObject *self, PyObject *args)
             goto done;
         if (i < 0)
             break;
-        item = PyFloat_FromDouble(ENTRY(&L, i)[1]);
+        e = ENTRY(&L, i);
+        item = Py_BuildValue("dNN", e[1], floats(e + 3, L.s),
+                             floats(e + 3 + L.s, L.R - L.s));
         if (item == NULL || PyList_Append(effs, item) < 0) {
             Py_XDECREF(item);
             goto done;
@@ -538,8 +467,6 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"pivot_loop", pivot_loop, METH_VARARGS, pivot_loop_doc},
-    {"ccr_solve", ccr_solve, METH_VARARGS, ccr_solve_doc},
     {"mo_solve", mo_solve, METH_VARARGS, mo_solve_doc},
     {NULL, NULL, 0, NULL},
 };

@@ -1,20 +1,21 @@
 """Pure-Python simplex kernel.
 
-Twin of the compiled kernel in fast.c: the same operations in the same
-order on IEEE doubles, so tableaus and results are bit-identical
-between the two.  pivot_loop serves linprog's general simplex;
-ccr_solve solves one CCR multiplier LP, from its data at a level to its
-weights, in one call: it writes the LP's tableau itself.  mo_solve runs
-the mo model's whole root search for one DMU on those LPs.
+mo_solve is the twin of the compiled kernel's one entry in fast.c: the
+same operations in the same order on IEEE doubles, so tableaus and
+results are bit-identical between the two.  It solves a DMU's CCR
+multiplier LPs, from their data at a level to their weights, writing
+each LP's tableau itself, and runs the mo model's whole root search on
+them.  pivot_loop, which has no compiled twin, serves linprog's general
+simplex.
 """
 
 import math
 
-__all__ = ["KERNEL_API", "pivot_loop", "ccr_solve", "mo_solve"]
+__all__ = ["KERNEL_API", "pivot_loop", "mo_solve"]
 
-# The entries' interface; fast.c exports the same number, and a compiled
-# module with another is not used.  Raised whenever an entry changes.
-KERNEL_API = 3
+# mo_solve's interface; fast.c exports the same number, and a compiled
+# module with another is not used.  Raised whenever mo_solve changes.
+KERNEL_API = 4
 
 # status codes shared with the compiled kernel
 OPTIMAL = 0
@@ -101,7 +102,7 @@ def pivot_loop(T_arr, basis_arr, tol, max_iter):
 
 
 def _solve_ccr(E, M, level, s, p, exclude, W, basis, tol, per_dim):
-    """fast.c's solve_ccr on lists: (status, value, x); see ccr_solve."""
+    """fast.c's solve_ccr on lists: (status, value, x); see mo_solve."""
     R, N = len(E), len(E[0])
     k = N - exclude
     m = k + 1
@@ -181,8 +182,55 @@ def _solve_ccr(E, M, level, s, p, exclude, W, basis, tol, per_dim):
     return OPTIMAL, value, x
 
 
-def _check(end, modal, p, exclude_self, work, basis_arr, n_outputs):
-    """(R, N, k) of DMU p's LP, or ValueError unless the arrays fit it."""
+def _beta(h, alpha, rescale):
+    """mofdea.beta_level's data level at satisfaction h, unchecked."""
+    return alpha + (1.0 - alpha) * h if rescale else (h if h > alpha else alpha)
+
+
+class _Failed(Exception):
+    """mo_solve's failure, its args (kind, status, level, value)."""
+
+
+def mo_solve(
+    end, modal, p, exclude_self, work, basis_arr, n_outputs, tol,
+    iters_per_dim, max_probes, cfgs, levels,
+):
+    """DMU p's CCR multiplier LPs, each solved as linprog._simplex
+    solves it: mofdea.solve_mo's root search under each config, then the
+    LP at each of levels, in one call that solves each data level once.
+
+    end and modal are the data at levels 0 and 1, each m + s rows (the
+    inputs, then the n_outputs outputs) by N DMUs: alphacut._ends'
+    arrays, or one crisp array given twice.  Each cell is blended to a
+    level by trifuzzy.toward_modal's formula, so a cell where end equals
+    modal stays exactly modal, and must come out finite and nonzero.
+    The LP has k = N - exclude_self peers: every DMU, less p itself
+    when exclude_self is true.
+
+    Each LP writes into work (k + 3 by m + s + k + 2) its starting
+    tableau, entry for entry the one linprog._tableau builds (columns
+    u, v, one slack per peer, the artificial, the RHS; rows v @ x_p = 1,
+    one u @ y_j - v @ x_j <= 0 per peer, the phase-1 reduced costs, the
+    objective), then the simplex's tableaus, and its basis into
+    basis_arr (k + 1 int64 entries); both are left as the last LP left
+    them.  Phase 1 runs from the slack basis with the artificial basic
+    in row 0 (fast.c says why no artificial is left to purge), then
+    phase 2 on the objective.  Each phase may pivot
+    iters_per_dim * (rows + columns) times for its own tableau's shape.
+
+    A config is (alpha, rescale, h_tol), rescale true in the "rescale"
+    alpha mode.  After z* and the probes at h = 1 and 0, a search makes
+    at most max_probes more.
+
+    Returns (found, effs, solved, failure): per config (h*, efficiency,
+    z*, u, v, iterations), u and v the output and input weights as
+    tuples; per level (optimum, u, v); the level of every LP run, in
+    order; and None or the first failure, which ends the call:
+    (LP_FAILED, status, level, value) for an LP that did not end
+    OPTIMAL, value the iteration cap of its last phase (0.0 for
+    BAD_DATA), or (DEGENERATE, OPTIMAL, level, z*) for z* <= tol.
+    Raises ValueError unless the shapes fit.
+    """
     R, N = end.shape if end.ndim == 2 else (0, 0)
     k = N - bool(exclude_self)
     if (
@@ -198,88 +246,12 @@ def _check(end, modal, p, exclude_self, work, basis_arr, n_outputs):
             f"no CCR LP: end {end.shape}, modal {modal.shape}, p {p}, work "
             f"{work.shape}, basis {basis_arr.shape}, n_outputs {n_outputs}"
         )
-    return R, N, k
-
-
-def ccr_solve(
-    end, modal, level, p, exclude_self, work, basis_arr, n_outputs, tol,
-    iters_per_dim,
-):
-    """Solve DMU p's CCR multiplier LP at one data level, as
-    linprog._simplex does.
-
-    end and modal are the data at levels 0 and 1, each m + s rows (the
-    inputs, then the n_outputs outputs) by N DMUs: alphacut._ends'
-    arrays, or one crisp array given twice.  Each cell is blended to
-    level by trifuzzy.toward_modal's formula: a cell where end equals
-    modal stays exactly modal.  The data check is that every blended
-    cell is finite and nonzero.  The LP has k = N - exclude_self peers:
-    every DMU, less p itself when exclude_self is true.
-
-    work (k + 3 by m + s + k + 2) and basis_arr (k + 1 int64 entries)
-    are overwritten.  work gets the LP's starting tableau, entry for
-    entry the one linprog._tableau builds (columns u, v, one slack per
-    peer, the artificial, the RHS; rows v @ x_p = 1, one
-    u @ y_j - v @ x_j <= 0 per peer, the phase-1 reduced costs, the
-    objective), and then the simplex's tableaus; basis_arr gets its
-    basis.  Phase 1 runs from the slack basis with the artificial basic
-    in row 0 (fast.c says why no artificial is left to purge), then
-    phase 2 on the objective.  Each phase may pivot
-    iters_per_dim * (rows + columns) times for its own tableau's shape.
-
-    Returns (status, value, u, v): on OPTIMAL the optimum and the
-    weights of the outputs and of the inputs, as tuples; otherwise u
-    and v are None and value is the iteration cap of the last phase run
-    (0.0 for BAD_DATA).  Raises ValueError unless the shapes fit.
-    """
-    R, N, k = _check(end, modal, p, exclude_self, work, basis_arr, n_outputs)
-    W = [[0.0] * (R + k + 2) for _ in range(k + 3)]
-    basis = basis_arr.tolist()
-    status, value, x = _solve_ccr(
-        end.tolist(), modal.tolist(), float(level), n_outputs, p,
-        bool(exclude_self), W, basis, tol, iters_per_dim,
-    )
-    work[:] = W
-    basis_arr[:] = basis
-    if x is None:
-        return status, value, None, None
-    return status, value, tuple(x[:n_outputs]), tuple(x[n_outputs:])
-
-
-def _beta(h, alpha, rescale):
-    """mofdea.beta_level's data level at satisfaction h, unchecked."""
-    return alpha + (1.0 - alpha) * h if rescale else (h if h > alpha else alpha)
-
-
-class _Failed(Exception):
-    """mo_solve's failure, its args (kind, status, level, value)."""
-
-
-def mo_solve(
-    end, modal, p, exclude_self, work, basis_arr, n_outputs, tol,
-    iters_per_dim, max_probes, cfgs, levels,
-):
-    """mofdea.solve_mo's root search for DMU p under each config, then
-    its LP at each of levels, in one call that solves each data level
-    once.  The arguments up to iters_per_dim are ccr_solve's.  A config
-    is (alpha, rescale, h_tol), rescale true in the "rescale" alpha mode.
-    After z* and the probes at h = 1 and 0, a search makes at most
-    max_probes more.
-
-    Returns (found, effs, solved, failure): per config (h*, efficiency,
-    z*, u, v, iterations); the optimum at each level; the level of every
-    LP run, in order; and None or the first failure, which ends the
-    call: (LP_FAILED, status, level, value) for an LP that ended as
-    ccr_solve's status and value, or (DEGENERATE, OPTIMAL, level, z*)
-    for z* <= tol.  work and basis_arr are left as the last LP left them.
-    """
-    R, N, k = _check(end, modal, p, exclude_self, work, basis_arr, n_outputs)
     E, M, exclude = end.tolist(), modal.tolist(), bool(exclude_self)
     basis, W = basis_arr.tolist(), None
     cache, solved, found, effs, failure = {}, [], [], [], None
 
     def lp(level):
-        """(optimum, x) at level, solved on its first request."""
+        """(optimum, u, v) at level, solved on its first request."""
         nonlocal W
         if level not in cache:
             W = [[0.0] * (R + k + 2) for _ in range(k + 3)]
@@ -289,7 +261,7 @@ def mo_solve(
             )
             if status != OPTIMAL:
                 raise _Failed(LP_FAILED, status, level, value)
-            cache[level] = value, x
+            cache[level] = value, tuple(x[:n_outputs]), tuple(x[n_outputs:])
         return cache[level]
 
     def search(alpha, rescale, h_tol):
@@ -303,20 +275,20 @@ def mo_solve(
         def probe(h):
             level = _beta(h, alpha, rescale)
             probed.add(level)
-            value, x = lp(level)
-            return value, x, value / z - h
+            got = lp(level)
+            return got, got[0] / z - h
 
         h = 1.0
-        value, x, g_hi = probe(h)
+        got, g_hi = probe(h)
         start = len(probed)
         if not g_hi >= 0.0:
-            lo, hi, g_lo = 0.0, 1.0, probe(0.0)[2]
+            lo, hi, g_lo = 0.0, 1.0, probe(0.0)[1]
             moved = 0  # +1: lo moved last, -1: hi moved last
             for _ in range(max_probes):
                 h = lo - g_lo * (hi - lo) / (g_hi - g_lo)
                 if not lo < h < hi:
                     h = 0.5 * (lo + hi)
-                value, x, g = probe(h)
+                got, g = probe(h)
                 if abs(g) <= h_tol:
                     break
                 if g > 0.0:
@@ -329,14 +301,14 @@ def mo_solve(
                     if moved < 0:
                         g_lo *= 0.5
                     moved = -1
-        u, v = tuple(x[:n_outputs]), tuple(x[n_outputs:])
+        value, u, v = got
         return h, value, z, u, v, len(probed) - start
 
     try:
         for alpha, rescale, h_tol in cfgs:
             found.append(search(float(alpha), bool(rescale), float(h_tol)))
         for level in levels:
-            effs.append(lp(float(level))[0])
+            effs.append(lp(float(level)))
     except _Failed as exc:
         failure = exc.args
     if W is not None:

@@ -95,11 +95,11 @@ class DataLps:
 
     It keeps _ends(data, favor_p)'s arrays and a scratch copy `end` of
     the peers' ends.  select(p) copies p's own column into end and puts
-    back the one of the DMU selected before.  solve(p, level) hands end
-    and the modal data to the kernel, which blends them by toward_modal's
-    formula and writes the LP's tableau: the result is ccr_efficiency on
-    reduce_at(data, p, level, favor_p) bit for bit.  The alpha-cuts and
-    crisp CCR score by solve, the mo model by mo_solve (mofdea._search).
+    back the one of the DMU selected before.  The kernel's mo_solve blends
+    end and the modal data by toward_modal's formula and writes each LP's
+    tableau: its LP at a level is ccr_efficiency on reduce_at(data, p,
+    level, favor_p) bit for bit.  solve(p, level) asks it for one level
+    (ccr._solve), the mo model for whole searches (mofdea._search).
     """
 
     def __init__(self, data: FuzzyDataset, policy: SelfPolicy, favor_p: bool = True):

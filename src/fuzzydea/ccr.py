@@ -15,8 +15,8 @@ from typing import Tuple
 
 import numpy as np
 
-from ._speedups import default_ccr_solve
-from ._speedups.pure import BAD_DATA, OPTIMAL
+from ._speedups import default_mo_solve
+from ._speedups.pure import BAD_DATA
 from .errors import DataError, RangeError, SolverFailure
 from .linprog import ITERS_PER_DIM, LP_TOL, _lp_status
 # Unused here; perfbench/tracing.py rebinds them by name in this module.
@@ -135,7 +135,7 @@ def _lp_buffers(X: np.ndarray, policy: SelfPolicy):
 
 def _solve(X, n_outputs: int, name: str, policy: SelfPolicy) -> CcrResult:
     """The multiplier LP of the DMU called name, solved by one
-    default_ccr_solve call.
+    default_mo_solve call with no config and one level.
 
     X is (end, modal, level, p, work, basis): the data at levels 0 and
     1 ((inputs + outputs) x DMUs; one crisp array may be both), the
@@ -147,13 +147,14 @@ def _solve(X, n_outputs: int, name: str, policy: SelfPolicy) -> CcrResult:
     _simplex gives, bit for bit.  A failure raises _raise's error.
     """
     end, modal, level, p, work, basis = X
-    status, value, u, v = default_ccr_solve(
-        end, modal, level, p, policy is SelfPolicy.EXCLUDE_SELF, work, basis,
-        n_outputs, LP_TOL, ITERS_PER_DIM,
+    _, effs, _, failure = default_mo_solve(
+        end, modal, p, policy is SelfPolicy.EXCLUDE_SELF, work, basis,
+        n_outputs, LP_TOL, ITERS_PER_DIM, 0, (), (level,),
     )
-    if status == OPTIMAL:
+    if failure is None:
+        value, u, v = effs[0]
         return CcrResult(dmu=name, efficiency=value, u=u, v=v, policy=policy)
-    _raise(status, value, level, name)
+    _raise(failure[1], failure[3], level, name)
 
 
 def _raise(status: int, value: float, level: float, name: str):

@@ -87,6 +87,11 @@ class FuzzyDataset:
             for j, name in enumerate(self.dmu_names))
         return dmus
 
+    def __setstate__(self, state):
+        # pickle and copy.deepcopy rebuild bounds as a writeable array.
+        vars(self).update(state)
+        self.bounds.flags.writeable = False
+
     @property
     def n_dmus(self) -> int:
         return len(self.dmu_names)
@@ -360,11 +365,11 @@ def write_dataset(data: FuzzyDataset, format: str = "json") -> str:
 
 
 def fixture_path(name: str) -> Path:
-    """Filesystem path of a bundled fixture dataset (e.g. "guo_tanaka")."""
-    base = resources.files(__package__) / "fixtures" / f"{name}.json"
-    with resources.as_file(base) as p:
-        if not p.exists():
-            raise DataError(f"unknown fixture {name!r}; available: {', '.join(list_fixtures())}")
+    """Filesystem path of a bundled fixture dataset (e.g. "guo_tanaka");
+    DataError for a name that list_fixtures() does not give."""
+    if name not in (names := list_fixtures()):
+        raise DataError(f"unknown fixture {name!r}; available: {', '.join(names)}")
+    with resources.as_file(resources.files(__package__) / "fixtures" / f"{name}.json") as p:
         return Path(p)
 
 

@@ -3,14 +3,14 @@
 Problems are stated as: maximize c @ x subject to rows of the form
 (coefficients, relation, rhs) with relation one of "<=", "=", ">=",
 and x >= 0.  Bland's least-index rule makes the pivot sequence cycle-free
-and fully deterministic; the hot pivot loop lives in _speedups.
+and fully deterministic.
 
 The simplex reads all it needs from its starting tableau and uses one
-tolerance, LP_TOL.  Its pivot kernel is default_pivot_loop, looked up in
-this module at each call: the build and FUZZYDEA_PURE pick it at import
-(see _speedups), and rebinding linprog.default_pivot_loop swaps it.
-This simplex serves LpProblem/solve; the models' CCR LPs are solved
-whole by the kernel's ccr_solve (see ccr._solve), which mirrors _simplex
+tolerance, LP_TOL.  Its pivot loop is default_pivot_loop, the
+pure-Python _speedups.pure.pivot_loop whatever the build, looked up in
+this module at each call, so rebinding linprog.default_pivot_loop swaps
+it.  This simplex serves LpProblem/solve; the models' CCR LPs are solved
+whole by the kernel's mo_solve (see ccr._solve), which mirrors _simplex
 step for step.
 """
 
@@ -23,7 +23,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._speedups import BACKEND, default_pivot_loop
 from ._speedups.pure import (
     INFEASIBLE,
     ITER_LIMIT,
@@ -31,6 +30,7 @@ from ._speedups.pure import (
     PHASE1_ITER_LIMIT,
     PHASE1_UNBOUNDED,
     UNBOUNDED,
+    pivot_loop as default_pivot_loop,
 )
 from .errors import NumericalBreakdown
 
@@ -39,7 +39,6 @@ __all__ = [
     "LpStatus",
     "LpOutcome",
     "solve",
-    "BACKEND",
 ]
 
 RELATIONS = ("<=", "=", ">=")
@@ -126,7 +125,7 @@ def _breakdown(phase: str, cap: Optional[int] = None) -> NumericalBreakdown:
 
 
 def _lp_status(status: int, cap: float) -> LpStatus:
-    """The LpStatus of a status the kernel's ccr_solve returns.
+    """The LpStatus of an LP status that the kernel's mo_solve reports.
 
     The statuses of a phase that broke down raise _simplex's
     NumericalBreakdown instead; cap is then that phase's iteration cap.
@@ -213,7 +212,7 @@ def _simplex(T: np.ndarray, basis: np.ndarray, n: int, n_art: int) -> LpOutcome:
     n is the number of structural variables and n_art the number of
     artificial columns; the last row, the objective, is read and not
     pivoted.  The rows above it are solved in place.  It serves solve;
-    the kernel's ccr_solve makes the same steps for a CCR LP, and the
+    the kernel's mo_solve makes the same steps for each CCR LP, and the
     kernel tests hold the two to the same bits.
     """
     objective = T[-1, :n].tolist()

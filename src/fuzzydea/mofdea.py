@@ -236,8 +236,8 @@ def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult
 def _by_dmu(data: FuzzyDataset, cfgs: Sequence[MoConfig], cuts: bool = False):
     """Check cfgs, then score the DMUs one at a time, one _search per
     self policy on its DataLps.  Returns cfgs as a tuple and, per DMU,
-    its mo_solve entry under each cfg and, with cuts, its LP optimum at
-    each cfg's alpha.  A DMU's failures raise as if each cfg were scored
+    its mo_solve entry under each cfg and, with cuts, its (optimum, u, v)
+    at each cfg's alpha.  A DMU's failures raise as if each cfg were scored
     alone in order and the cuts taken after: the first in order does."""
     if data.n_dmus < 2:
         raise DataError("ranking needs at least two DMUs")
@@ -315,7 +315,7 @@ def compare_all(data: FuzzyDataset, cfgs: Sequence[MoConfig]):
     cfgs, rows = _by_dmu(data, cfgs, cuts=True)
     return tuple(
         tuple(
-            (effs[i], MoResult(name, *found[i], cfg.alpha, cfg.policy))
+            (effs[i][0], MoResult(name, *found[i], cfg.alpha, cfg.policy))
             for name, (found, effs) in zip(data.dmu_names, rows)
         )
         for i, cfg in enumerate(cfgs)

@@ -18,7 +18,7 @@ def toward_modal(end, modal, level):
 
     The package's one reduction formula: alpha-cuts, the mo model's beta
     level and modal data all move support ends toward modal with it, and
-    the kernel's ccr_solve applies it cell by cell.  An end without spread stays
+    the kernel's mo_solve applies it cell by cell.  An end without spread stays
     exactly at modal; the convex combination of two equal values can
     miss them by one ulp.
     """

@@ -1,18 +1,20 @@
 """The compiled kernel must be a bit-for-bit twin of the pure one.
 
-All three entries are checked: pivot_loop, linprog's pivot loop;
-ccr_solve, which writes and solves a whole CCR multiplier LP from its
-data and must also write the tableau linprog._tableau builds and give
-what linprog._simplex gives on it; and mo_solve, one DMU's whole mo
-root search on those LPs.
+Its one entry, mo_solve, is checked two ways: asked for single levels
+with no config, as ccr._solve asks it, where it must write the tableau
+linprog._tableau builds and give what linprog._simplex gives on it; and
+running one DMU's whole mo root search on those LPs.  linprog's own
+pivot loop is the pure-Python pure.pivot_loop whatever the build.
 """
 
+import importlib
 import importlib.util
 import os
 import shutil
 import subprocess
 import sys
 import sysconfig
+import types
 from pathlib import Path
 
 import numpy as np
@@ -22,19 +24,7 @@ import fuzzydea
 from _datagen import random_dataset
 from _oracles import reference_lp
 from fuzzydea import ccr, linprog
-from fuzzydea._speedups import (
-    BACKEND,
-    default_ccr_solve,
-    default_mo_solve,
-    default_pivot_loop,
-    fast_ccr_solve,
-    fast_mo_solve,
-    fast_pivot_loop,
-    pure,
-    pure_ccr_solve,
-    pure_mo_solve,
-    pure_pivot_loop,
-)
+from fuzzydea._speedups import BACKEND, default_mo_solve, fast_mo_solve, pure, pure_mo_solve
 from fuzzydea._speedups.pure import (
     BAD_DATA,
     DEGENERATE,
@@ -50,90 +40,35 @@ from fuzzydea.ccr import SelfPolicy
 from fuzzydea.dataio import load_fixture
 from fuzzydea.errors import NumericalBreakdown
 from fuzzydea.mofdea import MAX_BISECT
-from fuzzydea.linprog import (
-    ITERS_PER_DIM,
-    LP_TOL,
-    LpProblem,
-    LpStatus,
-    _simplex,
-    _tableau,
-    solve,
-)
+from fuzzydea.linprog import ITERS_PER_DIM, LP_TOL, LpStatus, _simplex, _tableau
 from fuzzydea.trifuzzy import toward_modal
 
 REPO = Path(__file__).resolve().parent.parent
+REBUILD = "python3 setup.py build_ext --inplace --force"
+
+
+def fast_skip_reason():
+    """Why the compiled kernel is not in use: FUZZYDEA_PURE, no build, or
+    a build of another KERNEL_API, which is refused without a word."""
+    if os.environ.get("FUZZYDEA_PURE"):
+        return "FUZZYDEA_PURE is set"
+    try:
+        fast = importlib.import_module("fuzzydea._speedups.fast")
+    except ImportError:
+        return "compiled kernel not built"
+    return (f"compiled kernel {getattr(fast, '__file__', fast.__name__)} has KERNEL_API "
+            f"{getattr(fast, 'KERNEL_API', None)}, not {pure.KERNEL_API}; rebuild it "
+            f"with `{REBUILD}`")
+
 
 needs_fast = pytest.mark.skipif(
-    fast_pivot_loop is None, reason="compiled kernel not built"
+    fast_mo_solve is None, reason="" if fast_mo_solve else fast_skip_reason()
 )
 
-CCR_KERNELS = [
-    pytest.param(pure_ccr_solve, id="pure"),
-    pytest.param(fast_ccr_solve, id="fast", marks=needs_fast),
-]
-
 KERNELS = [
-    pytest.param(pure_pivot_loop, id="pure"),
-    pytest.param(fast_pivot_loop, id="fast", marks=needs_fast),
+    pytest.param(pure_mo_solve, id="pure"),
+    pytest.param(fast_mo_solve, id="fast", marks=needs_fast),
 ]
-
-
-def random_tableau(rng, m, n, rounded=False):
-    """Feasible-start phase-2 tableau: max c@x s.t. Ax <= b, b > 0.
-
-    rounded=True rounds the same draws to halves, so ratios tie, and
-    numbers the slacks in reverse row order, so a later row can win a
-    tie on Bland's least basic index.
-    """
-    A = rng.uniform(-1.0, 2.0, size=(m, n))
-    b = rng.uniform(0.5, 5.0, size=m)
-    c = rng.uniform(-1.0, 1.0, size=n)
-    slacks = np.eye(m)
-    basis = np.arange(n, n + m, dtype=np.int64)
-    if rounded:
-        A, b, c = (np.round(2.0 * x) / 2.0 for x in (A, b, c))
-        slacks = slacks[:, ::-1]
-        basis = basis[::-1].copy()
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n : n + m] = slacks
-    T[:m, -1] = b
-    T[m, :n] = -c
-    return np.ascontiguousarray(T), basis
-
-
-def assert_twin_on_random_tableaus(kernel, rounded):
-    rng = np.random.default_rng(20240817)
-    for _ in range(120):
-        m = int(rng.integers(1, 7))
-        n = int(rng.integers(1, 7))
-        T, basis = random_tableau(rng, m, n, rounded)
-        Tp, bp = T.copy(), basis.copy()
-        Tf, bf = T.copy(), basis.copy()
-        rp = pure_pivot_loop(Tp, bp, 1e-9, 1000)
-        rf = kernel(Tf, bf, 1e-9, 1000)
-        assert rp == rf
-        assert Tp.tobytes() == Tf.tobytes()
-        assert bp.tobytes() == bf.tobytes()
-
-
-def assert_short_basis_rejected(kernel):
-    # Three constraint rows; the ratio test picks row 2, past the end of
-    # a one-entry basis that is a view into a longer array.
-    T = np.array(
-        [
-            [1.0, 1.0, 0.0, 0.0, 3.0],
-            [1.0, 0.0, 1.0, 0.0, 2.0],
-            [1.0, 0.0, 0.0, 1.0, 1.0],
-            [-1.0, 0.0, 0.0, 0.0, 0.0],
-        ]
-    )
-    backing = np.arange(1, 6, dtype=np.int64)
-    before = T.copy()
-    with pytest.raises(ValueError, match="basis"):
-        kernel(T, backing[:1], 1e-9, 100)
-    assert backing.tolist() == [1, 2, 3, 4, 5]
-    assert T.tobytes() == before.tobytes()
 
 
 def unit_ends(data, p):
@@ -158,14 +93,23 @@ def ccr_lps(n_sets=40):
 
 
 def run_ccr(kernel, lp, level, iters_per_dim=ITERS_PER_DIM):
-    """kernel's result, work tableau and basis, from fixed initial buffers."""
+    """kernel's mo_solve asked for lp's LP at level alone, as ccr._solve
+    asks it, from fixed initial buffers: (status, value, u, v), where a
+    failure's value is its iteration cap and u and v are None, and the
+    work tableau and basis.  The call must report the one LP it ran."""
     end, modal, p, exclude, s = lp
     rows, n_dmus = end.shape
     k = n_dmus - exclude
     work = np.full((k + 3, rows + k + 2), 7.0)
     basis = np.full(k + 1, 3, dtype=np.int64)
-    out = kernel(end, modal, level, p, exclude, work, basis, s, LP_TOL, iters_per_dim)
-    return out, work, basis
+    found, effs, solved, failure = kernel(
+        end, modal, p, exclude, work, basis, s, LP_TOL, iters_per_dim, 0, (), (level,))
+    assert found == () and [x.hex() for x in solved] == [float(level).hex()]
+    if failure is None:
+        return (OPTIMAL, *effs[0]), work, basis
+    kind, status, at, value = failure
+    assert (effs, kind, at.hex()) == ((), LP_FAILED, float(level).hex())
+    return (status, value, None, None), work, basis
 
 
 def ccr_bits(out, work, basis):
@@ -223,15 +167,16 @@ def result_hex(out):
 
 
 def assert_ccr_twin(kernel):
-    """kernel against the pure entry and against linprog._tableau and
-    _simplex: the same starting tableau, bit for bit, and the same result."""
+    """kernel's single levels against the pure entry's and against
+    linprog._tableau and _simplex: the same starting tableau, bit for
+    bit, and the same result."""
     rng = np.random.default_rng(5)
     cases = [(name, lp, level, OPTIMAL)
              for name, lp in ccr_lps() for level in (0.0, 1.0, float(rng.random()))]
     for name, lp, level, status in cases + crafted_lps():
         got = run_ccr(kernel, lp, level)
         assert got[0][0] == status, (name, level)
-        assert ccr_bits(*got) == ccr_bits(*run_ccr(pure_ccr_solve, lp, level)), name
+        assert ccr_bits(*got) == ccr_bits(*run_ccr(pure_mo_solve, lp, level)), name
         start, ref = simplex_reference(lp, level)
         assert run_ccr(kernel, lp, level, 0)[1].tobytes() == start.tobytes(), name
         if status == OPTIMAL:
@@ -275,7 +220,7 @@ def assert_ccr_errors(kernel):
         w = args[4]
         before = w.copy()
         with pytest.raises(ValueError):
-            kernel(*args[:2], 0.5, *args[2:], LP_TOL, ITERS_PER_DIM)
+            kernel(*args, LP_TOL, ITERS_PER_DIM, 0, (), (0.5,))
         assert w.tobytes() == before.tobytes()
 
 
@@ -306,7 +251,7 @@ def mo_bits(out, work, basis):
 
     return (
         [(hexed((h, eff, z, *u, *v)), type(n), n) for h, eff, z, u, v, n in found],
-        hexed(effs),
+        [hexed((value, *u, *v)) for value, u, v in effs],
         hexed(solved),
         None if failure is None else (*failure[:2], *hexed(failure[2:])),
         work.tobytes(),
@@ -357,56 +302,44 @@ def assert_mo_twin(kernel):
 
 @needs_fast
 class TestKernelTwins:
-    def test_random_tableaus_bitwise_identical(self):
-        for rounded in (False, True):
-            assert_twin_on_random_tableaus(fast_pivot_loop, rounded)
-
-    def test_solver_results_identical_through_driver(self, monkeypatch):
-        def solved_with(kernel, prob):
-            monkeypatch.setattr(linprog, "default_pivot_loop", kernel)
-            return solve(prob)
-
-        rng = np.random.default_rng(7)
-        rels = ("<=", ">=", "=")
-        for _ in range(60):
-            n = int(rng.integers(1, 4))
-            rows = []
-            for _ in range(int(rng.integers(1, 5))):
-                coeffs = tuple(float(v) for v in rng.uniform(-2, 2, n))
-                rows.append((coeffs, rels[int(rng.integers(0, 3))], float(rng.uniform(-1, 4))))
-            prob = LpProblem(
-                tuple(float(v) for v in rng.uniform(-1, 1, n)), tuple(rows)
-            )
-            a = solved_with(pure_pivot_loop, prob)
-            b = solved_with(fast_pivot_loop, prob)
-            assert a.status == b.status
-            assert a.value == b.value  # exact float equality, not approx
-            assert a.solution == b.solution
-
     def test_ccr_pipeline_identical(self, gt, monkeypatch):
         # The model code looks the kernel up at call time, so swapping
-        # ccr.default_ccr_solve runs the whole pipeline on each.
+        # ccr.default_mo_solve runs the whole pipeline on each.
         def score_bits(kernel, alpha):
-            monkeypatch.setattr(ccr, "default_ccr_solve", kernel)
+            monkeypatch.setattr(ccr, "default_mo_solve", kernel)
             return [s.score.hex() for s in alphacut_scores(gt, alpha)]
 
         for alpha in (0.0, 0.5):
-            pure = score_bits(pure_ccr_solve, alpha)
-            assert score_bits(fast_ccr_solve, alpha) == pure
+            pure = score_bits(pure_mo_solve, alpha)
+            assert score_bits(fast_mo_solve, alpha) == pure
+
+
+def test_short_basis_raises():
+    # Three constraint rows; the ratio test picks row 2, past the end of
+    # a one-entry basis that is a view into a longer array.
+    T = np.array(
+        [
+            [1.0, 1.0, 0.0, 0.0, 3.0],
+            [1.0, 0.0, 1.0, 0.0, 2.0],
+            [1.0, 0.0, 0.0, 1.0, 1.0],
+            [-1.0, 0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    backing = np.arange(1, 6, dtype=np.int64)
+    before = T.copy()
+    with pytest.raises(ValueError, match="basis"):
+        pure.pivot_loop(T, backing[:1], 1e-9, 100)
+    assert backing.tolist() == [1, 2, 3, 4, 5]
+    assert T.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_short_basis_raises(kernel):
-    assert_short_basis_rejected(kernel)
-
-
-@pytest.mark.parametrize("kernel", CCR_KERNELS)
-def test_ccr_solve_twin_of_pure_and_simplex(kernel):
+def test_one_level_twin_of_pure_and_simplex(kernel):
     assert_ccr_twin(kernel)
 
 
-@pytest.mark.parametrize("kernel", CCR_KERNELS)
-def test_ccr_solve_error_paths(kernel):
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_one_level_error_paths(kernel):
     assert_ccr_errors(kernel)
 
 
@@ -417,7 +350,8 @@ def test_mo_solve_twin_of_pure():
 
 def test_mo_solve_reports_each_lp_it_runs(monkeypatch):
     # solved is the record of the pure kernel's own LP calls, one per
-    # level, and each config's efficiency and z* are ccr_solve's there.
+    # level, and each config's efficiency and z* are those of the LP at
+    # that level asked for alone.
     runs = []
     solve = pure._solve_ccr
     monkeypatch.setattr(
@@ -430,7 +364,7 @@ def test_mo_solve_reports_each_lp_it_runs(monkeypatch):
         for (alpha, rescale, _), (h, eff, z, u, v, _) in zip(MO_CFGS, found):
             for level, value in ((pure._beta(h, alpha, rescale), eff),
                                  (alpha if rescale else 0.0, z)):
-                assert run_ccr(pure_ccr_solve, lp, level)[0][1] == value, name
+                assert run_ccr(pure_mo_solve, lp, level)[0][1] == value, name
 
 
 def test_committed_c_source_builds_a_twin(tmp_path):
@@ -461,12 +395,10 @@ def test_committed_c_source_builds_a_twin(tmp_path):
             sys.modules.pop(name, None)
         else:
             sys.modules[name] = saved
-    for rounded in (False, True):
-        assert_twin_on_random_tableaus(module.pivot_loop, rounded)
-    assert_short_basis_rejected(module.pivot_loop)
-    assert_ccr_twin(module.ccr_solve)
-    assert_ccr_errors(module.ccr_solve)
+    assert {n for n in dir(module) if not n.startswith("_")} == {"KERNEL_API", "mo_solve"}
     assert module.KERNEL_API == pure.KERNEL_API
+    assert_ccr_twin(module.mo_solve)
+    assert_ccr_errors(module.mo_solve)
     assert_mo_twin(module.mo_solve)
 
 
@@ -491,30 +423,28 @@ class TestBackendSelection:
         assert BACKEND in ("fast", "pure")
         assert fuzzydea.BACKEND == BACKEND
 
-    def test_both_entries_from_one_backend(self):
-        # All three entries, in fact.
-        module = f"fuzzydea._speedups.{BACKEND}"
-        assert default_pivot_loop.__module__ == module
-        assert default_ccr_solve.__module__ == module
-        assert default_mo_solve.__module__ == module
+    def test_mo_solve_from_the_reported_backend(self):
+        assert default_mo_solve.__module__ == f"fuzzydea._speedups.{BACKEND}"
+        assert ccr.default_mo_solve is default_mo_solve
+        # linprog's pivot loop has no compiled twin.
+        assert linprog.default_pivot_loop is pure.pivot_loop
 
     def test_stale_compiled_module_is_not_mixed_in(self):
         # No entry of a compiled module without the current KERNEL_API
-        # may be used: an older fast.c with pivot_loop and no ccr_solve
-        # or tag, or one with every entry, a same-named mo_solve among
-        # them, and another interface.
-        for stale in ("", "stale.ccr_solve = stale.mo_solve = stale.pivot_loop\n"
-                          "stale.KERNEL_API = 2\n"):
+        # may be used: an older fast.c with pivot_loop and no tag, or one
+        # with the three entries of KERNEL_API 2 or 3, a same-named
+        # mo_solve among them.
+        for stale in ("", *(f"stale.ccr_solve = stale.mo_solve = stale.pivot_loop\n"
+                            f"stale.KERNEL_API = {api}\n" for api in (2, 3))):
             code = (
                 "import sys, types\n"
                 "stale = types.ModuleType('fuzzydea._speedups.fast')\n"
                 "stale.pivot_loop = lambda *args: (0, 0)\n"
                 f"{stale}"
                 "sys.modules[stale.__name__] = stale\n"
-                "from fuzzydea import _speedups as s\n"
-                "print(s.BACKEND, s.default_pivot_loop.__module__,"
-                " s.default_ccr_solve.__module__, s.default_mo_solve.__module__,"
-                " s.fast_pivot_loop, s.fast_mo_solve)\n"
+                "from fuzzydea import _speedups as s, linprog\n"
+                "print(s.BACKEND, s.default_mo_solve.__module__,"
+                " linprog.default_pivot_loop.__module__, s.fast_mo_solve)\n"
             )
             env = {k: v for k, v in os.environ.items() if k != "FUZZYDEA_PURE"}
             proc = subprocess.run(
@@ -522,8 +452,24 @@ class TestBackendSelection:
             )
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.split() == [
-                "pure", *["fuzzydea._speedups.pure"] * 3, "None", "None"
+                "pure", *["fuzzydea._speedups.pure"] * 2, "None"
             ], stale
+
+    def test_skip_reason_names_a_stale_build(self, monkeypatch):
+        # A build of another KERNEL_API is refused silently, so the
+        # fast-kernel tests' skip reason says so and how to rebuild.
+        name = "fuzzydea._speedups.fast"
+        monkeypatch.delenv("FUZZYDEA_PURE", raising=False)
+        stale = types.ModuleType(name)
+        stale.KERNEL_API = 3
+        monkeypatch.setitem(sys.modules, name, stale)
+        assert fast_skip_reason() == (
+            f"compiled kernel {name} has KERNEL_API 3, not {pure.KERNEL_API}; "
+            f"rebuild it with `{REBUILD}`")
+        monkeypatch.setitem(sys.modules, name, None)  # as if never built
+        assert fast_skip_reason() == "compiled kernel not built"
+        monkeypatch.setenv("FUZZYDEA_PURE", "1")
+        assert fast_skip_reason() == "FUZZYDEA_PURE is set"
 
     def test_env_forces_pure(self):
         env = dict(os.environ, FUZZYDEA_PURE="1")

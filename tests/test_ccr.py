@@ -4,7 +4,7 @@ import pytest
 from _datagen import random_crisp_dataset
 from _oracles import ratio_efficiency, reference_lp
 from fuzzydea import ccr
-from fuzzydea._speedups.pure import PHASE1_ITER_LIMIT
+from fuzzydea._speedups.pure import LP_FAILED, PHASE1_ITER_LIMIT
 from fuzzydea.alphacut import modal_reduce
 from fuzzydea.ccr import (
     CrispDataset,
@@ -161,9 +161,9 @@ class TestArrayPath:
             for p in range(data.n_dmus):
                 T = _tableau(*lp_of(data, p, policy))[0]
                 work, basis = _lp_buffers(X, policy)
-                out = ccr.default_ccr_solve(
-                    X, X, 1.0, p, policy is SelfPolicy.EXCLUDE_SELF, work, basis,
-                    data.n_outputs, LP_TOL, 0,
+                out = ccr.default_mo_solve(
+                    X, X, p, policy is SelfPolicy.EXCLUDE_SELF, work, basis,
+                    data.n_outputs, LP_TOL, 0, 0, (), (1.0,),
                 )
-                assert out[0] == PHASE1_ITER_LIMIT
+                assert out[3] == (LP_FAILED, PHASE1_ITER_LIMIT, 1.0, 0.0)
                 assert work.tobytes() == T.tobytes()

@@ -204,6 +204,13 @@ class TestExitCodes:
         code, _, _ = run(capsys, "eval", "--model", "ccr", "--data", "fixture:nope")
         assert code == 1
 
+    def test_fixture_name_cannot_leave_the_fixtures_folder(self, capsys):
+        name = "../../fuzzydea/fixtures/guo_tanaka"  # the bundled file, by a path
+        code, out, err = run(capsys, "eval", "--model", "alpha", "--data", f"fixture:{name}")
+        assert (code, out) == (1, "")
+        assert err == (f"fuzzydea: error: unknown fixture {name!r}; "
+                       "available: aircraft, guo_tanaka\n")
+
     def test_solver_failure_exits_2(self, capsys, tmp_path):
         f = tmp_path / "solo.json"
         f.write_text(SOLO)

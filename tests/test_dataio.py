@@ -1,6 +1,9 @@
+import copy
 import json
 import math
+import pickle
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +171,18 @@ class TestCellBuffer:
         assert b[:, 0, 0].tolist() == [1.0, 2.0, 3.0]  # a's input
         assert b[:, 2, 1].tolist() == [6.0, 6.0, 6.0]  # b's second output
 
+    @pytest.mark.parametrize("dup", [lambda ds: pickle.loads(pickle.dumps(ds)),
+                                     copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_copies_keep_bounds_read_only(self, dup, gt):
+        built = FuzzyDataset(gt.name, gt.input_names, gt.output_names, gt.dmus)
+        for ds in (load_fixture("aircraft"), built):
+            again = dup(ds)
+            assert not again.bounds.flags.writeable
+            assert again == ds and again.bounds.tobytes() == ds.bounds.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                again.bounds[0, 0, 0] = 0.0
+
     def test_loaded_and_constructed_datasets_are_equal(self):
         ds = load_dataset(GOOD_JSON, "json")
         built = FuzzyDataset(ds.name, ds.input_names, ds.output_names, ds.dmus)
@@ -240,6 +255,17 @@ class TestFixtures:
     def test_unknown_fixture(self):
         with pytest.raises(DataError):
             fixture_path("nope")
+
+    @pytest.mark.parametrize("name", [
+        "../../fuzzydea/fixtures/guo_tanaka", "../fixtures/aircraft", "./guo_tanaka",
+        pytest.param(str(fixture_path("guo_tanaka").with_suffix("")), id="absolute"),
+        "guo_tanaka.json", "",
+    ])
+    def test_only_bundled_names_are_fixtures(self, name):
+        # The first four reach a bundled file by a path; the last two are near misses.
+        with pytest.raises(DataError, match=f"^unknown fixture {re.escape(repr(name))}; "
+                           "available: aircraft, guo_tanaka$"):
+            fixture_path(name)
 
 
 class TestValidationTotal:

@@ -198,7 +198,7 @@ class TestIterationCap:
 
 
 class TestKernelStatus:
-    """_lp_status reads the kernel's ccr_solve statuses as _simplex would."""
+    """_lp_status reads the kernel's mo_solve statuses as _simplex would."""
 
     def test_outcomes(self):
         from fuzzydea._speedups.pure import INFEASIBLE, OPTIMAL, UNBOUNDED

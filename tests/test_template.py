@@ -14,22 +14,14 @@ import pytest
 
 from _datagen import random_dataset
 from fuzzydea import ccr
-from fuzzydea._speedups import fast_ccr_solve, pure_ccr_solve
+from fuzzydea._speedups import fast_mo_solve, pure_mo_solve
 from fuzzydea.alphacut import DataLps, reduce_at
 from fuzzydea.ccr import CrispDataset, SelfPolicy, ccr_efficiency
 from fuzzydea.dataio import FuzzyDataset, FuzzyDmu
 from fuzzydea.errors import DataError, NumericalBreakdown, SolverFailure
 from fuzzydea.mofdea import reduced_data
 from fuzzydea.trifuzzy import TriFuzzy, toward_modal
-
-KERNELS = [
-    pytest.param(pure_ccr_solve, id="pure"),
-    pytest.param(
-        fast_ccr_solve,
-        id="fast",
-        marks=pytest.mark.skipif(fast_ccr_solve is None, reason="compiled kernel not built"),
-    ),
-]
+from test_backends import KERNELS, needs_fast
 
 
 def bits(res):
@@ -49,7 +41,7 @@ POLICY_ENDS = [
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("policy,favor_p", POLICY_ENDS)
 def test_probe_equals_ccr_on_reduced_data(kernel, policy, favor_p, monkeypatch):
-    monkeypatch.setattr(ccr, "default_ccr_solve", kernel)
+    monkeypatch.setattr(ccr, "default_mo_solve", kernel)
     rng = np.random.default_rng(20261018)
     for _ in range(40):
         data = random_dataset(rng, n_dmus=int(rng.integers(2, 9)))
@@ -67,7 +59,7 @@ def test_probe_equals_ccr_on_reduced_data(kernel, policy, favor_p, monkeypatch):
 def test_one_store_serves_every_dmu_in_any_order(kernel, policy, favor_p, monkeypatch):
     # The DMUs come in a shuffled order with repeats, so each swap puts
     # back a column that another DMU's LP must see at its peer ends.
-    monkeypatch.setattr(ccr, "default_ccr_solve", kernel)
+    monkeypatch.setattr(ccr, "default_mo_solve", kernel)
     rng = np.random.default_rng(20261019)
     for _ in range(15):
         data = random_dataset(rng, n_dmus=int(rng.integers(2, 9)))
@@ -81,16 +73,16 @@ def test_one_store_serves_every_dmu_in_any_order(kernel, policy, favor_p, monkey
             assert lps.p == p
 
 
-@pytest.mark.skipif(fast_ccr_solve is None, reason="compiled kernel not built")
+@needs_fast
 def test_probe_identical_across_kernels(monkeypatch):
     rng = np.random.default_rng(5)
     for _ in range(20):
         data = random_dataset(rng)
         lps = DataLps(data, SelfPolicy.EXCLUDE_SELF)
         beta = float(rng.random())
-        monkeypatch.setattr(ccr, "default_ccr_solve", pure_ccr_solve)
+        monkeypatch.setattr(ccr, "default_mo_solve", pure_mo_solve)
         pure = bits(lps.solve(0, beta))
-        monkeypatch.setattr(ccr, "default_ccr_solve", fast_ccr_solve)
+        monkeypatch.setattr(ccr, "default_mo_solve", fast_mo_solve)
         assert bits(lps.solve(0, beta)) == pure
 
 
@@ -98,7 +90,7 @@ def test_probe_identical_across_kernels(monkeypatch):
 def test_reused_work_buffer_leaks_no_state(kernel, monkeypatch):
     # One DataLps solves every level into the same work tableau and
     # basis; each result must equal a fresh solve, in any order.
-    monkeypatch.setattr(ccr, "default_ccr_solve", kernel)
+    monkeypatch.setattr(ccr, "default_mo_solve", kernel)
     rng = np.random.default_rng(11)
     for _ in range(15):
         data = random_dataset(rng, n_dmus=int(rng.integers(2, 9)))
@@ -167,6 +159,9 @@ def test_probe_data_must_stay_positive_and_finite(lower, modal):
         )
     with pytest.raises(DataError, match="data at level -1.0 for DMU 'U1'"):
         DataLps(data, SelfPolicy.EXCLUDE_SELF).solve(0, -1.0)
+    # The message shows the level as the caller gave it.
+    with pytest.raises(DataError, match="data at level -1 for DMU 'U1'"):
+        DataLps(data, SelfPolicy.EXCLUDE_SELF).solve(0, -1)
 
 
 def test_unbounded_probe_raises_like_ccr():
@@ -186,15 +181,15 @@ def test_iteration_cap_reaches_the_probe(monkeypatch):
     # The kernel is looked up when a probe runs, so a replacement (or a
     # tracer's wrapper) sees every call.  This one allows no pivot.
     calls = []
-    kernel = ccr.default_ccr_solve
+    kernel = ccr.default_mo_solve
 
     def capped(*args):
-        calls.append(args[2])
-        return kernel(*args[:-1], 0)
+        calls.append(args[-2:])  # configs and levels
+        return kernel(*args[:8], 0, *args[9:])
 
     data = random_dataset(np.random.default_rng(3), n_dmus=4)
     lps = DataLps(data, SelfPolicy.INCLUDE_SELF)
-    monkeypatch.setattr(ccr, "default_ccr_solve", capped)
+    monkeypatch.setattr(ccr, "default_mo_solve", capped)
     with pytest.raises(NumericalBreakdown, match=r"cap \(0\) in phase 1"):
         lps.solve(1, 0.5)
-    assert calls == [0.5]
+    assert calls == [((), (0.5,))]
