@@ -1,4 +1,4 @@
-"""Build script: compiles the optional simplex pivot kernel.
+"""Build script: compiles the optional simplex kernel, mo_solve.
 
 fast.c is a hand-written C twin of fuzzydea._speedups.pure, so a C
 compiler is all the build needs.  Without one the package still installs

@@ -5,9 +5,9 @@ models.  The compiled one is used when the extension built; set
 FUZZYDEA_PURE=1 to force the pure-Python twin.  Both produce
 bit-identical results.  A compiled module whose KERNEL_API is not
 pure.KERNEL_API, such as a stale in-place build of an older fast.c, is
-not used at all.  ccr and mofdea look default_mo_solve up at each call,
-so rebinding it there is the only other way to choose a kernel.
-linprog's general simplex pivots with pure.pivot_loop alone.
+not used at all.  Every model calls the kernel in ccr._search alone, which
+looks ccr.default_mo_solve up at each call, so rebinding that name is the
+only other way to choose one.  linprog pivots with pure.pivot_loop alone.
 """
 
 import os

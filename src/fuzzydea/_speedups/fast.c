@@ -5,9 +5,10 @@
  * Build it with -ffp-contract=off (setup.py does), or the compiler may
  * fuse f * row[j] and the subtraction into one rounding.  The arrays
  * come in through the buffer protocol, so no numpy headers are needed.
- * mo_solve, the one entry, blends a CCR LP's data to a level, writes and
- * solves the LP's tableau, and runs the mo model's root searches for one
- * DMU on those LPs, or just solves the LPs at a list of levels.
+ * mo_solve, the one entry, reads a dataset's low, modal and high arrays as
+ * they are, blends each CCR LP cell to a level from the end its DMU takes,
+ * writes and solves the LP's tableau, and runs one DMU's mo root searches
+ * on those LPs, or solves the LPs at a list of levels.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -18,7 +19,7 @@
 enum { OPTIMAL, UNBOUNDED, ITER_LIMIT, INFEASIBLE, BAD_DATA, /* as pure.py */
        PHASE1_UNBOUNDED, PHASE1_ITER_LIMIT };
 enum { LP_FAILED, DEGENERATE };  /* mo_solve's failure kinds, as pure.py */
-#define KERNEL_API 4             /* as pure.py */
+#define KERNEL_API 5             /* as pure.py */
 
 /* A C-contiguous buffer: 2-D doubles if `matrix`, else 1-D int64.
  * Returns 0, or -1 with an exception set and no buffer held. */
@@ -95,20 +96,20 @@ run(double *T, int64_t *basis, Py_ssize_t nrows, Py_ssize_t ncols,
 }
 
 /* DMU p's CCR LP on the data at `level`, written into W and solved as
- * linprog._simplex solves it; see pure.mo_solve.  E and M, the data at
- * levels 0 and 1, are R rows (the inputs, then s outputs) by N DMUs.
+ * linprog._simplex solves it; see pure.mo_solve.  Lo, M and Hi, the low,
+ * modal and high data, are R rows (the inputs, then s outputs) by N DMUs.
  * Phase 2 keeps phase 1's row stride, its RHS in the artificial's
  * column.  Fills x[0..R) and *value on OPTIMAL, else *value is the cap
  * of the last phase run. */
 static int
-solve_ccr(const double *E, const double *M, double level, Py_ssize_t R,
-          Py_ssize_t N, Py_ssize_t s, Py_ssize_t p, int exclude, double *W,
-          int64_t *basis, double tol, long long per_dim, double *value,
-          double *x)
+solve_ccr(const double *Lo, const double *M, const double *Hi, double level,
+          Py_ssize_t R, Py_ssize_t N, Py_ssize_t s, Py_ssize_t p, int exclude,
+          double *W, int64_t *basis, double tol, long long per_dim,
+          double *value, double *x)
 {
     Py_ssize_t k = N - exclude, m = k + 1, art = R + k, cols = art + 2;
     Py_ssize_t i, j, r, c;
-    double a = 1.0 - level, w, f, *cost, *obj = W + (m + 1) * cols;
+    double a = 1.0 - level, e, w, f, *cost, *obj = W + (m + 1) * cols;
     long long iters = 0, cap;
     int status;
 
@@ -124,9 +125,12 @@ solve_ccr(const double *E, const double *M, double level, Py_ssize_t R,
     for (r = 0; r < R; r++) {
         c = r < R - s ? s + r : r - (R - s);
         for (j = 0; j < N; j++) {
-            /* toward_modal's formula: a side without spread stays modal */
+            /* p's own end is low for an input, high for an output; its
+             * peers' the other.  toward_modal's formula: a side without
+             * spread stays modal. */
             i = r * N + j;
-            w = E[i] == M[i] ? M[i] : a * E[i] + level * M[i];
+            e = ((r < R - s) == (j == p) ? Lo : Hi)[i];
+            w = e == M[i] ? M[i] : a * e + level * M[i];
             if (w == 0.0 || !isfinite(w))
                 return BAD_DATA;
             if (j == p) {
@@ -188,31 +192,34 @@ solve_ccr(const double *E, const double *M, double level, Py_ssize_t R,
     return OPTIMAL;
 }
 
-/* end, modal, work and basis of DMU p's LP, checked as pure.mo_solve does.
- * Returns 0, or -1 with an exception set and no buffer held. */
+/* low, modal, high, work and basis of DMU p's LP, checked as
+ * pure.mo_solve does.  Returns 0, or -1 with an exception set and no
+ * buffer held. */
 static int
 get_lp(PyObject **obj, Py_buffer *buf, Py_ssize_t p, int exclude,
        Py_ssize_t s)
 {
-    static const char *names[4] = {"end", "modal", "work", "basis"};
+    static const char *names[5] = {"low", "modal", "high", "work", "basis"};
     Py_ssize_t R, N, k;
     int got;
 
-    for (got = 0; got < 4; got++)
-        if (get_array(obj[got], &buf[got], got < 2 ? 0 : PyBUF_WRITABLE,
-                      got < 3, names[got]) < 0)
+    for (got = 0; got < 5; got++)
+        if (get_array(obj[got], &buf[got], got < 3 ? 0 : PyBUF_WRITABLE,
+                      got < 4, names[got]) < 0)
             goto fail;
-    R = buf[0].shape[0];
-    N = buf[0].shape[1];
+    R = buf[1].shape[0];
+    N = buf[1].shape[1];
     k = N - exclude;  /* peers */
-    if (buf[1].shape[0] == R && buf[1].shape[1] == N && R >= 1 && N >= 1 &&
-        p >= 0 && p < N && s >= 0 && s <= R && buf[2].shape[0] == k + 3 &&
-        buf[2].shape[1] == R + k + 2 && buf[3].shape[0] == k + 1)
+    if (buf[0].shape[0] == R && buf[0].shape[1] == N && buf[2].shape[0] == R &&
+        buf[2].shape[1] == N && R >= 1 && N >= 1 && p >= 0 && p < N &&
+        s >= 0 && s <= R && buf[3].shape[0] == k + 3 &&
+        buf[3].shape[1] == R + k + 2 && buf[4].shape[0] == k + 1)
         return 0;
-    PyErr_Format(PyExc_ValueError, "no CCR LP: end %zdx%zd, modal %zdx%zd, "
-                 "p %zd, work %zdx%zd, basis %zd, n_outputs %zd", R, N,
-                 buf[1].shape[0], buf[1].shape[1], p, buf[2].shape[0],
-                 buf[2].shape[1], buf[3].shape[0], s);
+    PyErr_Format(PyExc_ValueError, "no CCR LP: low %zdx%zd, modal %zdx%zd, "
+                 "high %zdx%zd, p %zd, work %zdx%zd, basis %zd, n_outputs %zd",
+                 buf[0].shape[0], buf[0].shape[1], R, N, buf[2].shape[0],
+                 buf[2].shape[1], p, buf[3].shape[0], buf[3].shape[1],
+                 buf[4].shape[0], s);
 fail:
     while (got-- > 0)
         PyBuffer_Release(&buf[got]);
@@ -239,7 +246,7 @@ floats(const double *x, Py_ssize_t n)
  * of R + 3 doubles (the level, the optimum, the last config to probe
  * it, then the weights x), and the first failure. */
 typedef struct {
-    const double *E, *M;
+    const double *Lo, *M, *Hi;
     double *W, tol, *cache;
     int64_t *basis;
     Py_ssize_t R, N, s, p, n, room;
@@ -274,7 +281,7 @@ lp_at(Lps *L, double level, double c, Py_ssize_t *probed)
             L->cache = grown;
         }
         e = ENTRY(L, i);
-        status = solve_ccr(L->E, L->M, level, L->R, L->N, L->s, L->p,
+        status = solve_ccr(L->Lo, L->M, L->Hi, level, L->R, L->N, L->s, L->p,
                            L->exclude, L->W, L->basis, L->tol, L->per_dim,
                            &value, e + 3);
         if (status != OPTIMAL) {
@@ -366,7 +373,7 @@ search(Lps *L, double c, double alpha, int rescale, double h_tol,
 }
 
 PyDoc_STRVAR(mo_solve_doc,
-"mo_solve(end, modal, p, exclude_self, work, basis, n_outputs, tol,\n"
+"mo_solve(low, modal, high, p, exclude_self, work, basis, n_outputs, tol,\n"
 "         iters_per_dim, max_probes, cfgs, levels)\n"
 "    -> (found, effs, solved, failure)\n\n"
 "DMU p's mo-model root searches and its LPs at levels; see pure.mo_solve.");
@@ -374,26 +381,27 @@ PyDoc_STRVAR(mo_solve_doc,
 static PyObject *
 mo_solve(PyObject *self, PyObject *args)
 {
-    PyObject *obj[4], *cfgs, *levels, *seq[2] = {NULL, NULL}, *found = NULL,
+    PyObject *obj[5], *cfgs, *levels, *seq[2] = {NULL, NULL}, *found = NULL,
              *effs = NULL, *solved = NULL, *item, *out = NULL;
-    Py_buffer buf[4];
+    Py_buffer buf[5];
     Lps L = {0};
     Py_ssize_t c, i, n, iters = 0;
     double alpha, h_tol, h = 0.0, z = 0.0, *e;
     long long max_probes;
     int rescale;
 
-    if (!PyArg_ParseTuple(args, "OOnpOOndLLOO:mo_solve", &obj[0], &obj[1],
-                          &L.p, &L.exclude, &obj[2], &obj[3], &L.s, &L.tol,
-                          &L.per_dim, &max_probes, &cfgs, &levels) ||
+    if (!PyArg_ParseTuple(args, "OOOnpOOndLLOO:mo_solve", &obj[0], &obj[1],
+                          &obj[2], &L.p, &L.exclude, &obj[3], &obj[4], &L.s,
+                          &L.tol, &L.per_dim, &max_probes, &cfgs, &levels) ||
         get_lp(obj, buf, L.p, L.exclude, L.s) < 0)
         return NULL;
-    L.E = buf[0].buf;
+    L.Lo = buf[0].buf;
     L.M = buf[1].buf;
-    L.W = buf[2].buf;
-    L.basis = buf[3].buf;
-    L.R = buf[0].shape[0];
-    L.N = buf[0].shape[1];
+    L.Hi = buf[2].buf;
+    L.W = buf[3].buf;
+    L.basis = buf[4].buf;
+    L.R = buf[1].shape[0];
+    L.N = buf[1].shape[1];
     L.kind = -1;
     if ((seq[0] = PySequence_Fast(cfgs, "cfgs must be a sequence")) == NULL ||
         (seq[1] = PySequence_Fast(levels, "levels must be a sequence")) ==
@@ -461,7 +469,7 @@ done:
     Py_XDECREF(seq[1]);
     Py_XDECREF(seq[0]);
     PyMem_Free(L.cache);
-    for (i = 0; i < 4; i++)
+    for (i = 0; i < 5; i++)
         PyBuffer_Release(&buf[i]);
     return out;
 }

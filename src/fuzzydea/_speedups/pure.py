@@ -15,7 +15,7 @@ __all__ = ["KERNEL_API", "pivot_loop", "mo_solve"]
 
 # mo_solve's interface; fast.c exports the same number, and a compiled
 # module with another is not used.  Raised whenever mo_solve changes.
-KERNEL_API = 4
+KERNEL_API = 5
 
 # status codes shared with the compiled kernel
 OPTIMAL = 0
@@ -101,9 +101,9 @@ def pivot_loop(T_arr, basis_arr, tol, max_iter):
     return status, iters
 
 
-def _solve_ccr(E, M, level, s, p, exclude, W, basis, tol, per_dim):
+def _solve_ccr(L, M, H, level, s, p, exclude, W, basis, tol, per_dim):
     """fast.c's solve_ccr on lists: (status, value, x); see mo_solve."""
-    R, N = len(E), len(E[0])
+    R, N = len(M), len(M[0])
     k = N - exclude
     m = k + 1
     art = R + k
@@ -118,10 +118,12 @@ def _solve_ccr(E, M, level, s, p, exclude, W, basis, tol, per_dim):
         W[i][R - 1 + i] = 1.0
     for r in range(R):
         c = s + r if r < R - s else r - (R - s)
-        Er, Mr = E[r], M[r]
+        # p takes low inputs and high outputs, its peers the other ends
+        own, peer, Mr = (L[r], H[r], M[r]) if r < R - s else (H[r], L[r], M[r])
         for j in range(N):
+            e = own[j] if j == p else peer[j]
             # toward_modal's formula: a side without spread stays modal.
-            w = Mr[j] if Er[j] == Mr[j] else a * Er[j] + level * Mr[j]
+            w = Mr[j] if e == Mr[j] else a * e + level * Mr[j]
             if w == 0.0 or not math.isfinite(w):
                 return BAD_DATA, 0.0, None
             if j == p:
@@ -192,18 +194,19 @@ class _Failed(Exception):
 
 
 def mo_solve(
-    end, modal, p, exclude_self, work, basis_arr, n_outputs, tol,
+    low, modal, high, p, exclude_self, work, basis_arr, n_outputs, tol,
     iters_per_dim, max_probes, cfgs, levels,
 ):
     """DMU p's CCR multiplier LPs, each solved as linprog._simplex
     solves it: mofdea.solve_mo's root search under each config, then the
     LP at each of levels, in one call that solves each data level once.
 
-    end and modal are the data at levels 0 and 1, each m + s rows (the
-    inputs, then the n_outputs outputs) by N DMUs: alphacut._ends'
-    arrays, or one crisp array given twice.  Each cell is blended to a
-    level by trifuzzy.toward_modal's formula, so a cell where end equals
-    modal stays exactly modal, and must come out finite and nonzero.
+    low, modal and high are m + s rows (the inputs, then the n_outputs
+    outputs) by N DMUs: a FuzzyDataset's bounds, or one crisp array
+    thrice.  A cell's end is low where "the row is an input" equals "the
+    DMU is p", else high, as in alphacut.reduce_at.  toward_modal's
+    formula blends it to a level (an end equal to modal stays exactly
+    modal), and each cell must come out finite and nonzero.
     The LP has k = N - exclude_self peers: every DMU, less p itself
     when exclude_self is true.
 
@@ -231,10 +234,10 @@ def mo_solve(
     BAD_DATA), or (DEGENERATE, OPTIMAL, level, z*) for z* <= tol.
     Raises ValueError unless the shapes fit.
     """
-    R, N = end.shape if end.ndim == 2 else (0, 0)
+    R, N = modal.shape if modal.ndim == 2 else (0, 0)
     k = N - bool(exclude_self)
     if (
-        modal.shape != (R, N)
+        {low.shape, high.shape} != {(R, N)}
         or R < 1
         or N < 1
         or not 0 <= p < N
@@ -243,10 +246,10 @@ def mo_solve(
         or basis_arr.shape != (k + 1,)
     ):
         raise ValueError(
-            f"no CCR LP: end {end.shape}, modal {modal.shape}, p {p}, work "
-            f"{work.shape}, basis {basis_arr.shape}, n_outputs {n_outputs}"
+            f"no CCR LP: low {low.shape}, modal {modal.shape}, high {high.shape}, "
+            f"p {p}, work {work.shape}, basis {basis_arr.shape}, n_outputs {n_outputs}"
         )
-    E, M, exclude = end.tolist(), modal.tolist(), bool(exclude_self)
+    L, M, H, exclude = low.tolist(), modal.tolist(), high.tolist(), bool(exclude_self)
     basis, W = basis_arr.tolist(), None
     cache, solved, found, effs, failure = {}, [], [], [], None
 
@@ -257,7 +260,7 @@ def mo_solve(
             W = [[0.0] * (R + k + 2) for _ in range(k + 3)]
             solved.append(level)
             status, value, x = _solve_ccr(
-                E, M, level, n_outputs, p, exclude, W, basis, tol, iters_per_dim
+                L, M, H, level, n_outputs, p, exclude, W, basis, tol, iters_per_dim
             )
             if status != OPTIMAL:
                 raise _Failed(LP_FAILED, status, level, value)

@@ -1,5 +1,4 @@
-"""Alpha-cut fuzzy CCR scores via extreme-value reduction, and the LP
-store, one per dataset and self policy, that every model scores through.
+"""Alpha-cut fuzzy CCR scores via extreme-value reduction.
 
 At level alpha each triangular value collapses to its alpha-cut interval
 and the evaluated DMU takes the favorable endpoints (low inputs, high
@@ -15,8 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from . import ccr
-from .ccr import CrispDataset, SelfPolicy, _check_index, _check_policy, _lp_buffers
+from .ccr import CrispDataset, DataLps, SelfPolicy, _check_index
 from .dataio import FuzzyDataset
 from .trifuzzy import check_alpha, toward_modal
 # Unused here; perfbench/tracing.py rebinds it by name in this module.
@@ -24,7 +22,6 @@ from .ccr import ccr_efficiency  # noqa: F401
 
 __all__ = [
     "AlphaScore",
-    "DataLps",
     "alphacut_reduce",
     "pessimistic_reduce",
     "modal_reduce",
@@ -61,9 +58,9 @@ def reduce_at(
     With favor_p, p starts from its favorable ends (low inputs, high
     outputs) and its peers from the unfavorable ones; without, the roles
     swap.  The alpha-cut, the mo model's beta level and the modal data
-    are all this one reduction.  No model scores through it: DataLps
-    blends the same ends in the kernel, and its LP at a level is
-    ccr_efficiency on this data bit for bit.
+    are all this one reduction.  No model scores through it: the
+    kernel blends the same ends from a ccr.DataLps's arrays, and its LP
+    at a level is ccr_efficiency on this data bit for bit.
     """
     p = _check_index(data, p)
     level = check_alpha(level)
@@ -89,47 +86,10 @@ def modal_reduce(data: FuzzyDataset) -> CrispDataset:
     return reduce_at(data, 0, 1.0)
 
 
-class DataLps:
-    """Every DMU's multiplier LP on one dataset under one self policy and
-    favor_p, at any data level, in one work tableau and basis.
-
-    It keeps _ends(data, favor_p)'s arrays and a scratch copy `end` of
-    the peers' ends.  select(p) copies p's own column into end and puts
-    back the one of the DMU selected before.  The kernel's mo_solve blends
-    end and the modal data by toward_modal's formula and writes each LP's
-    tableau: its LP at a level is ccr_efficiency on reduce_at(data, p,
-    level, favor_p) bit for bit.  solve(p, level) asks it for one level
-    (ccr._solve), the mo model for whole searches (mofdea._search).
-    """
-
-    def __init__(self, data: FuzzyDataset, policy: SelfPolicy, favor_p: bool = True):
-        self.policy = _check_policy(policy)
-        self.names, self.n_dmus, self.n_outputs = data.dmu_names, data.n_dmus, data.n_outputs
-        self._own, self._other, self.modal = _ends(data, favor_p)
-        self.end, self.p = self._other.copy(), 0  # no own column in yet
-        self.buffers = _lp_buffers(self.end, policy)
-
-    def select(self, p) -> int:
-        """Set end to DMU p's data at level 0; returns p as an int."""
-        p, q = _check_index(self, p), self.p
-        self.end[:, q] = self._other[:, q]
-        self.end[:, p] = self._own[:, p]
-        self.p = p
-        return p
-
-    def solve(self, p, level: float) -> ccr.CcrResult:
-        """DMU p's LP result at data level `level`."""
-        p = self.select(p)
-        X = (self.end, self.modal, level, p, *self.buffers)
-        # Looked up on ccr at each call, so a rebinding sees every LP.
-        return ccr._solve(X, self.n_outputs, self.names[p], self.policy)
-
-
 def _scores(data: FuzzyDataset, alpha: float, policy: SelfPolicy, favor_p: bool):
-    alpha = check_alpha(alpha)
-    lps = DataLps(data, policy, favor_p)
-    solved = [lps.solve(p, alpha) for p in range(data.n_dmus)]
-    return tuple(AlphaScore(r.dmu, alpha, r.efficiency, policy) for r in solved)
+    alpha, lps = check_alpha(alpha), DataLps(data, policy, favor_p)
+    return tuple(AlphaScore(name, alpha, lps.solve(p, alpha).efficiency, policy)
+                 for p, name in enumerate(data.dmu_names))
 
 
 def alphacut_scores(

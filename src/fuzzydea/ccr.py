@@ -26,6 +26,7 @@ __all__ = [
     "SelfPolicy",
     "CrispDataset",
     "CcrResult",
+    "DataLps",
     "ccr_efficiency",
     "ccr_scores",
 ]
@@ -125,36 +126,52 @@ def _check_policy(policy) -> SelfPolicy:
     return policy
 
 
-def _lp_buffers(X: np.ndarray, policy: SelfPolicy):
-    """The work tableau and basis that the kernel overwrites with the
-    multiplier LP on data X ((inputs + outputs) x DMUs) under policy."""
-    rows, n_dmus = X.shape
-    k = n_dmus - (_check_policy(policy) is SelfPolicy.EXCLUDE_SELF)  # peers
-    return np.empty((k + 3, rows + k + 2)), np.empty(k + 1, dtype=np.int64)
+# Cap on root-search probes per score.  On random 3-8 DMU sets the
+# Illinois search stops after about 2 at the default h_tol.
+MAX_BISECT = 60
 
 
-def _solve(X, n_outputs: int, name: str, policy: SelfPolicy) -> CcrResult:
-    """The multiplier LP of the DMU called name, solved by one
-    default_mo_solve call with no config and one level.
+class DataLps:
+    """Every DMU's multiplier LP on one dataset under one self policy and
+    favor_p, at any data level, in one work tableau and basis.
 
-    X is (end, modal, level, p, work, basis): the data at levels 0 and
-    1 ((inputs + outputs) x DMUs; one crisp array may be both), the
-    level to solve at, the DMU's index, and the work tableau and basis
-    of _lp_buffers that the kernel overwrites.  The kernel blends the
-    data to level with trifuzzy.toward_modal's formula, writes the LP's
-    starting tableau in linprog._tableau's layout and runs both simplex
-    phases as linprog._simplex would on it, so the result is the one
-    _simplex gives, bit for bit.  A failure raises _raise's error.
+    It keeps a FuzzyDataset's bounds as they are, low and high swapped
+    without favor_p, or a CrispDataset's data as all three.  The kernel
+    takes each DMU's ends from them: DMU p's LP at a level is
+    ccr_efficiency on alphacut.reduce_at(data, p, level, favor_p) bit for bit.
     """
-    end, modal, level, p, work, basis = X
-    _, effs, _, failure = default_mo_solve(
-        end, modal, p, policy is SelfPolicy.EXCLUDE_SELF, work, basis,
-        n_outputs, LP_TOL, ITERS_PER_DIM, 0, (), (level,),
+
+    def __init__(self, data, policy: SelfPolicy, favor_p: bool = True):
+        self.policy = _check_policy(policy)
+        self.n_dmus, self.n_outputs = data.n_dmus, data.n_outputs
+        if isinstance(data, CrispDataset):
+            crisp = np.concatenate((data.inputs, data.outputs))
+            self.names, bounds = data.names, (crisp, crisp, crisp)
+        else:
+            self.names, bounds = data.dmu_names, data.bounds
+        self.low, self.modal, self.high = bounds if favor_p else bounds[::-1]
+        k = self.n_dmus - (policy is SelfPolicy.EXCLUDE_SELF)  # peers
+        work = np.empty((k + 3, len(self.modal) + k + 2))
+        self.buffers = work, np.empty(k + 1, dtype=np.int64)
+
+    def solve(self, p, level: float) -> CcrResult:
+        """DMU p's LP result at data level `level`, or _raise's error."""
+        p = _check_index(self, p)
+        _, effs, _, failure = _search(self, p, (), (level,))
+        if failure is None:
+            return CcrResult(self.names[p], *effs[0], self.policy)
+        _raise(failure[1], failure[3], level, self.names[p])
+
+
+def _search(lps: DataLps, p: int, cfgs, levels=()):
+    """mo_solve's (found, effs, solved, failure) for DMU p of lps: the root
+    search under each of cfgs, (alpha, rescale, h_tol) triples, then the
+    LP at each of levels.  The one kernel call of every model, looked up
+    at each call, so a rebinding sees every LP."""
+    return default_mo_solve(
+        lps.low, lps.modal, lps.high, p, lps.policy is SelfPolicy.EXCLUDE_SELF,
+        *lps.buffers, lps.n_outputs, LP_TOL, ITERS_PER_DIM, MAX_BISECT, cfgs, levels,
     )
-    if failure is None:
-        value, u, v = effs[0]
-        return CcrResult(dmu=name, efficiency=value, u=u, v=v, policy=policy)
-    _raise(failure[1], failure[3], level, name)
 
 
 def _raise(status: int, value: float, level: float, name: str):
@@ -186,15 +203,13 @@ def ccr_efficiency(
     unbounded (e.g. ExcludeSelf with no peer left).
     """
     p = _check_index(data, p)
-    crisp = np.concatenate((data.inputs, data.outputs))
-    # The crisp data are both ends, so every level gives them back.
-    X = (crisp, crisp, 1.0, p, *_lp_buffers(crisp, policy))
-    return _solve(X, data.n_outputs, data.names[p], policy)
+    return DataLps(data, policy).solve(p, 1.0)  # crisp: every level gives the data
 
 
 def ccr_scores(
     data: CrispDataset,
     policy: SelfPolicy = SelfPolicy.INCLUDE_SELF,
 ) -> Tuple[CcrResult, ...]:
-    """ccr_efficiency for every DMU, in dataset order."""
-    return tuple(ccr_efficiency(data, p, policy=policy) for p in range(data.n_dmus))
+    """ccr_efficiency for every DMU, in dataset order, from one store."""
+    lps = DataLps(data, policy)
+    return tuple(lps.solve(p, 1.0) for p in range(data.n_dmus))

@@ -335,7 +335,8 @@ def _cell_csv(tri: TriFuzzy) -> str:
 
 
 def write_dataset(data: FuzzyDataset, format: str = "json") -> str:
-    """Serialize a dataset; load_dataset(write_dataset(d), fmt) == d."""
+    """Serialize a dataset; load_dataset(write_dataset(d), fmt) == d, or
+    DataError for a name that CSV cannot hold."""
     if format == "json":
         doc = {
             "name": data.name,
@@ -352,6 +353,15 @@ def write_dataset(data: FuzzyDataset, format: str = "json") -> str:
         }
         return json.dumps(doc, indent=2) + "\n"
     if format == "csv":
+        # The loader strips names, reads any line break as a line feed and
+        # refuses an empty DMU name: refuse what would not read back.
+        for field, names in (("dataset name", [data.name]), ("DMU name", data.dmu_names),
+                             ("column name", data.input_names + data.output_names)):
+            for text in names:
+                empty = field == "DMU name" and not text
+                if empty or text.strip() != text or len(text.splitlines()) > 1:
+                    raise DataError(f"CSV cannot hold {field} {text!r}: a name there is one "
+                                    "line with no white space at its ends, a DMU name not empty")
         out = io.StringIO()
         if data.name:
             out.write(f"# name={data.name}\n")

@@ -10,7 +10,7 @@ tolerance, LP_TOL.  Its pivot loop is default_pivot_loop, the
 pure-Python _speedups.pure.pivot_loop whatever the build, looked up in
 this module at each call, so rebinding linprog.default_pivot_loop swaps
 it.  This simplex serves LpProblem/solve; the models' CCR LPs are solved
-whole by the kernel's mo_solve (see ccr._solve), which mirrors _simplex
+whole by the kernel's mo_solve (see ccr._search), which mirrors _simplex
 step for step.
 """
 

@@ -35,13 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from ._speedups import default_mo_solve
+from . import ccr
 from ._speedups.pure import DEGENERATE, _beta
-from .alphacut import DataLps, reduce_at
-from .ccr import CrispDataset, SelfPolicy, _check_index, _check_policy, _raise
+from .alphacut import reduce_at
+from .ccr import MAX_BISECT, CrispDataset, DataLps, SelfPolicy
+from .ccr import _check_index, _check_policy, _raise
 from .dataio import FuzzyDataset
 from .errors import DataError, DegenerateZStar, RangeError
-from .linprog import ITERS_PER_DIM, LP_TOL
+from .linprog import LP_TOL
 from .trifuzzy import check_alpha, is_finite_real
 # Unused here; perfbench/tracing.py rebinds it by name in this module.
 from .ccr import ccr_efficiency  # noqa: F401
@@ -49,6 +50,7 @@ from .ccr import ccr_efficiency  # noqa: F401
 __all__ = [
     "ALPHA_MODES",
     "DEFAULT_ALPHA_MODE",
+    "MAX_BISECT",
     "MoConfig",
     "MoResult",
     "beta_level",
@@ -62,9 +64,6 @@ __all__ = [
 
 ALPHA_MODES = ("floor", "rescale")
 DEFAULT_ALPHA_MODE = "rescale"
-# Cap on root-search probes per score.  On random 3-8 DMU sets the
-# Illinois search stops after about 2 at the default h_tol.
-MAX_BISECT = 60
 
 
 def _rescale(mode) -> bool:
@@ -179,17 +178,6 @@ def eff_at(data: FuzzyDataset, p: int, h: float, cfg: MoConfig = MoConfig()) -> 
     return lps.solve(p, beta_level(h, cfg.alpha, cfg.alpha_mode)).efficiency
 
 
-def _search(lps: DataLps, p: int, cfgs, levels=()):
-    """The kernel's mo_solve for DMU p, selected in lps: the root search
-    under each of cfgs, (alpha, rescale, h_tol) triples, then the LP at
-    each of levels; returns mo_solve's (found, effs, solved, failure).
-    Looked up here at each call, so a rebinding sees every search."""
-    return default_mo_solve(
-        lps.end, lps.modal, lps.select(p), lps.policy is SelfPolicy.EXCLUDE_SELF,
-        *lps.buffers, lps.n_outputs, LP_TOL, ITERS_PER_DIM, MAX_BISECT, cfgs, levels,
-    )
-
-
 def _fail(name: str, failure):
     """Raise the error of mo_solve's failure for DMU name."""
     kind, status, level, value = failure
@@ -226,7 +214,7 @@ def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult
     if not isinstance(cfg, MoConfig):
         raise TypeError(f"solve_mo takes a MoConfig, got {cfg!r}")
     p = _check_index(data, p)
-    found, _, _, failure = _search(DataLps(data, cfg.policy), p, (_triple(cfg),))
+    found, _, _, failure = ccr._search(DataLps(data, cfg.policy), p, (_triple(cfg),))
     name = data.dmu_names[p]
     if failure is not None:
         _fail(name, failure)
@@ -234,7 +222,7 @@ def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult
 
 
 def _by_dmu(data: FuzzyDataset, cfgs: Sequence[MoConfig], cuts: bool = False):
-    """Check cfgs, then score the DMUs one at a time, one _search per
+    """Check cfgs, then score the DMUs one at a time, one ccr._search per
     self policy on its DataLps.  Returns cfgs as a tuple and, per DMU,
     its mo_solve entry under each cfg and, with cuts, its (optimum, u, v)
     at each cfg's alpha.  A DMU's failures raise as if each cfg were scored
@@ -257,7 +245,7 @@ def _by_dmu(data: FuzzyDataset, cfgs: Sequence[MoConfig], cuts: bool = False):
     for p in range(data.n_dmus):
         found, effs, failures = [None] * len(cfgs), [None] * len(cfgs), []
         for lps, idx, triples, levels in calls:
-            got, at, _, failure = _search(lps, p, triples, levels)
+            got, at, _, failure = ccr._search(lps, p, triples, levels)
             for i, out in zip(idx, got):
                 found[i] = out
             for i, eff in zip(idx, at):

@@ -1,7 +1,7 @@
 """The compiled kernel must be a bit-for-bit twin of the pure one.
 
 Its one entry, mo_solve, is checked two ways: asked for single levels
-with no config, as ccr._solve asks it, where it must write the tableau
+with no config, as DataLps.solve asks it, where it must write the tableau
 linprog._tableau builds and give what linprog._simplex gives on it; and
 running one DMU's whole mo root search on those LPs.  linprog's own
 pivot loop is the pure-Python pure.pivot_loop whatever the build.
@@ -35,13 +35,14 @@ from fuzzydea._speedups.pure import (
     PHASE1_UNBOUNDED,
     UNBOUNDED,
 )
-from fuzzydea.alphacut import DataLps, alphacut_scores
-from fuzzydea.ccr import SelfPolicy
+from fuzzydea.alphacut import alphacut_scores
+from fuzzydea.ccr import DataLps, SelfPolicy
 from fuzzydea.dataio import load_fixture
 from fuzzydea.errors import NumericalBreakdown
-from fuzzydea.mofdea import MAX_BISECT
+from fuzzydea.mofdea import ALPHA_MODES, MAX_BISECT, MoConfig, compare_all, evaluate_all
 from fuzzydea.linprog import ITERS_PER_DIM, LP_TOL, LpStatus, _simplex, _tableau
 from fuzzydea.trifuzzy import toward_modal
+from test_golden import CASES, GOLDEN, render
 
 REPO = Path(__file__).resolve().parent.parent
 REBUILD = "python3 setup.py build_ext --inplace --force"
@@ -71,17 +72,25 @@ KERNELS = [
 ]
 
 
-def unit_ends(data, p):
-    """DMU p's data at levels 0 and 1, as a DataLps hands them to the kernel."""
+def store_arrays(data):
+    """data's low, modal and high arrays, as a DataLps hands them to the kernel."""
     lps = DataLps(data, SelfPolicy.INCLUDE_SELF)
-    lps.select(p)
-    return lps.end, lps.modal
+    return lps.low, lps.modal, lps.high
+
+
+def level0(lp):
+    """lp's data at level 0 as its DMU p sees them: p at low inputs and
+    high outputs, its peers at high inputs and low outputs."""
+    low, modal, high, p, _, s = lp
+    rows, n_dmus = modal.shape
+    inputs = np.arange(rows)[:, None] < rows - s
+    return np.where(inputs == (np.arange(n_dmus) == p), low, high)
 
 
 def ccr_lps(n_sets=40):
-    """(name, lp): lp is (end, modal, p, exclude_self, n_outputs), DMU p's
-    data at levels 0 and 1, for every DMU of both fixtures and one of
-    each of n_sets _datagen sets, under both self policies."""
+    """(name, lp): lp is (low, modal, high, p, exclude_self, n_outputs),
+    a dataset's arrays and DMU p, for every DMU of both fixtures and one
+    of each of n_sets _datagen sets, under both self policies."""
     rng = np.random.default_rng(20261019)
     picks = [(load_fixture(f), p) for f in ("guo_tanaka", "aircraft") for p in range(5)]
     for _ in range(n_sets):
@@ -89,21 +98,22 @@ def ccr_lps(n_sets=40):
         picks.append((data, int(rng.integers(0, data.n_dmus))))
     for data, p in picks:
         for exclude in (False, True):
-            yield f"{data.name}/{p}/{exclude}", (*unit_ends(data, p), p, exclude, data.n_outputs)
+            yield f"{data.name}/{p}/{exclude}", (*store_arrays(data), p, exclude, data.n_outputs)
 
 
 def run_ccr(kernel, lp, level, iters_per_dim=ITERS_PER_DIM):
-    """kernel's mo_solve asked for lp's LP at level alone, as ccr._solve
-    asks it, from fixed initial buffers: (status, value, u, v), where a
-    failure's value is its iteration cap and u and v are None, and the
-    work tableau and basis.  The call must report the one LP it ran."""
-    end, modal, p, exclude, s = lp
-    rows, n_dmus = end.shape
+    """kernel's mo_solve asked for lp's LP at level alone, as
+    DataLps.solve asks it, from fixed initial buffers: (status, value, u,
+    v), where a failure's value is its iteration cap and u and v are
+    None, and the work tableau and basis.  The call must report the one
+    LP it ran."""
+    low, modal, high, p, exclude, s = lp
+    rows, n_dmus = modal.shape
     k = n_dmus - exclude
     work = np.full((k + 3, rows + k + 2), 7.0)
     basis = np.full(k + 1, 3, dtype=np.int64)
     found, effs, solved, failure = kernel(
-        end, modal, p, exclude, work, basis, s, LP_TOL, iters_per_dim, 0, (), (level,))
+        low, modal, high, p, exclude, work, basis, s, LP_TOL, iters_per_dim, 0, (), (level,))
     assert found == () and [x.hex() for x in solved] == [float(level).hex()]
     if failure is None:
         return (OPTIMAL, *effs[0]), work, basis
@@ -122,8 +132,8 @@ def simplex_reference(lp, level):
     """The starting tableau that linprog._tableau builds for lp's LP on
     the data at level, and what linprog._simplex gives on it: (status,
     value, u, v), or the message of its NumericalBreakdown."""
-    end, modal, p, exclude, s = lp
-    X = toward_modal(end, modal, level)
+    _, modal, _, p, exclude, s = lp
+    X = toward_modal(level0(lp), modal, level)
     c, A, rels, b = reference_lp(X[: len(X) - s], X[len(X) - s :], p, exclude)
     T, basis, n_art = _tableau(c, A, rels, b)
     start = T.copy()
@@ -151,12 +161,12 @@ def crafted_lps():
     # of 2.2e7 (< -tol) and its entries are at most 2.2e7 / 4.2e16 <= tol.
     vast = np.array([[4.2e16, 1.3e16], [2.2e7, 1.7e7], [6.7, 9.9]])
     return [
-        ("infeasible", (neg, neg, 0, True, 1), 1.0, INFEASIBLE),
-        ("infeasible, p a peer", (neg, neg, 0, False, 1), 1.0, INFEASIBLE),
-        ("no peer", (solo, solo, 0, True, 1), 1.0, UNBOUNDED),
-        ("phase-1 unbounded", (vast, vast, 0, True, 1), 1.0, PHASE1_UNBOUNDED),
+        ("infeasible", (neg, neg, neg, 0, True, 1), 1.0, INFEASIBLE),
+        ("infeasible, p a peer", (neg, neg, neg, 0, False, 1), 1.0, INFEASIBLE),
+        ("no peer", (solo, solo, solo, 0, True, 1), 1.0, UNBOUNDED),
+        ("phase-1 unbounded", (vast, vast, vast, 0, True, 1), 1.0, PHASE1_UNBOUNDED),
         # 0.7 * 1.3 + 0.3 * 1.3 and 0.7 * 3.3 + 0.3 * 3.3 miss by an ulp
-        ("crisp cells", (spread, SMALL, 0, True, 1), 0.3, OPTIMAL),
+        ("crisp cells", (spread, SMALL, spread, 0, True, 1), 0.3, OPTIMAL),
     ]
 
 
@@ -185,39 +195,40 @@ def assert_ccr_twin(kernel):
             assert ref == "phase 1 reported an unbounded tableau"
         else:
             assert ref == status, name
-    spread, modal = crafted_lps()[-1][1][:2]
-    start = run_ccr(kernel, (spread, modal, 0, True, 1), 0.3, 0)[1]
+    start = run_ccr(kernel, crafted_lps()[-1][1], 0.3, 0)[1]
     assert (start[0, 1:3].tolist(), start[-1, 0]) == ([1.3, 1.0], 3.3)
 
 
 def assert_ccr_errors(kernel):
     """Bad data, the iteration cap and misshapen buffers."""
-    end, modal = unit_ends(load_fixture("guo_tanaka"), 1)
+    low, modal, high = store_arrays(load_fixture("guo_tanaka"))
     half = modal * 0.5  # at level -1 every cell that moves reaches 0
     huge = np.full_like(modal, 1e308)  # at level -1 every cell overflows
     for lo, level in ((half, -1.0), (huge, -1.0), (half, np.nan)):
-        out, _, basis = run_ccr(kernel, (lo, modal, 1, False, 2), level)
+        out, _, basis = run_ccr(kernel, (lo, modal, lo, 1, False, 2), level)
         assert out == (BAD_DATA, 0.0, None, None)
         assert basis.tolist() == [3] * len(basis)  # untouched
-    assert run_ccr(kernel, (end, modal, 1, False, 2), 0.5, iters_per_dim=0)[0] == (
+    assert run_ccr(kernel, (low, modal, high, 1, False, 2), 0.5, iters_per_dim=0)[0] == (
         PHASE1_ITER_LIMIT, 0.0, None, None)
 
-    rows, n = end.shape  # include-self: n peers
+    rows, n = modal.shape  # include-self: n peers
     work, basis = np.zeros((n + 3, rows + n + 2)), np.zeros(n + 1, dtype=np.int64)
     bad = [
-        (end, modal, 1, False, work, basis[:-1], 2),  # basis one entry short
-        (end, modal, 1, False, work, np.zeros(n + 2, dtype=np.int64), 2),
-        (end, modal, 1, True, work, basis, 2),  # buffers of include-self
-        (end, modal, 1, False, work[:, :-1], basis, 2),  # work of another shape
-        (end, modal[:, :-1], 1, False, work, basis, 2),  # modal of another shape
-        (end, modal, 1, False, work.ravel(), basis, 2),  # 1-D work
-        (end, modal, 1, False, work, basis, rows + 1),  # more outputs than rows
-        (end, modal, n, False, work, basis, 2),  # p out of range
-        (end, modal, -1, False, work, basis, 2),
-        (end[:0], modal[:0], 1, False, work[:, rows:], basis, 0),  # no data rows
+        (low, modal, high, 1, False, work, basis[:-1], 2),  # basis one entry short
+        (low, modal, high, 1, False, work, np.zeros(n + 2, dtype=np.int64), 2),
+        (low, modal, high, 1, True, work, basis, 2),  # buffers of include-self
+        (low, modal, high, 1, False, work[:, :-1], basis, 2),  # work of another shape
+        (low, modal[:, :-1], high, 1, False, work, basis, 2),  # modal of another shape
+        (low[:, :-1], modal, high, 1, False, work, basis, 2),  # low of another shape
+        (low, modal, high[:-1], 1, False, work, basis, 2),  # high of another shape
+        (low, modal, high, 1, False, work.ravel(), basis, 2),  # 1-D work
+        (low, modal, high, 1, False, work, basis, rows + 1),  # more outputs than rows
+        (low, modal, high, n, False, work, basis, 2),  # p out of range
+        (low, modal, high, -1, False, work, basis, 2),
+        (low[:0], modal[:0], high[:0], 1, False, work[:, rows:], basis, 0),  # no data rows
     ]
     for args in bad:
-        w = args[4]
+        w = args[5]
         before = w.copy()
         with pytest.raises(ValueError):
             kernel(*args, LP_TOL, ITERS_PER_DIM, 0, (), (0.5,))
@@ -233,12 +244,12 @@ MO_CFGS = tuple((a, rescale, 1e-6) for a in MO_ALPHAS for rescale in (False, Tru
 def run_mo(kernel, lp, cfgs=MO_CFGS, levels=MO_ALPHAS, iters_per_dim=ITERS_PER_DIM,
            max_probes=MAX_BISECT):
     """kernel's mo_solve result, work tableau and basis, from fixed buffers."""
-    end, modal, p, exclude, s = lp
-    rows, n_dmus = end.shape
+    low, modal, high, p, exclude, s = lp
+    rows, n_dmus = modal.shape
     k = n_dmus - exclude
     work = np.full((k + 3, rows + k + 2), 7.0)
     basis = np.full(k + 1, 3, dtype=np.int64)
-    out = kernel(end, modal, p, exclude, work, basis, s, LP_TOL, iters_per_dim,
+    out = kernel(low, modal, high, p, exclude, work, basis, s, LP_TOL, iters_per_dim,
                  max_probes, cfgs, levels)
     return out, work, basis
 
@@ -267,12 +278,13 @@ def mo_cases():
     tiny = SMALL.copy()  # p = 0's output: z* about 1e-12
     tiny[2, 0] = 1e-12
     solo = np.ones((2, 1))
-    lp = (*unit_ends(load_fixture("guo_tanaka"), 1), 1, True, 2)
-    half = (lp[1] * 0.5, *lp[1:])  # at level -1 every cell that moves reaches 0
+    lp = (*store_arrays(load_fixture("guo_tanaka")), 1, True, 2)
+    # at level -1 every cell that moves reaches 0
+    half = (lp[1] * 0.5, lp[1], lp[1] * 0.5, *lp[3:])
     ok, bad = (0.5, True, 1e-6), (-1.0, True, 1e-6)  # bad: z* at level -1
     return cases + [
-        ("degenerate z*", (tiny, tiny, 0, True, 1), {}, DEGENERATE, OPTIMAL, 0, 0),
-        ("no peer", (solo, solo, 0, True, 1), {}, LP_FAILED, UNBOUNDED, 0, 0),
+        ("degenerate z*", (tiny, tiny, tiny, 0, True, 1), {}, DEGENERATE, OPTIMAL, 0, 0),
+        ("no peer", (solo, solo, solo, 0, True, 1), {}, LP_FAILED, UNBOUNDED, 0, 0),
         ("iteration cap", lp, {"iters_per_dim": 0}, LP_FAILED, PHASE1_ITER_LIMIT, 0, 0),
         ("second config", half, {"cfgs": (ok, bad)}, LP_FAILED, BAD_DATA, 1, 0),
         ("second level", half, {"cfgs": (ok,), "levels": (0.5, -1.0)},
@@ -294,24 +306,67 @@ def assert_mo_twin(kernel):
         assert (None if failure is None else failure[:2]) == (
             None if kind is None else (kind, status)), name
         assert len(set(solved)) == len(solved), name
-    end, modal, p, exclude, s = lp
+    low, modal, high, p, exclude, s = lp
     work, basis = np.zeros((3, 3)), np.zeros(2, dtype=np.int64)
     with pytest.raises(ValueError, match="no CCR LP"):
-        kernel(end, modal, p, exclude, work, basis, s, LP_TOL, 1, 1, MO_CFGS, ())
+        kernel(low, modal, high, p, exclude, work, basis, s, LP_TOL, 1, 1, MO_CFGS, ())
+
+
+def through_ccr_binding(kernel, run, monkeypatch):
+    """run() with ccr.default_mo_solve rebound to a counting wrapper of
+    kernel; returns run's result once every call of either kernel's
+    mo_solve is seen to have come through the wrapper, and there was one."""
+    calls, entries, inside = [0], [], [False]
+
+    def counted(*args):
+        calls[0] += 1
+        inside[0] = True
+        try:
+            return kernel(*args)
+        finally:
+            inside[0] = False
+
+    def profile(frame, event, arg):
+        # The compiled entry shows as a C call, the pure one as a frame.
+        if (event == "c_call" and arg is fast_mo_solve) or (
+                event == "call" and frame.f_code is pure_mo_solve.__code__):
+            entries.append(inside[0])
+
+    monkeypatch.setattr(ccr, "default_mo_solve", counted)
+    sys.setprofile(profile)
+    try:
+        out = run()
+    finally:
+        sys.setprofile(None)
+    assert calls[0] > 0 and entries == [True] * calls[0]
+    return out
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_one_binding_serves_every_model(kernel, monkeypatch):
+    # Every command's report on both fixtures keeps its golden bytes with
+    # ccr.default_mo_solve rebound, and every kernel call goes through it.
+    for name, argv in CASES:
+        got = through_ccr_binding(kernel, lambda: render(argv), monkeypatch)
+        assert got == (GOLDEN / name).read_bytes(), name
 
 
 @needs_fast
 class TestKernelTwins:
-    def test_ccr_pipeline_identical(self, gt, monkeypatch):
-        # The model code looks the kernel up at call time, so swapping
-        # ccr.default_mo_solve runs the whole pipeline on each.
-        def score_bits(kernel, alpha):
-            monkeypatch.setattr(ccr, "default_mo_solve", kernel)
-            return [s.score.hex() for s in alphacut_scores(gt, alpha)]
+    def test_ccr_pipeline_identical(self, gt, ac, monkeypatch):
+        # The models look the kernel up in ccr at call time, so swapping
+        # ccr.default_mo_solve runs the whole pipeline on each.  repr
+        # round-trips a float, so equal reprs are equal bits.
+        cfgs = [MoConfig(alpha=a, policy=policy, alpha_mode=mode)
+                for a in MO_ALPHAS for policy in SelfPolicy for mode in ALPHA_MODES]
 
-        for alpha in (0.0, 0.5):
-            pure = score_bits(pure_mo_solve, alpha)
-            assert score_bits(fast_mo_solve, alpha) == pure
+        def run_all(data):
+            cuts = [alphacut_scores(data, a, policy) for a in MO_ALPHAS for policy in SelfPolicy]
+            return repr((cuts, evaluate_all(data, cfgs), compare_all(data, cfgs)))
+
+        for data in (gt, ac):
+            pure = through_ccr_binding(pure_mo_solve, lambda: run_all(data), monkeypatch)
+            assert through_ccr_binding(fast_mo_solve, lambda: run_all(data), monkeypatch) == pure
 
 
 def test_short_basis_raises():
@@ -355,7 +410,8 @@ def test_mo_solve_reports_each_lp_it_runs(monkeypatch):
     runs = []
     solve = pure._solve_ccr
     monkeypatch.setattr(
-        pure, "_solve_ccr", lambda E, M, level, *a: runs.append(level) or solve(E, M, level, *a)
+        pure, "_solve_ccr",
+        lambda L, M, H, level, *a: runs.append(level) or solve(L, M, H, level, *a),
     )
     for name, lp in ccr_lps(10):
         runs.clear()
@@ -431,11 +487,13 @@ class TestBackendSelection:
 
     def test_stale_compiled_module_is_not_mixed_in(self):
         # No entry of a compiled module without the current KERNEL_API
-        # may be used: an older fast.c with pivot_loop and no tag, or one
+        # may be used: an older fast.c with pivot_loop and no tag, one
         # with the three entries of KERNEL_API 2 or 3, a same-named
-        # mo_solve among them.
+        # mo_solve among them, or one whose mo_solve takes the two
+        # arrays of KERNEL_API 4.
         for stale in ("", *(f"stale.ccr_solve = stale.mo_solve = stale.pivot_loop\n"
-                            f"stale.KERNEL_API = {api}\n" for api in (2, 3))):
+                            f"stale.KERNEL_API = {api}\n" for api in (2, 3)),
+                      "stale.mo_solve = stale.pivot_loop\nstale.KERNEL_API = 4\n"):
             code = (
                 "import sys, types\n"
                 "stale = types.ModuleType('fuzzydea._speedups.fast')\n"

@@ -8,8 +8,8 @@ from fuzzydea._speedups.pure import LP_FAILED, PHASE1_ITER_LIMIT
 from fuzzydea.alphacut import modal_reduce
 from fuzzydea.ccr import (
     CrispDataset,
+    DataLps,
     SelfPolicy,
-    _lp_buffers,
     ccr_efficiency,
     ccr_scores,
 )
@@ -155,15 +155,16 @@ class TestArrayPath:
     @pytest.mark.parametrize("scale", [1.0, 1e9, 1e-9])
     @pytest.mark.parametrize("policy", list(SelfPolicy))
     def test_tableau_bytes_equal_general_builder(self, policy, scale):
-        # With no pivot allowed the kernel stops at its starting tableau.
+        # With no pivot allowed the kernel stops at its starting tableau,
+        # written from a crisp store's arrays into its buffers.
         for data in scaled_sets(29, scale):
-            X = np.concatenate((data.inputs, data.outputs))
+            lps = DataLps(data, policy)
+            work, basis = lps.buffers
             for p in range(data.n_dmus):
                 T = _tableau(*lp_of(data, p, policy))[0]
-                work, basis = _lp_buffers(X, policy)
                 out = ccr.default_mo_solve(
-                    X, X, p, policy is SelfPolicy.EXCLUDE_SELF, work, basis,
-                    data.n_outputs, LP_TOL, 0, 0, (), (1.0,),
+                    lps.low, lps.modal, lps.high, p, policy is SelfPolicy.EXCLUDE_SELF,
+                    work, basis, data.n_outputs, LP_TOL, 0, 0, (), (1.0,),
                 )
                 assert out[3] == (LP_FAILED, PHASE1_ITER_LIMIT, 1.0, 0.0)
                 assert work.tobytes() == T.tobytes()

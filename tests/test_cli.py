@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from fuzzydea import ccr, mofdea
+from fuzzydea import ccr
 from fuzzydea.alphacut import alphacut_scores
 from fuzzydea.ccr import SelfPolicy
 from fuzzydea.cli import main
@@ -176,9 +176,8 @@ class TestExitCodes:
         self, capsys, monkeypatch, sub, alphas, message
     ):
         lps = []
-        solve, search = ccr._solve, mofdea._search
-        monkeypatch.setattr(ccr, "_solve", lambda *a: lps.append(a) or solve(*a))
-        monkeypatch.setattr(mofdea, "_search", lambda *a: lps.append(a) or search(*a))
+        search = ccr._search
+        monkeypatch.setattr(ccr, "_search", lambda *a: lps.append(a) or search(*a))
         code, out, err = run(
             capsys, *sub, "--data", "fixture:guo_tanaka", "--alpha", alphas
         )
@@ -191,7 +190,7 @@ class TestExitCodes:
         def failing(lps, p, cfgs, levels=()):
             raise exc(f"CCR multiplier model for DMU {lps.names[p]!r} failed")
 
-        monkeypatch.setattr(mofdea, "_search", failing)
+        monkeypatch.setattr(ccr, "_search", failing)
         code, out, err = run(
             capsys, *sub, "--data", "fixture:guo_tanaka", "--alpha", "0,0.5"
         )

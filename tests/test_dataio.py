@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,30 @@ class TestRoundTrip:
         for ds in (gt, ac, load_dataset(GOOD_JSON, "json")):
             again = load_dataset(write_dataset(ds, fmt), fmt)
             assert again == ds
+
+    # Each name the CSV loader would refuse or read back otherwise.
+    @pytest.mark.parametrize("field,name", [
+        ("dataset name", "a\nb"),
+        ("dataset name", "a\rb"),
+        ("dataset name", " pad "),
+        ("DMU name", " A"),
+        ("DMU name", ""),
+        ("DMU name", "a\r\nb"),
+        ("column name", "I1 "),
+    ])
+    def test_csv_refuses_a_name_it_cannot_read_back(self, field, name):
+        ds = load_dataset(GOOD_JSON, "json")
+        ds = replace(ds, **{
+            "dataset name": {"name": name},
+            "DMU name": {"dmus": (replace(ds.dmus[0], name=name), *ds.dmus[1:])},
+            "column name": {"input_names": (name,)},
+        }[field])
+        with pytest.raises(DataError) as err:
+            write_dataset(ds, "csv")
+        assert str(err.value) == (
+            f"CSV cannot hold {field} {name!r}: a name there is one line with no "
+            "white space at its ends, a DMU name not empty")
+        assert load_dataset(write_dataset(ds, "json"), "json") == ds
 
     def test_write_marks_crisp_cells_as_scalars(self, ac):
         doc = json.loads(write_dataset(ac, "json"))

@@ -81,7 +81,7 @@ STORE_CASES = tuple(
 
 @pytest.mark.parametrize("name,argv", STORE_CASES, ids=[c[0] for c in STORE_CASES])
 def test_every_model_scores_through_the_lp_store(name, argv, monkeypatch):
-    # Every model solves its LPs from a dataset's alphacut.DataLps; none
+    # Every model solves its LPs from a dataset's ccr.DataLps; none
     # reduces the data to a CrispDataset (reduce_at builds one) first.
     def refuse(self):
         raise AssertionError("a model built a CrispDataset")

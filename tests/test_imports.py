@@ -5,11 +5,13 @@ No linter runs on this package, so this is what keeps an import that a
 refactor left behind from lingering.  perfbench/tracing.py rebinds
 names by (module, attribute); an import that only the tracer needs is
 allowed for that module alone, and carries a comment saying so.  It
-also checks that importing fuzzydea loads numpy, which the benchmark's
-set-up probe relies on.
+also checks that the package calls the kernel from ccr._search alone,
+and that importing fuzzydea loads numpy, which the benchmark's set-up
+probe relies on.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from fuzzydea import ccr
 from test_trace_names import load_traced
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fuzzydea"
@@ -62,6 +65,20 @@ def test_every_import_is_used_exported_or_traced(path):
     keep = used | _all(tree) | traced
     unused = [(name, line) for name, line in _imported(tree) if name not in keep]
     assert unused == [], f"{path.relative_to(SRC)}: unused imports {unused}"
+
+
+def test_one_call_site_reaches_the_kernel():
+    # Every LP of every model goes through ccr._search, so rebinding
+    # ccr.default_mo_solve (or tracing ccr._search) sees them all.
+    calls = [
+        _module_name(path)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "default_mo_solve"
+    ]
+    assert calls == ["ccr"]
+    assert "default_mo_solve(" in inspect.getsource(ccr._search)
 
 
 def test_import_fuzzydea_keeps_numpy_loaded():

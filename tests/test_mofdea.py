@@ -12,14 +12,13 @@ from _datagen import crisp_fuzzy_dataset, random_dataset
 from _oracles import grid_h_star
 from fuzzydea import ccr, mofdea
 from fuzzydea.alphacut import (
-    DataLps,
     alphacut_reduce,
     alphacut_scores,
     modal_reduce,
     pessimistic_reduce,
     pessimistic_scores,
 )
-from fuzzydea.ccr import SelfPolicy, ccr_efficiency, ccr_scores
+from fuzzydea.ccr import DataLps, SelfPolicy, ccr_efficiency, ccr_scores
 from fuzzydea.cli import DEFAULT_ALPHAS, main
 from fuzzydea.dataio import FuzzyDataset, FuzzyDmu, load_fixture
 from fuzzydea._speedups.pure import BAD_DATA, LP_FAILED
@@ -226,8 +225,7 @@ class TestSolveMo:
     def test_cfg_must_be_a_moconfig(self, gt, monkeypatch):
         # MoConfig checks alpha and mode once; solve_mo's probes then
         # skip those checks, so a look-alike must not get that far.
-        monkeypatch.setattr(ccr, "_solve", lambda *a: pytest.fail("an LP was solved"))
-        monkeypatch.setattr(mofdea, "_search", lambda *a: pytest.fail("an LP was solved"))
+        monkeypatch.setattr(ccr, "_search", lambda *a: pytest.fail("an LP was solved"))
         fake = SimpleNamespace(
             alpha=2.0, policy=SelfPolicy.EXCLUDE_SELF, h_tol=1e-6, alpha_mode="bogus"
         )
@@ -346,22 +344,17 @@ class TestRootAccuracy:
 
 
 def _count_lps(monkeypatch):
-    """Counter of the LPs solved from now on, by DMU name: one per
-    ccr._solve call, and one per level that a mofdea._search call solved."""
+    """Counter of the LPs solved from now on, by DMU name: one per level
+    that a ccr._search call solved."""
     lps = collections.Counter()
-    solve, search = ccr._solve, mofdea._search
-
-    def counted(X, n_outputs, name, policy):
-        lps[name] += 1
-        return solve(X, n_outputs, name, policy)
+    search = ccr._search
 
     def searched(store, p, cfgs, levels=()):
         out = search(store, p, cfgs, levels)
         lps[store.names[p]] += len(out[2])
         return out
 
-    monkeypatch.setattr(ccr, "_solve", counted)
-    monkeypatch.setattr(mofdea, "_search", searched)
+    monkeypatch.setattr(ccr, "_search", searched)
     return lps
 
 
@@ -391,7 +384,7 @@ def _standalone_scores(lps):
 
 
 class TestLpCounts:
-    """LPs of the mo model, counted at mofdea._search: per standalone
+    """LPs of the mo model, counted at ccr._search: per standalone
     score, and per DMU of a report, whose scores share their LPs."""
 
     def test_fixture_lp_budget(self, monkeypatch):
@@ -410,14 +403,14 @@ class TestLpCounts:
     def test_cli_solves_each_level_of_a_dmu_once(self, monkeypatch):
         lps = _count_lps(monkeypatch)
         solved = collections.defaultdict(list)  # DMU name -> levels solved
-        search = mofdea._search
+        search = ccr._search
 
         def recorded(store, p, cfgs, levels=()):
             out = search(store, p, cfgs, levels)
             solved[store.names[p]].extend(out[2])
             return out
 
-        monkeypatch.setattr(mofdea, "_search", recorded)
+        monkeypatch.setattr(ccr, "_search", recorded)
         totals = {}
         for sub in (("eval", "--model", "mo"), ("compare",)):
             for fixture, policy, mode in FIXTURE_GRID:
@@ -448,7 +441,7 @@ class TestLpCounts:
             ("aircraft", "rescale"): 71,
             ("aircraft", "floor"): 63,
         }
-        monkeypatch.setattr(mofdea, "_search", search)
+        monkeypatch.setattr(ccr, "_search", search)
         lps.clear()
         standalone = sum(n for _, n, _ in _standalone_scores(lps))
         assert sum(n for k, n in totals.items() if k[0] == "eval") < standalone
@@ -525,14 +518,14 @@ class TestEvaluateAllEquivalence:
 
 
 class TestDmuLps:
-    """A DMU's LPs, selected from a dataset's DataLps."""
+    """A DMU's LPs, solved from a dataset's DataLps."""
 
     def test_bad_index_and_policy_refused(self, gt):
         lps = DataLps(gt, SelfPolicy.EXCLUDE_SELF)
         with pytest.raises(DataError, match="DMU index"):
             lps.solve(5, 0.5)
         with pytest.raises(DataError, match="DMU index"):
-            lps.select(-1)
+            lps.solve(-1, 0.5)
         with pytest.raises(RangeError, match="self policy"):
             DataLps(gt, "exclude-self")
 
@@ -593,7 +586,7 @@ class TestFirstFailure:
         ((EX, IN, IN, EX), {EX: 2, IN: 1}, True, 0.75),
     ])
     def test_first_in_cfg_order(self, gt, monkeypatch, order, at, cuts, level):
-        search = mofdea._search
+        search = ccr._search
         tag = {EX: 0.25, IN: 0.75}
 
         def failing(lps, p, triples, cut_levels=()):
@@ -604,7 +597,7 @@ class TestFirstFailure:
             failure = (LP_FAILED, BAD_DATA, tag[lps.policy], 0.0)
             return found[:k], effs[:max(0, k - len(triples))], solved, failure
 
-        monkeypatch.setattr(mofdea, "_search", failing)
+        monkeypatch.setattr(ccr, "_search", failing)
         cfgs = [MoConfig(alpha=0.5 * (i // 2), policy=pol) for i, pol in enumerate(order)]
         run = mofdea.compare_all if cuts else evaluate_all
         with pytest.raises(DataError, match=f"^data at level {level} for DMU 'D2' "):
@@ -637,7 +630,7 @@ def _digest(out):
 # Every public entry that takes a DMU index p, on fixture:guo_tanaka.
 INDEX_ENTRIES = {
     "ccr_efficiency": lambda d, p: ccr_efficiency(modal_reduce(d), p),
-    # DMU p's LP, selected from its dataset's DataLps
+    # DMU p's LP, solved from its dataset's DataLps
     "DmuLps": lambda d, p: DataLps(d, SelfPolicy.EXCLUDE_SELF).solve(p, 0.5),
     "alphacut_reduce": lambda d, p: alphacut_reduce(d, p, 0.5),
     "pessimistic_reduce": lambda d, p: pessimistic_reduce(d, p, 0.5),
@@ -666,7 +659,7 @@ class TestDmuIndex:
 POLICY_ENTRIES = {
     "ccr_efficiency": lambda d, pol: ccr_efficiency(modal_reduce(d), 1, pol),
     "ccr_scores": lambda d, pol: ccr_scores(modal_reduce(d), pol),
-    # DMU 1's LP, selected from its dataset's DataLps
+    # DMU 1's LP, solved from its dataset's DataLps
     "DmuLps": lambda d, pol: DataLps(d, pol).solve(1, 0.5),
     "alphacut_scores": lambda d, pol: alphacut_scores(d, 0.0, pol),
     "pessimistic_scores": lambda d, pol: pessimistic_scores(d, 0.0, pol),

@@ -1,12 +1,12 @@
-"""DataLps: every model's CCR LPs, solved from two data ends.
+"""DataLps: every model's CCR LPs, solved from a dataset's bounds.
 
 The alpha-cuts, crisp CCR at level 1 and the mo model's z* and probes
-all solve a DMU's LP at a data level from one alphacut.DataLps per
-dataset, self policy and favor_p, which selects the DMU by swapping its
-column into one scratch array.  Its LP for DMU p at level beta must
-give what ccr_efficiency gives on reduce_at(data, p, beta, favor_p), bit
-for bit, on either kernel and with either favor_p, whichever DMUs the
-store served before.
+all solve a DMU's LP at a data level from one ccr.DataLps per dataset,
+self policy and favor_p, which keeps the dataset's low, modal and high
+arrays as they are; the kernel picks each DMU's ends from them.  Its LP
+for DMU p at level beta must give what ccr_efficiency gives on
+reduce_at(data, p, beta, favor_p), bit for bit, on either kernel and
+with either favor_p, whichever DMUs the store served before.
 """
 
 import numpy as np
@@ -15,13 +15,13 @@ import pytest
 from _datagen import random_dataset
 from fuzzydea import ccr
 from fuzzydea._speedups import fast_mo_solve, pure_mo_solve
-from fuzzydea.alphacut import DataLps, reduce_at
-from fuzzydea.ccr import CrispDataset, SelfPolicy, ccr_efficiency
+from fuzzydea.alphacut import reduce_at
+from fuzzydea.ccr import CrispDataset, DataLps, SelfPolicy, ccr_efficiency
 from fuzzydea.dataio import FuzzyDataset, FuzzyDmu
 from fuzzydea.errors import DataError, NumericalBreakdown, SolverFailure
 from fuzzydea.mofdea import reduced_data
 from fuzzydea.trifuzzy import TriFuzzy, toward_modal
-from test_backends import KERNELS, needs_fast
+from test_backends import KERNELS, level0, needs_fast
 
 
 def bits(res):
@@ -57,8 +57,8 @@ def test_probe_equals_ccr_on_reduced_data(kernel, policy, favor_p, monkeypatch):
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("policy,favor_p", POLICY_ENDS)
 def test_one_store_serves_every_dmu_in_any_order(kernel, policy, favor_p, monkeypatch):
-    # The DMUs come in a shuffled order with repeats, so each swap puts
-    # back a column that another DMU's LP must see at its peer ends.
+    # The DMUs come in a shuffled order with repeats, so each DMU's LP
+    # must see every other DMU at its peer ends, whoever came before.
     monkeypatch.setattr(ccr, "default_mo_solve", kernel)
     rng = np.random.default_rng(20261019)
     for _ in range(15):
@@ -70,7 +70,6 @@ def test_one_store_serves_every_dmu_in_any_order(kernel, policy, favor_p, monkey
             beta = float(rng.choice([0.0, 1.0, rng.random()]))
             ref = ccr_efficiency(reduce_at(data, p, beta, favor_p), p, policy=policy)
             assert bits(lps.solve(p, beta)) == bits(ref), (p, beta)
-            assert lps.p == p
 
 
 @needs_fast
@@ -111,26 +110,23 @@ def test_reused_work_buffer_leaks_no_state(kernel, monkeypatch):
 
 
 @pytest.mark.parametrize("favor_p", [True, False])
-def test_ends_take_each_dmus_support_end(favor_p):
-    # The store and reduce_at share one end helper.  With favor_p, the
-    # selected p sits at low inputs and high outputs and its peers at
-    # the opposite ends; without, the roles swap.
+def test_low_and_high_give_reduce_ats_ends(favor_p):
+    # The store keeps the dataset's bounds as they are, no copy made, low
+    # and high swapped without favor_p.  Read by the kernel's rule (p at
+    # low inputs and high outputs, its peers at the other ends), they
+    # give reduce_at's data at level 0 for every p, bit for bit.
     rng = np.random.default_rng(17)
     for _ in range(10):
         data = random_dataset(rng, n_dmus=int(rng.integers(2, 9)))
-        m = data.n_inputs
         lower, modal, upper = data.bounds
-        best = np.concatenate((lower[:m], upper[m:]))
-        worst = np.concatenate((upper[:m], lower[m:]))
         lps = DataLps(data, SelfPolicy.EXCLUDE_SELF, favor_p)
-        for p in [*rng.permutation(data.n_dmus).tolist(), 0, data.n_dmus - 1, 0]:
-            assert lps.select(p) == p
-            end, mid = lps.end, lps.modal
-            for j in range(data.n_dmus):
-                want = best if (j == p) == favor_p else worst
-                assert end[:, j].tolist() == want[:, j].tolist()
-            assert mid.tolist() == modal.tolist()
+        ends = (lower, modal, upper) if favor_p else (upper, modal, lower)
+        for got, want in zip((lps.low, lps.modal, lps.high), ends):
+            assert got.base is data.bounds and got.flags.c_contiguous
+            assert got.__array_interface__ == want.__array_interface__
+        for p in range(data.n_dmus):
             crisp = reduce_at(data, p, 0.0, favor_p)
+            end = level0((lps.low, lps.modal, lps.high, p, True, data.n_outputs))
             assert end.tobytes() == np.vstack((crisp.inputs, crisp.outputs)).tobytes()
 
 
@@ -185,7 +181,7 @@ def test_iteration_cap_reaches_the_probe(monkeypatch):
 
     def capped(*args):
         calls.append(args[-2:])  # configs and levels
-        return kernel(*args[:8], 0, *args[9:])
+        return kernel(*args[:9], 0, *args[10:])
 
     data = random_dataset(np.random.default_rng(3), n_dmus=4)
     lps = DataLps(data, SelfPolicy.INCLUDE_SELF)
