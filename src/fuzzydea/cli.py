@@ -28,12 +28,11 @@ from .dataio import (
     write_report,
 )
 from .errors import FuzzyDeaError, NumericalBreakdown, SolverFailure
-from .mofdea import ALPHA_MODES, DEFAULT_ALPHA_MODE, MoConfig, _rankings, compare_all, z_star
+from .mofdea import ALPHA_MODES, DEFAULT_ALPHA_MODE, MoConfig, compare_all, evaluate_all, z_star
 from .trifuzzy import check_alpha
 # Unused here; perfbench/tracing.py rebinds them by name in this module.
 from .alphacut import modal_reduce  # noqa: F401
 from .ccr import ccr_efficiency  # noqa: F401
-from .mofdea import evaluate_all  # noqa: F401
 
 __all__ = ["main"]
 
@@ -176,12 +175,12 @@ def _eval_report(args) -> Report:
         ]
         return Report(args.model, policy.value, tuple(alphas), tuple(rows))
 
-    # evaluate_all's ranking, but rows straight from the kernel's (h*, eff, z*, ...)
+    # Each ranking comes in rank order; the report lists the DMUs in dataset order.
+    index = {name: j for j, name in enumerate(data.dmu_names)}
     rows = []
-    for a, (_, outs, order) in zip(alphas, _rankings(data, _mo_configs(alphas, policy, args))):
-        places = sorted(range(len(order)), key=order.__getitem__)  # j's place in order
-        rows += [ReportRow(name, a, out[1], out[0], out[2], None, place + 1)
-                 for name, out, place in zip(data.dmu_names, outs, places)]
+    for a, ranking in zip(alphas, evaluate_all(data, _mo_configs(alphas, policy, args))):
+        rows += [ReportRow(r.dmu, a, r.efficiency, r.h_star, r.z_star, None, r.rank)
+                 for r in sorted(ranking, key=lambda r: index[r.dmu])]
     return Report("mo", policy.value, tuple(alphas), tuple(rows))
 
 

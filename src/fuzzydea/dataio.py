@@ -13,12 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -398,8 +397,7 @@ def load_fixture(name: str) -> FuzzyDataset:
 # Reports
 
 
-@dataclass(frozen=True, slots=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     dmu: str
     alpha: float
     score: float
@@ -499,21 +497,15 @@ def _report_md(report: Report) -> str:
 def _report_csv(report: Report) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["model", "policy", *_ROW_KEYS])
-    for r in report.rows:  # the writer writes None as ""
-        writer.writerow([report.model, report.policy, r.dmu, repr(r.alpha), repr(r.score),
-                         *[x if x is None else repr(x) for x in (r.h_star, r.z_star, r.mo_score)],
-                         r.rank])
+    writer.writerow(["model", "policy", *ReportRow._fields])
+    # The writer writes None as "", and a float in full (str is repr for a float).
+    writer.writerows((report.model, report.policy, *r) for r in report.rows)
     return out.getvalue()
 
 
 # json's words for the constants, and for the floats repr spells otherwise
 _JSON_WORDS = {None: "null", True: "true", False: "false",
                "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-_ROW_KEYS = tuple(f.name for f in fields(ReportRow))
-_row_values = attrgetter(*_ROW_KEYS)
 
 
 def _json_scalar(x) -> str:
@@ -537,7 +529,7 @@ def _row_templates(kinds):
     value's _json_scalar text.  fast, unless None, takes dmu's json text
     and the other values, each a float or an int, for "%r" to write."""
     pieces, fast = [], kinds[0] is str
-    for k, (key, kind) in enumerate(zip(_ROW_KEYS, kinds)):
+    for k, (key, kind) in enumerate(zip(ReportRow._fields, kinds)):
         if k >= 3 and kind is type(None):
             pieces[-1] += "%.0s"
         else:
@@ -553,7 +545,7 @@ def _report_json(report: Report) -> str:
     indents.  A row's fields past score are left out when None.  Each row
     fills the template of its values' types."""
     templates, rows = {}, []
-    for values in map(_row_values, report.rows):
+    for values in report.rows:
         kinds = tuple(map(type, values))
         fast, general = templates.get(kinds) or templates.setdefault(kinds, _row_templates(kinds))
         text = fast and fast % ((encode_basestring_ascii(values[0]),) + values[1:])

@@ -33,7 +33,7 @@ on the efficiency at alpha = 1 (crisp modal data).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import ccr
 from ._speedups.pure import DEGENERATE, _beta
@@ -100,8 +100,7 @@ class MoConfig:
         object.__setattr__(self, "h_tol", float(h_tol))
 
 
-@dataclass(frozen=True, slots=True)
-class MoResult:
+class MoResult(NamedTuple):
     """h* and the efficiency there.
 
     iterations counts the distinct data levels this score's own root
@@ -276,24 +275,15 @@ def evaluate_all(
     solved once per DMU.  The results equal standalone solve_mo calls
     bit for bit.
     """
-    names = data.dmu_names
-    return tuple(
-        tuple(MoResult(names[j], *outs[j], cfg.alpha, cfg.policy, rank)
-              for rank, j in enumerate(order, 1))
-        for cfg, outs, order in _rankings(data, cfgs)
-    )
-
-
-def _rankings(data: FuzzyDataset, cfgs: Sequence[MoConfig]):
-    """Per config of cfgs, as _by_dmu checks them: the config, every DMU's mo_solve entry
-    and the DMUs in rank order (by efficiency, then h*, highest first, then dataset order)."""
     cfgs, rows = _by_dmu(data, cfgs)
-    ranked = []
+    names = data.dmu_names
+    rankings = []
     for i, cfg in enumerate(cfgs):  # a list per config: a zip(*...) transpose lifts peak RSS
         outs = [found[i] for found, _ in rows]
-        ranked.append((cfg, outs, sorted(range(len(outs)),
-                                          key=lambda j: (-outs[j][1], -outs[j][0], j))))
-    return ranked
+        order = sorted(range(len(outs)), key=lambda j: (-outs[j][1], -outs[j][0], j))
+        rankings.append(tuple(MoResult(names[j], *outs[j], cfg.alpha, cfg.policy, rank)
+                              for rank, j in enumerate(order, 1)))
+    return tuple(rankings)
 
 
 def compare_all(data: FuzzyDataset, cfgs: Sequence[MoConfig]):

@@ -4,12 +4,13 @@ import sys
 
 import pytest
 
-from fuzzydea import ccr
+from fuzzydea import ccr, cli
 from fuzzydea.alphacut import alphacut_scores
 from fuzzydea.ccr import SelfPolicy
 from fuzzydea.cli import main
 from fuzzydea.dataio import read_report
 from fuzzydea.errors import NumericalBreakdown, SolverFailure
+from fuzzydea.mofdea import evaluate_all
 
 SOLO = """
 {"name": "solo", "inputs": ["I1"], "outputs": ["O1"],
@@ -67,6 +68,23 @@ class TestEval:
         row = report.row_for("D1", 0.0)
         assert row.h_star is not None and 0 <= row.h_star <= 1
         assert row.z_star is not None and row.rank in range(1, 6)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_mo_ranks_through_evaluate_all(self, capsys, monkeypatch, fmt):
+        # One call of the public routine per report: a ranking path beside
+        # it would hide the mo model's time from the benchmark's tracer.
+        argv = ("eval", "--model", "mo", "--data", "fixture:aircraft",
+                "--alpha", "0,0.5", "--format", fmt)
+        plain = run(capsys, *argv)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate_all(*args)
+
+        monkeypatch.setattr(cli, "evaluate_all", counted)
+        assert run(capsys, *argv) == plain and plain[0] == 0
+        assert len(calls) == 1
 
     def test_alpha_md_matrix_layout(self, capsys):
         code, out, _ = run(

@@ -354,6 +354,11 @@ class TestReports:
         assert lines[0].startswith("model,policy,dmu,alpha,score")
         assert sum(1 for l in lines if l.startswith("mo,")) == 2
 
+    def test_csv_writes_numpy_scalars_as_numbers(self):
+        row = ReportRow("a", np.float64(0.5), np.float64(1 / 3), rank=np.int64(2))
+        text = write_report(Report("mo", "exclude-self", (0.5,), (row,)), "csv")
+        assert text.splitlines()[1] == "mo,exclude-self,a,0.5,0.3333333333333333,,,,2"
+
     def test_deterministic_output(self):
         for fmt in ("md", "csv", "json"):
             assert write_report(sample_report(), fmt) == write_report(

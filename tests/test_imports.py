@@ -4,10 +4,10 @@ __all__, or rebound there by the benchmark's tracer.
 No linter runs on this package, so this is what keeps an import that a
 refactor left behind from lingering.  perfbench/tracing.py rebinds
 names by (module, attribute); an import that only the tracer needs is
-allowed for that module alone, and carries a comment saying so.  It
-also checks that the package calls the kernel from ccr._search alone,
-and that importing fuzzydea loads numpy, which the benchmark's set-up
-probe relies on.
+allowed for that module alone, and carries a comment saying so; the
+list of such imports may shrink but not grow.  It also checks that the
+package calls the kernel from ccr._search alone, and that importing
+fuzzydea loads numpy, which the benchmark's set-up probe relies on.
 """
 
 import ast
@@ -24,6 +24,18 @@ from test_trace_names import load_traced
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fuzzydea"
 MODULES = sorted(SRC.rglob("*.py"))
+
+# Every (module, name) that src/ imports only for the tracer to rebind.
+# ROADMAP item 1 retargets the tracer and deletes them; until then this
+# set may lose members but gain none.
+TRACER_ONLY = {
+    ("alphacut", "ccr_efficiency"),
+    ("ccr", "LpProblem"),
+    ("ccr", "solve"),
+    ("cli", "ccr_efficiency"),
+    ("cli", "modal_reduce"),
+    ("mofdea", "ccr_efficiency"),
+}
 
 
 def _module_name(path):
@@ -52,19 +64,37 @@ def _all(tree):
     return set()
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
-def test_every_import_is_used_exported_or_traced(path):
+def _unused_imports(path):
+    """Each (name, line) that the module at path imports but neither uses
+    nor exports."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = {
         node.id
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
-    module = _module_name(path)
-    traced = {attr for mod, attr, _ in load_traced() if mod == module}
-    keep = used | _all(tree) | traced
-    unused = [(name, line) for name, line in _imported(tree) if name not in keep]
+    keep = used | _all(tree)
+    return [(name, line) for name, line in _imported(tree) if name not in keep]
+
+
+def _traced(module):
+    return {attr for mod, attr, _ in load_traced() if mod == module}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_every_import_is_used_exported_or_traced(path):
+    traced = _traced(_module_name(path))
+    unused = [(name, line) for name, line in _unused_imports(path) if name not in traced]
     assert unused == [], f"{path.relative_to(SRC)}: unused imports {unused}"
+
+
+def test_no_new_tracer_only_import():
+    found = set()
+    for path in MODULES:
+        module = _module_name(path)
+        traced = _traced(module)
+        found |= {(module, name) for name, _ in _unused_imports(path) if name in traced}
+    assert found <= TRACER_ONLY, f"new tracer-only imports {sorted(found - TRACER_ONLY)}"
 
 
 def test_one_call_site_reaches_the_kernel():
@@ -85,7 +115,7 @@ def test_import_fuzzydea_keeps_numpy_loaded():
     # perfbench/run.py's set-up probe reads sys.modules['numpy'] right
     # after `import fuzzydea`, so an import that leaves numpy out would
     # fail every benchmark run with "cannot import fuzzydea".  The
-    # numpy-free import of ROADMAP item 6 has to change that probe first.
+    # numpy-free import of ROADMAP item 8 has to change that probe first.
     code = "import sys, fuzzydea; print('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
