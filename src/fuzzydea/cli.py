@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from typing import List, Optional, Sequence
 
@@ -34,7 +35,7 @@ from .trifuzzy import check_alpha
 from .alphacut import modal_reduce  # noqa: F401
 from .ccr import ccr_efficiency  # noqa: F401
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 DEFAULT_ALPHAS = "0,0.5,0.75,1"
 
@@ -233,5 +234,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry: `python -m fuzzydea`, `python -m fuzzydea.cli` and
+    the `fuzzydea` script.
+
+    Everything alive here, numpy and the package included, lives until
+    the process exits.  Freezing it keeps the collector, and its
+    collections at shutdown, from walking those objects again.  main()
+    does not freeze, so in-process callers keep their collector as it is.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

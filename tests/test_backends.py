@@ -425,6 +425,9 @@ def test_mo_solve_reports_each_lp_it_runs(monkeypatch):
 
 def test_committed_c_source_builds_a_twin(tmp_path):
     """Build fast.c out of tree and check the fresh module, not any in-place .so."""
+    # Only the in-place build writes bytecode; an out-of-tree one leaves
+    # the checkout as it was.
+    bytecode = {p: p.stat().st_mtime_ns for p in REPO.rglob("*.pyc")}
     subprocess.run(
         [
             sys.executable, "setup.py", "build_ext",
@@ -435,6 +438,7 @@ def test_committed_c_source_builds_a_twin(tmp_path):
         capture_output=True,
         check=True,
     )
+    assert {p: p.stat().st_mtime_ns for p in REPO.rglob("*.pyc")} == bytecode
     built = sorted((tmp_path / "lib").rglob("fast*"))
     if not built:
         pytest.skip("no C compiler: the build produced no extension")

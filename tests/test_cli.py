@@ -1,6 +1,4 @@
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -313,15 +311,6 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second and first[0] == 0
-
-    def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fuzzydea", "zstar", "--data", "fixture:guo_tanaka"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        assert "| dmu | z* |" in proc.stdout
 
 
 class TestPolicyFlag:

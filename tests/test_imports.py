@@ -6,8 +6,9 @@ refactor left behind from lingering.  perfbench/tracing.py rebinds
 names by (module, attribute); an import that only the tracer needs is
 allowed for that module alone, and carries a comment saying so; the
 list of such imports may shrink but not grow.  It also checks that the
-package calls the kernel from ccr._search alone, and that importing
-fuzzydea loads numpy, which the benchmark's set-up probe relies on.
+package calls the kernel from ccr._search alone, that only the process
+entry, cli.run, freezes the collector, and that importing fuzzydea loads
+numpy, which the benchmark's set-up probe relies on.
 """
 
 import ast
@@ -19,10 +20,11 @@ from pathlib import Path
 
 import pytest
 
-from fuzzydea import ccr
+from fuzzydea import ccr, cli
 from test_trace_names import load_traced
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fuzzydea"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "fuzzydea"
 MODULES = sorted(SRC.rglob("*.py"))
 
 # Every (module, name) that src/ imports only for the tracer to rebind.
@@ -109,6 +111,24 @@ def test_one_call_site_reaches_the_kernel():
     ]
     assert calls == ["ccr"]
     assert "default_mo_solve(" in inspect.getsource(ccr._search)
+
+
+def test_only_the_process_entry_freezes_the_heap():
+    # gc.freeze() puts every live object out of the collector's reach for
+    # good.  Only a process that is about to exit may do that; cli.main
+    # runs in-process for the tests, the benchmark and library callers.
+    calls = [
+        _module_name(path)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "freeze"
+    ]
+    assert calls == ["cli"]
+    assert "gc.freeze()" in inspect.getsource(cli.run)
+    # Every process entry goes through cli.run.
+    assert "run()" in (SRC / "__main__.py").read_text(encoding="utf-8")
+    assert 'fuzzydea = "fuzzydea.cli:run"' in (REPO / "pyproject.toml").read_text(encoding="utf-8")
 
 
 def test_import_fuzzydea_keeps_numpy_loaded():
