@@ -21,7 +21,7 @@ from .alphacut import (
     pessimistic_reduce,
     pessimistic_scores,
 )
-from .ccr import CcrResult, CrispDataset, SelfPolicy, ccr_efficiency, ccr_scores
+from .ccr import CcrResult, SelfPolicy, ccr_efficiency, ccr_scores
 from .dataio import (
     FuzzyDataset,
     FuzzyDmu,
@@ -67,7 +67,6 @@ __all__ = [
     "solve",
     # ccr
     "SelfPolicy",
-    "CrispDataset",
     "CcrResult",
     "ccr_efficiency",
     "ccr_scores",

@@ -1,9 +1,10 @@
-"""Crisp CCR efficiency via the multiplier form.
+"""CCR efficiency via the multiplier form.
 
 For DMU p: maximize u @ y_p subject to v @ x_p = 1 and
 u @ y_j - v @ x_j <= 0 over the peer set, u, v >= 0.  With ExcludeSelf
 the constraint for p itself is dropped (super-efficiency), so scores
-may exceed 1.
+may exceed 1.  The data are a FuzzyDataset's: crisp CCR scores its
+modal values, and a crisp cell's modal value is the cell itself.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from ._speedups import default_mo_solve
 from ._speedups.pure import BAD_DATA
+from .dataio import FuzzyDataset
 from .errors import DataError, RangeError, SolverFailure
 from .linprog import ITERS_PER_DIM, LP_TOL, _lp_status
 # Unused here; perfbench/tracing.py rebinds them by name in this module.
@@ -24,7 +26,6 @@ from .linprog import LpProblem, solve  # noqa: F401
 
 __all__ = [
     "SelfPolicy",
-    "CrispDataset",
     "CcrResult",
     "DataLps",
     "ccr_efficiency",
@@ -40,57 +41,9 @@ class SelfPolicy(enum.Enum):
 
 
 @dataclass(frozen=True)
-class CrispDataset:
-    """Positive crisp data: inputs (m x n) and outputs (s x n) over n DMUs."""
-
-    names: Tuple[str, ...]
-    inputs: np.ndarray
-    outputs: np.ndarray
-
-    def __post_init__(self):
-        names = tuple(str(x) for x in self.names)
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        outputs = np.asarray(self.outputs, dtype=np.float64)
-        n = len(names)
-        if n == 0:
-            raise DataError("dataset has no DMUs")
-        if len(set(names)) != n:
-            raise DataError("DMU names must be unique")
-        for label, mat in (("inputs", inputs), ("outputs", outputs)):
-            if mat.ndim != 2 or mat.shape[1] != n:
-                raise DataError(
-                    f"{label} must be a 2-D matrix with one column per DMU, "
-                    f"got shape {mat.shape} for {n} DMUs"
-                )
-            if mat.shape[0] == 0:
-                raise DataError(f"{label} must have at least one row")
-            if not np.all(np.isfinite(mat)):
-                raise DataError(f"{label} contain non-finite values")
-            if np.any(mat <= 0.0):
-                bad = np.argwhere(mat <= 0.0)[0]
-                raise DataError(
-                    f"{label} must be strictly positive; "
-                    f"{label}[{bad[0]}] of DMU {names[bad[1]]!r} is {mat[tuple(bad)]}"
-                )
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "outputs", outputs)
-
-    @property
-    def n_dmus(self) -> int:
-        return len(self.names)
-
-    @property
-    def n_inputs(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.outputs.shape[0]
-
-
-@dataclass(frozen=True)
 class CcrResult:
+    """DMU dmu's CCR efficiency and optimal weights under policy."""
+
     dmu: str
     efficiency: float
     u: Tuple[float, ...]
@@ -135,21 +88,16 @@ class DataLps:
     """Every DMU's multiplier LP on one dataset under one self policy and
     favor_p, at any data level, in one work tableau and basis.
 
-    It keeps a FuzzyDataset's bounds as they are, low and high swapped
-    without favor_p, or a CrispDataset's data as all three.  The kernel
-    takes each DMU's ends from them: DMU p's LP at a level is
-    ccr_efficiency on alphacut.reduce_at(data, p, level, favor_p) bit for bit.
+    It keeps the dataset's bounds as they are, low and high swapped
+    without favor_p.  The kernel takes each DMU's ends from them: DMU p's
+    LP at a level is ccr_efficiency on alphacut.reduce_at(data, p, level,
+    favor_p) bit for bit.
     """
 
     def __init__(self, data, policy: SelfPolicy, favor_p: bool = True):
         self.policy = _check_policy(policy)
-        self.n_dmus, self.n_outputs = data.n_dmus, data.n_outputs
-        if isinstance(data, CrispDataset):
-            crisp = np.concatenate((data.inputs, data.outputs))
-            self.names, bounds = data.names, (crisp, crisp, crisp)
-        else:
-            self.names, bounds = data.dmu_names, data.bounds
-        self.low, self.modal, self.high = bounds if favor_p else bounds[::-1]
+        self.n_dmus, self.n_outputs, self.names = data.n_dmus, data.n_outputs, data.dmu_names
+        self.low, self.modal, self.high = data.bounds if favor_p else data.bounds[::-1]
         k = self.n_dmus - (policy is SelfPolicy.EXCLUDE_SELF)  # peers
         work = np.empty((k + 3, len(self.modal) + k + 2))
         self.buffers = work, np.empty(k + 1, dtype=np.int64)
@@ -193,21 +141,22 @@ def _raise(status: int, value: float, level: float, name: str):
 
 
 def ccr_efficiency(
-    data: CrispDataset,
+    data: FuzzyDataset,
     p: int,
     policy: SelfPolicy = SelfPolicy.INCLUDE_SELF,
 ) -> CcrResult:
-    """CCR multiplier efficiency of DMU p under the given self policy.
+    """CCR multiplier efficiency of DMU p on data's modal values under the
+    given self policy; on crisp data, on the data themselves.
 
     Raises SolverFailure when the multiplier LP is infeasible or
     unbounded (e.g. ExcludeSelf with no peer left).
     """
     p = _check_index(data, p)
-    return DataLps(data, policy).solve(p, 1.0)  # crisp: every level gives the data
+    return DataLps(data, policy).solve(p, 1.0)  # level 1: every cell at modal
 
 
 def ccr_scores(
-    data: CrispDataset,
+    data: FuzzyDataset,
     policy: SelfPolicy = SelfPolicy.INCLUDE_SELF,
 ) -> Tuple[CcrResult, ...]:
     """ccr_efficiency for every DMU, in dataset order, from one store."""

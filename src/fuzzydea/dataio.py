@@ -45,6 +45,8 @@ REPORT_FORMATS = ("md", "csv", "json")
 
 @dataclass(frozen=True)
 class FuzzyDmu:
+    """One DMU: its name and its triangular inputs and outputs."""
+
     name: str
     inputs: Tuple[TriFuzzy, ...]
     outputs: Tuple[TriFuzzy, ...]
@@ -122,6 +124,7 @@ def _fill(data: FuzzyDataset, name, input_names, output_names, names, shapes, ce
     for fault, message in ((not m, "dataset needs at least one input coordinate"),
                            (not s, "dataset needs at least one output coordinate"),
                            (not names, "dataset has no DMUs"),
+                           ("" in names, "DMU names must not be empty"),
                            (len(set(names)) != len(names), "DMU names must be unique")):
         if fault:
             raise DataError(message)
@@ -352,15 +355,14 @@ def write_dataset(data: FuzzyDataset, format: str = "json") -> str:
         }
         return json.dumps(doc, indent=2) + "\n"
     if format == "csv":
-        # The loader strips names, reads any line break as a line feed and
-        # refuses an empty DMU name: refuse what would not read back.
+        # The loader strips names and reads any line break as a line feed:
+        # refuse what would not read back.
         for field, names in (("dataset name", [data.name]), ("DMU name", data.dmu_names),
                              ("column name", data.input_names + data.output_names)):
             for text in names:
-                empty = field == "DMU name" and not text
-                if empty or text.strip() != text or len(text.splitlines()) > 1:
+                if text.strip() != text or len(text.splitlines()) > 1:
                     raise DataError(f"CSV cannot hold {field} {text!r}: a name there is one "
-                                    "line with no white space at its ends, a DMU name not empty")
+                                    "line with no white space at its ends")
         out = io.StringIO()
         if data.name:
             out.write(f"# name={data.name}\n")
@@ -436,11 +438,12 @@ def _fmt(x: Optional[float], places: int = 4) -> str:
 
 
 def _md_table(headers, rows) -> str:
-    lines = ["| " + " | ".join(headers) + " |"]
-    lines.append("|" + "|".join(" --- " for _ in headers) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
-    return "\n".join(lines) + "\n"
+    """A GitHub-flavoured Markdown table; a "|" in a cell is escaped as "\\|"."""
+    def line(cells):
+        return "| " + " | ".join(str(c).replace("|", "\\|") for c in cells) + " |"
+
+    rule = "|" + "|".join(" --- " for _ in headers) + "|"
+    return "\n".join([line(headers), rule, *map(line, rows)]) + "\n"
 
 
 def _report_md(report: Report) -> str:

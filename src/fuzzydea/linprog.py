@@ -96,6 +96,8 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpOutcome:
+    """An LP's status, and its optimal value and solution when OPTIMAL."""
+
     status: LpStatus
     value: Optional[float] = None
     solution: Optional[Tuple[float, ...]] = None

@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 from . import ccr
 from ._speedups.pure import DEGENERATE, _beta
 from .alphacut import reduce_at
-from .ccr import MAX_BISECT, CrispDataset, DataLps, SelfPolicy
+from .ccr import MAX_BISECT, DataLps, SelfPolicy
 from .ccr import _check_index, _check_policy, _raise
 from .dataio import FuzzyDataset
 from .errors import DataError, DegenerateZStar, RangeError
@@ -128,7 +128,7 @@ def reduced_data(
     h: float,
     alpha: float = 0.0,
     mode: str = DEFAULT_ALPHA_MODE,
-) -> CrispDataset:
+) -> FuzzyDataset:
     """Crisp data at satisfaction level h (and alpha level) for DMU p.
 
     The evaluated DMU moves from its favorable support endpoints toward

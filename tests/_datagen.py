@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from fuzzydea.ccr import CrispDataset
 from fuzzydea.dataio import FuzzyDataset, FuzzyDmu
 from fuzzydea.trifuzzy import TriFuzzy
 
@@ -37,12 +36,37 @@ def random_dataset(rng, n_dmus=None, n_inputs=None, n_outputs=None, crisp_prob=0
     )
 
 
+def crisp_dataset(names, inputs, outputs):
+    """FuzzyDataset of crisp cells: inputs (m x n) and outputs (s x n),
+    one column per DMU of names, built through the public constructor."""
+    inputs, outputs = np.atleast_2d(inputs), np.atleast_2d(outputs)
+    assert inputs.shape[1] == outputs.shape[1] == len(names)
+
+    def cells(column):
+        return tuple(TriFuzzy(x, x, x) for x in map(float, column))
+
+    return FuzzyDataset(
+        name="crisp",
+        input_names=tuple(f"I{i+1}" for i in range(len(inputs))),
+        output_names=tuple(f"O{r+1}" for r in range(len(outputs))),
+        dmus=tuple(FuzzyDmu(dmu, cells(inputs[:, j]), cells(outputs[:, j]))
+                   for j, dmu in enumerate(names)),
+    )
+
+
+def crisp_arrays(data):
+    """(inputs, outputs): the modal rows of data.bounds, m x n and s x n.
+    A crisp dataset's cells, such as a reduction's, are their modal values."""
+    modal = data.bounds[1]
+    return modal[: data.n_inputs], modal[data.n_inputs :]
+
+
 def random_crisp_dataset(rng, n_dmus=None, n_inputs=None, n_outputs=None):
     """Random positive crisp dataset (for CCR-level properties)."""
     n = int(n_dmus if n_dmus is not None else rng.integers(3, 7))
     m = int(n_inputs if n_inputs is not None else rng.integers(1, 4))
     s = int(n_outputs if n_outputs is not None else rng.integers(1, 4))
-    return CrispDataset(
+    return crisp_dataset(
         tuple(f"U{j+1}" for j in range(n)),
         rng.uniform(1.0, 10.0, size=(m, n)),
         rng.uniform(1.0, 10.0, size=(s, n)),

@@ -2,7 +2,9 @@
 
 The LP oracle enumerates candidate vertices directly from constraint
 intersections (no simplex machinery shared with the implementation);
-the h* oracle is a plain grid scan of the target function.  The dataset
+the h* oracle is a plain grid scan of the target function.  The exact
+CCR oracle solves the multiplier LP in rational arithmetic, so its
+optimum carries no rounding at all.  The dataset
 oracle is the per-cell loader that fuzzydea.dataio used before it filled
 one buffer of doubles: a TriFuzzy per cell, a FuzzyDmu per unit, then
 the dataset's rules checked on those cells.
@@ -11,6 +13,7 @@ the dataset's rules checked on those cells.
 import csv
 import io
 import json
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -102,6 +105,57 @@ def reference_lp(inputs, outputs, p, exclude_self):
     A[1:, :s] = outputs[:, peers].T
     A[1:, s:] = -inputs[:, peers].T
     return c, A, ("=",) + ("<=",) * len(peers), (1.0,) + (0.0,) * len(peers)
+
+
+def exact_ccr(inputs, outputs, p, exclude_self):
+    """DMU p's CCR multiplier LP solved exactly: ("optimal", z, u, v) as
+    Fractions, or ("unbounded",).
+
+    inputs (m x n) and outputs (s x n) are floats over n DMUs, read as the
+    exact rationals they hold.  The LP is max u @ y_p subject to
+    v @ x_p = 1 and u @ y_j - v @ x_j + slack_j = 0 for each peer j, with
+    u, v and the slacks >= 0.  On positive data, v_0 = 1 / x_0p with the
+    slacks basic is a feasible start.  Bland's rule then enters the lowest
+    column whose reduced cost is positive and breaks ratio ties by the
+    lowest basic column; in exact arithmetic it cannot cycle (Bland 1977).
+    """
+    X = [[Fraction(float(x)) for x in row] for row in inputs]
+    Y = [[Fraction(float(y)) for y in row] for row in outputs]
+    (m, n), s = (len(X), len(X[0])), len(Y)
+    peers = [j for j in range(n) if not (exclude_self and j == p)]
+    width = s + m + len(peers)  # columns u, v, one slack per peer
+    zero, one = Fraction(0), Fraction(1)
+    rows = [[zero] * s + [X[i][p] for i in range(m)] + [zero] * len(peers) + [one]]
+    for k, j in enumerate(peers):
+        slack = [one if r == k else zero for r in range(len(peers))]
+        rows.append([Y[r][j] for r in range(s)] + [-X[i][j] for i in range(m)] + slack + [zero])
+    cost = [Y[r][p] for r in range(s)] + [zero] * (m + len(peers))
+    basis = [s] + [s + m + k for k in range(len(peers))]
+
+    def pivot(row, col):
+        rows[row] = [a / rows[row][col] for a in rows[row]]
+        for r, other in enumerate(rows):
+            if r != row and other[col]:
+                factor = other[col]
+                rows[r] = [a - factor * b for a, b in zip(other, rows[row])]
+        basis[row] = col
+
+    pivot(0, s)
+    while True:
+        reduced = [cost[c] - sum(cost[b] * row[c] for b, row in zip(basis, rows))
+                   for c in range(width)]
+        enter = next((c for c in range(width) if reduced[c] > 0), None)
+        if enter is None:
+            break
+        ratios = [(row[-1] / row[enter], b, r)
+                  for r, (b, row) in enumerate(zip(basis, rows)) if row[enter] > 0]
+        if not ratios:
+            return ("unbounded",)
+        pivot(min(ratios)[2], enter)
+    x = [zero] * width
+    for b, row in zip(basis, rows):
+        x[b] = row[-1]
+    return "optimal", sum(c * v for c, v in zip(cost, x)), tuple(x[:s]), tuple(x[s:s + m])
 
 
 def ratio_efficiency(xs, ys, p):

@@ -15,14 +15,20 @@ import numpy as np
 import pytest
 
 from fuzzydea.alphacut import alphacut_scores, modal_reduce, pessimistic_scores
-from fuzzydea.ccr import CrispDataset, SelfPolicy, ccr_efficiency, ccr_scores
+from fuzzydea.ccr import SelfPolicy, ccr_efficiency, ccr_scores
 from fuzzydea.cli import main
 from fuzzydea.dataio import read_report
 from fuzzydea.linprog import LpProblem, LpStatus, solve
 from fuzzydea.mofdea import MoConfig, eff_at, solve_mo, z_star
 from fuzzydea.trifuzzy import TriFuzzy
 
-from _datagen import crisp_fuzzy_dataset, random_crisp_dataset, random_dataset
+from _datagen import (
+    crisp_arrays,
+    crisp_dataset,
+    crisp_fuzzy_dataset,
+    random_crisp_dataset,
+    random_dataset,
+)
 from _oracles import brute_force_lp, grid_h_star
 from reference_values import (
     AC_DMUS,
@@ -106,17 +112,18 @@ def _modal_bound(crisp, p, policy, failures):
     """
     score = ccr_efficiency(crisp, p, policy=policy).efficiency
     s, m = crisp.n_outputs, crisp.n_inputs
-    objective = tuple(crisp.outputs[:, p]) + (0.0,) * m
-    rows = [((0.0,) * s + tuple(crisp.inputs[:, p]), "=", 1.0)]
+    inputs, outputs = crisp_arrays(crisp)
+    objective = tuple(outputs[:, p]) + (0.0,) * m
+    rows = [((0.0,) * s + tuple(inputs[:, p]), "=", 1.0)]
     rows += [
-        (tuple(crisp.outputs[:, j]) + tuple(-crisp.inputs[:, j]), "<=", 0.0)
+        (tuple(outputs[:, j]) + tuple(-inputs[:, j]), "<=", 0.0)
         for j in range(crisp.n_dmus)
         if policy is INCLUDE or j != p
     ]
     oracle = brute_force_lp(objective, rows)
     if oracle[0] != "optimal" or abs(oracle[1] - score) > 1e-7:
         failures.append(
-            f"modal {policy.value} score of {crisp.names[p]}: simplex "
+            f"modal {policy.value} score of {crisp.dmu_names[p]}: simplex "
             f"{score:.6f} vs vertex oracle {oracle}"
         )
         return score, float("nan")
@@ -408,11 +415,12 @@ def _suite_ccr_trio(rng, cases=100):
         cr = float(rng.uniform(0.05, 20.0))
         i = int(rng.integers(0, m))
         r = int(rng.integers(0, s))
-        xs = np.array(data.inputs)
-        ys = np.array(data.outputs)
+        inputs, outputs = crisp_arrays(data)
+        xs = np.array(inputs)
+        ys = np.array(outputs)
         xs[i] *= ci
         ys[r] *= cr
-        scaled = CrispDataset(data.names, xs, ys)
+        scaled = crisp_dataset(data.dmu_names, xs, ys)
         for policy in (INCLUDE, EXCLUDE):
             base = [v.efficiency for v in ccr_scores(data, policy=policy)]
             after = [v.efficiency for v in ccr_scores(scaled, policy=policy)]
@@ -421,12 +429,12 @@ def _suite_ccr_trio(rng, cases=100):
 
         # dominance: a fresh DMU weakly better than DMU b must not score lower
         b = int(rng.integers(0, n))
-        xa = np.array(data.inputs)[:, b] * rng.uniform(0.5, 1.0, size=m)
-        ya = np.array(data.outputs)[:, b] * rng.uniform(1.0, 1.5, size=s)
-        grown = CrispDataset(
-            data.names + ("dom",),
-            np.column_stack([data.inputs, xa]),
-            np.column_stack([data.outputs, ya]),
+        xa = np.array(inputs)[:, b] * rng.uniform(0.5, 1.0, size=m)
+        ya = np.array(outputs)[:, b] * rng.uniform(1.0, 1.5, size=s)
+        grown = crisp_dataset(
+            data.dmu_names + ("dom",),
+            np.column_stack([inputs, xa]),
+            np.column_stack([outputs, ya]),
         )
         ea = ccr_efficiency(grown, n, policy=INCLUDE).efficiency
         eb = ccr_efficiency(grown, b, policy=INCLUDE).efficiency
@@ -434,12 +442,12 @@ def _suite_ccr_trio(rng, cases=100):
             fails.append(f"case {k}: dominance broke ({ea:.9f} < {eb:.9f})")
 
         # redundancy: adding a dominated DMU must not move anyone's score
-        xw = np.array(data.inputs)[:, b] * rng.uniform(1.0, 1.5, size=m)
-        yw = np.array(data.outputs)[:, b] * rng.uniform(0.5, 1.0, size=s)
-        padded = CrispDataset(
-            data.names + ("weak",),
-            np.column_stack([data.inputs, xw]),
-            np.column_stack([data.outputs, yw]),
+        xw = np.array(inputs)[:, b] * rng.uniform(1.0, 1.5, size=m)
+        yw = np.array(outputs)[:, b] * rng.uniform(0.5, 1.0, size=s)
+        padded = crisp_dataset(
+            data.dmu_names + ("weak",),
+            np.column_stack([inputs, xw]),
+            np.column_stack([outputs, yw]),
         )
         before = [v.efficiency for v in ccr_scores(data, policy=INCLUDE)]
         after = [

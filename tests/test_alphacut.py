@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _datagen import crisp_fuzzy_dataset, random_dataset
+from _datagen import crisp_arrays, crisp_fuzzy_dataset, random_dataset
 from _oracles import brute_force_lp
 from fuzzydea.alphacut import (
     alphacut_reduce,
@@ -18,31 +18,30 @@ class TestReduction:
     def test_alpha_one_collapses_to_modal(self, gt):
         reduced = alphacut_reduce(gt, 0, 1.0)
         modal = modal_reduce(gt)
-        assert np.array_equal(reduced.inputs, modal.inputs)
-        assert np.array_equal(reduced.outputs, modal.outputs)
+        assert np.array_equal(reduced.bounds[1], modal.bounds[1])
 
     def test_alpha_zero_assignment(self, gt):
-        reduced = alphacut_reduce(gt, 0, 0.0)
+        inputs, outputs = crisp_arrays(alphacut_reduce(gt, 0, 0.0))
         # evaluated DMU at favorable extremes
-        assert reduced.inputs[0, 0] == 3.5
-        assert reduced.outputs[0, 0] == 2.8
+        assert inputs[0, 0] == 3.5
+        assert outputs[0, 0] == 2.8
         # crisp peer value unchanged
-        assert reduced.outputs[0, 1] == 2.2
+        assert outputs[0, 1] == 2.2
         # fuzzy peer at unfavorable extremes
-        assert reduced.inputs[0, 2] == 5.4
-        assert reduced.outputs[0, 2] == 2.7
+        assert inputs[0, 2] == 5.4
+        assert outputs[0, 2] == 2.7
 
     def test_alpha_half_interpolates(self, gt):
-        reduced = alphacut_reduce(gt, 0, 0.5)
-        assert reduced.inputs[0, 0] == pytest.approx(3.75)
-        assert reduced.inputs[0, 2] == pytest.approx(5.15)
+        inputs, _ = crisp_arrays(alphacut_reduce(gt, 0, 0.5))
+        assert inputs[0, 0] == pytest.approx(3.75)
+        assert inputs[0, 2] == pytest.approx(5.15)
 
     def test_pessimistic_swaps_roles(self, gt):
-        opt = alphacut_reduce(gt, 0, 0.0)
-        pes = pessimistic_reduce(gt, 0, 0.0)
-        assert pes.inputs[0, 0] == 4.5 and opt.inputs[0, 0] == 3.5
-        assert pes.outputs[0, 0] == 2.4 and opt.outputs[0, 0] == 2.8
-        assert pes.inputs[0, 2] == 4.4 and opt.inputs[0, 2] == 5.4
+        opt_in, opt_out = crisp_arrays(alphacut_reduce(gt, 0, 0.0))
+        pes_in, pes_out = crisp_arrays(pessimistic_reduce(gt, 0, 0.0))
+        assert pes_in[0, 0] == 4.5 and opt_in[0, 0] == 3.5
+        assert pes_out[0, 0] == 2.4 and opt_out[0, 0] == 2.8
+        assert pes_in[0, 2] == 4.4 and opt_in[0, 2] == 5.4
 
     def test_alpha_out_of_range(self, gt):
         with pytest.raises(AlphaOutOfRange):
@@ -63,15 +62,16 @@ class TestFixtureScores:
             scores = alphacut_scores(gt, alpha, SelfPolicy.EXCLUDE_SELF)
             for p, sc in enumerate(scores):
                 reduced = alphacut_reduce(gt, p, alpha)
-                s, m = reduced.outputs.shape[0], reduced.inputs.shape[0]
-                obj = tuple(reduced.outputs[:, p]) + (0.0,) * m
-                rows = [((0.0,) * s + tuple(reduced.inputs[:, p]), "=", 1.0)]
+                inputs, outputs = crisp_arrays(reduced)
+                s, m = outputs.shape[0], inputs.shape[0]
+                obj = tuple(outputs[:, p]) + (0.0,) * m
+                rows = [((0.0,) * s + tuple(inputs[:, p]), "=", 1.0)]
                 for j in range(reduced.n_dmus):
                     if j != p:
                         rows.append(
                             (
-                                tuple(reduced.outputs[:, j])
-                                + tuple(-reduced.inputs[:, j]),
+                                tuple(outputs[:, j])
+                                + tuple(-inputs[:, j]),
                                 "<=",
                                 0.0,
                             )

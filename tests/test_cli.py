@@ -226,6 +226,16 @@ class TestExitCodes:
         assert err == (f"fuzzydea: error: unknown fixture {name!r}; "
                        "available: aircraft, guo_tanaka\n")
 
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_empty_dmu_name_exits_1(self, capsys, tmp_path, fmt):
+        f = tmp_path / "unnamed.json"
+        f.write_text(CRISP3.replace('"name": "b"', '"name": ""'))
+        code, out, err = run(
+            capsys, "eval", "--model", "ccr", "--data", str(f), "--format", fmt
+        )
+        assert (code, out) == (1, "")
+        assert err == "fuzzydea: error: DMU names must not be empty\n"
+
     def test_solver_failure_exits_2(self, capsys, tmp_path):
         f = tmp_path / "solo.json"
         f.write_text(SOLO)

@@ -108,6 +108,12 @@ class TestJsonLoading:
         with pytest.raises(DataError):
             load_dataset(json.dumps(doc), "json")
 
+    def test_empty_dmu_name_rejected(self):
+        doc = json.loads(GOOD_JSON)
+        doc["dmus"][1]["name"] = ""
+        with pytest.raises(DataError, match="^DMU names must not be empty$"):
+            load_dataset(json.dumps(doc), "json")
+
 
 class TestCsvLoading:
     def test_loads_same_as_json(self):
@@ -142,6 +148,10 @@ class TestCsvLoading:
     def test_unknown_format(self):
         with pytest.raises(ParseError):
             load_dataset(GOOD_JSON, "yaml")
+
+    def test_empty_dmu_name_names_its_row(self):
+        with pytest.raises(SchemaError, match="^row 3: empty DMU name$"):
+            load_dataset(GOOD_CSV.replace("\nb,", "\n ,"), "csv")
 
     @pytest.mark.parametrize("cell,part", [("1_5", "1_5"), ("1;1_5;20", "1_5"), ("x;1_5;2", "x")])
     def test_underscore_in_a_number_is_not_a_number(self, cell, part):
@@ -221,7 +231,6 @@ class TestRoundTrip:
         ("dataset name", "a\rb"),
         ("dataset name", " pad "),
         ("DMU name", " A"),
-        ("DMU name", ""),
         ("DMU name", "a\r\nb"),
         ("column name", "I1 "),
     ])
@@ -236,7 +245,7 @@ class TestRoundTrip:
             write_dataset(ds, "csv")
         assert str(err.value) == (
             f"CSV cannot hold {field} {name!r}: a name there is one line with no "
-            "white space at its ends, a DMU name not empty")
+            "white space at its ends")
         assert load_dataset(write_dataset(ds, "json"), "json") == ds
 
     def test_write_marks_crisp_cells_as_scalars(self, ac):
@@ -307,6 +316,13 @@ class TestValidationTotal:
         with pytest.raises(DataError):
             FuzzyDataset("x", ("I1",), ("O1",), ())
 
+    def test_empty_dmu_name(self):
+        # Checked after "dataset has no DMUs" and before uniqueness.
+        one = (TriFuzzy(1, 1, 1),)
+        for names in ([""], ["a", ""], ["", ""]):
+            with pytest.raises(DataError, match="^DMU names must not be empty$"):
+                FuzzyDataset("x", ("I1",), ("O1",), tuple(FuzzyDmu(n, one, one) for n in names))
+
 
 def sample_report():
     return Report(
@@ -342,6 +358,17 @@ class TestReports:
         text = write_report(sample_report(), "md")
         assert "| dmu | h* | efficiency | z* | rank |" in text
         assert "| a | 0.5000 | 1.2500 | 2.5000 | 1 |" in text
+
+    def test_markdown_escapes_pipes_in_cells(self):
+        # GitHub-flavoured Markdown reads an unescaped "|" as a cell border.
+        ranked = Report("mo", "exclude-self", (0.0,),
+                        (ReportRow("A|B", 0.0, 0.5, h_star=0.25, z_star=2.0, rank=1),))
+        assert "| A\\|B | 0.2500 | 0.5000 | 2.0000 | 1 |" in write_report(ranked, "md")
+        matrix = Report("alpha", "exclude-self", (0.0,),
+                        (ReportRow("A|B", 0.0, 1.0), ReportRow("C", 0.0, 0.5)))
+        lines = write_report(matrix, "md").splitlines()
+        assert "| alpha | A\\|B | C |" in lines
+        assert "| 0 | 1.0000 | 0.5000 |" in lines
 
     def test_markdown_empty_rows_header_only(self):
         text = write_report(Report("alpha", "exclude-self", (0.0,), ()), "md")

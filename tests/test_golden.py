@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from fuzzydea import ccr
+from fuzzydea import alphacut, mofdea
 from fuzzydea.cli import main
 from fuzzydea.trifuzzy import TriFuzzy
 
@@ -82,11 +82,12 @@ STORE_CASES = tuple(
 @pytest.mark.parametrize("name,argv", STORE_CASES, ids=[c[0] for c in STORE_CASES])
 def test_every_model_scores_through_the_lp_store(name, argv, monkeypatch):
     # Every model solves its LPs from a dataset's ccr.DataLps; none
-    # reduces the data to a CrispDataset (reduce_at builds one) first.
-    def refuse(self):
-        raise AssertionError("a model built a CrispDataset")
+    # reduces the data with alphacut.reduce_at first.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model reduced the data with reduce_at")
 
-    monkeypatch.setattr(ccr.CrispDataset, "__post_init__", refuse)
+    for module in (alphacut, mofdea):
+        monkeypatch.setattr(module, "reduce_at", refuse)
     assert render(argv) == (GOLDEN / name).read_bytes()
 
 

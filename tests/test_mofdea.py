@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _datagen import crisp_fuzzy_dataset, random_dataset
+from _datagen import crisp_arrays, crisp_fuzzy_dataset, random_dataset
 from _oracles import grid_h_star
 from fuzzydea import ccr, mofdea
 from fuzzydea.alphacut import (
@@ -99,27 +99,26 @@ class TestMoConfig:
 
 class TestReducedData:
     def test_h_zero_alpha_zero_is_optimistic_extremes(self, gt):
-        red = reduced_data(gt, 0, 0.0, 0.0)
-        assert red.inputs[0, 0] == 3.5
-        assert red.outputs[0, 0] == 2.8
-        assert red.inputs[0, 2] == 5.4
+        inputs, outputs = crisp_arrays(reduced_data(gt, 0, 0.0, 0.0))
+        assert inputs[0, 0] == 3.5
+        assert outputs[0, 0] == 2.8
+        assert inputs[0, 2] == 5.4
 
     def test_h_one_is_modal(self, gt):
         for alpha in (0.0, 0.5, 1.0):
             red = reduced_data(gt, 1, 1.0, alpha)
             modal = modal_reduce(gt)
-            assert np.array_equal(red.inputs, modal.inputs)
-            assert np.array_equal(red.outputs, modal.outputs)
+            assert np.array_equal(red.bounds[1], modal.bounds[1])
 
     def test_linear_formula_on_fixture_entry(self, gt):
-        red = reduced_data(gt, 0, 0.5, 0.0)
-        assert red.inputs[0, 0] == pytest.approx(3.5 + 0.5 * (4.0 - 3.5))
+        inputs, _ = crisp_arrays(reduced_data(gt, 0, 0.5, 0.0))
+        assert inputs[0, 0] == pytest.approx(3.5 + 0.5 * (4.0 - 3.5))
 
     def test_crisp_coordinates_stay_modal(self, gt):
         for h in (0.0, 0.5):
-            red = reduced_data(gt, 0, h, 0.0)
-            assert red.inputs[0, 1] == 2.9  # crisp peer input
-            assert red.outputs[0, 1] == 2.2  # crisp peer output
+            inputs, outputs = crisp_arrays(reduced_data(gt, 0, h, 0.0))
+            assert inputs[0, 1] == 2.9  # crisp peer input
+            assert outputs[0, 1] == 2.2  # crisp peer output
 
     @pytest.mark.parametrize("mode", ["floor", "rescale"])
     def test_crisp_cells_exactly_modal_at_every_level(self, mode):
@@ -129,8 +128,7 @@ class TestReducedData:
         for _ in range(50):
             h, alpha = (float(v) for v in rng.uniform(0.0, 1.0, size=2))
             red = reduced_data(data, 0, h, alpha, mode)
-            assert np.array_equal(red.inputs, modal.inputs)
-            assert np.array_equal(red.outputs, modal.outputs)
+            assert np.array_equal(red.bounds[1], modal.bounds[1])
 
     def test_range_validation(self, gt):
         with pytest.raises(RangeError):
@@ -631,9 +629,9 @@ class TestFirstFailure:
 
 
 def _digest(out):
-    """Comparable form of an entry's result: reductions give their arrays."""
-    if hasattr(out, "inputs"):
-        return out.inputs.tobytes(), out.outputs.tobytes()
+    """Comparable form of an entry's result: reductions give their data."""
+    if isinstance(out, FuzzyDataset):
+        return out.bounds[1].tobytes()
     return out
 
 

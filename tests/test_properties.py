@@ -9,12 +9,13 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzydea.ccr import CrispDataset, SelfPolicy, ccr_scores
+from fuzzydea.ccr import SelfPolicy, ccr_scores
 from fuzzydea.dataio import FuzzyDataset, FuzzyDmu, load_dataset, write_dataset
 from fuzzydea.linprog import LpProblem, LpStatus, solve
 from fuzzydea.mofdea import beta_level
 from fuzzydea.trifuzzy import TriFuzzy
 
+from _datagen import crisp_dataset
 from _oracles import brute_force_lp
 
 SETTINGS = dict(deadline=None, derandomize=True)
@@ -113,8 +114,8 @@ def test_beta_level_bounds_and_agreement(h, alpha, mode):
 def test_ccr_units_invariance_under_column_scaling(col, factor):
     xs = ((1.0, 2.0, 1.5),)
     ys = (tuple(col),)
-    base = CrispDataset(("a", "b", "c"), xs, ys)
-    scaled = CrispDataset(
+    base = crisp_dataset(("a", "b", "c"), xs, ys)
+    scaled = crisp_dataset(
         ("a", "b", "c"), xs, (tuple(v * factor for v in col),)
     )
     for policy in SelfPolicy:

@@ -12,15 +12,15 @@ with either favor_p, whichever DMUs the store served before.
 import numpy as np
 import pytest
 
-from _datagen import random_dataset
+from _datagen import crisp_dataset, random_dataset
 from fuzzydea import ccr
 from fuzzydea._speedups import fast_mo_solve, pure_mo_solve
 from fuzzydea.alphacut import reduce_at
-from fuzzydea.ccr import CrispDataset, DataLps, SelfPolicy, ccr_efficiency
+from fuzzydea.ccr import DataLps, SelfPolicy, ccr_efficiency
 from fuzzydea.dataio import FuzzyDataset, FuzzyDmu
 from fuzzydea.errors import DataError, NumericalBreakdown, SolverFailure
 from fuzzydea.mofdea import reduced_data
-from fuzzydea.trifuzzy import TriFuzzy, toward_modal
+from fuzzydea.trifuzzy import TriFuzzy
 from test_backends import KERNELS, level0, needs_fast
 
 
@@ -127,7 +127,7 @@ def test_low_and_high_give_reduce_ats_ends(favor_p):
         for p in range(data.n_dmus):
             crisp = reduce_at(data, p, 0.0, favor_p)
             end = level0((lps.low, lps.modal, lps.high, p, True, data.n_outputs))
-            assert end.tobytes() == np.vstack((crisp.inputs, crisp.outputs)).tobytes()
+            assert end.tobytes() == crisp.bounds[1].tobytes()
 
 
 def _two_dmus(lower, modal):
@@ -144,15 +144,8 @@ def _two_dmus(lower, modal):
 def test_probe_data_must_stay_positive_and_finite(lower, modal):
     # Positive data cannot reach 0 or overflow at a level in [0, 1], so
     # the probe is driven to level -1: 2 * 2 - 4 cancels to 0, and
-    # 2 * 1e308 overflows.  CrispDataset rejects the same data.
+    # 2 * 1e308 overflows.
     data = _two_dmus(lower, modal)
-    end, mid = reduced_data(data, 0, 0.0), reduced_data(data, 0, 1.0)
-    with pytest.raises(DataError):
-        CrispDataset(
-            end.names,
-            toward_modal(end.inputs, mid.inputs, -1.0),
-            toward_modal(end.outputs, mid.outputs, -1.0),
-        )
     with pytest.raises(DataError, match="data at level -1.0 for DMU 'U1'"):
         DataLps(data, SelfPolicy.EXCLUDE_SELF).solve(0, -1.0)
     # The message shows the level as the caller gave it.
@@ -167,7 +160,7 @@ def test_unbounded_probe_raises_like_ccr():
     with pytest.raises(SolverFailure) as got:
         lps.solve(0, 0.5)
     with pytest.raises(SolverFailure) as want:
-        ccr_efficiency(CrispDataset(("A",), [[1.0]], [[1.0]]), 0,
+        ccr_efficiency(crisp_dataset(("A",), [[1.0]], [[1.0]]), 0,
                        policy=SelfPolicy.EXCLUDE_SELF)
     assert str(got.value) == str(want.value)
     assert got.value.status is want.value.status
