@@ -17,9 +17,8 @@
 #include <stdint.h>
 
 enum { OPTIMAL, UNBOUNDED, ITER_LIMIT, INFEASIBLE, BAD_DATA, /* as pure.py */
-       PHASE1_UNBOUNDED, PHASE1_ITER_LIMIT };
-enum { LP_FAILED, DEGENERATE };  /* mo_solve's failure kinds, as pure.py */
-#define KERNEL_API 5             /* as pure.py */
+       PHASE1_UNBOUNDED, PHASE1_ITER_LIMIT, DEGENERATE };
+#define KERNEL_API 6             /* as pure.py */
 
 /* A C-contiguous buffer: 2-D doubles if `matrix`, else 1-D int64.
  * Returns 0, or -1 with an exception set and no buffer held. */
@@ -244,13 +243,14 @@ floats(const double *x, Py_ssize_t n)
 
 /* One DMU's LPs for mo_solve: the solved levels, each kept as an entry
  * of R + 3 doubles (the level, the optimum, the last config to probe
- * it, then the weights x), and the first failure. */
+ * it, then the weights x), and the first failure: its status, level
+ * and value, as pure.mo_solve reports them. */
 typedef struct {
     const double *Lo, *M, *Hi;
     double *W, tol, *cache;
     int64_t *basis;
     Py_ssize_t R, N, s, p, n, room;
-    int exclude, kind, status;  /* kind < 0 until a failure */
+    int exclude, status;        /* OPTIMAL until a failure */
     long long per_dim;
     double at, value;           /* the failure's level and value */
 } Lps;
@@ -285,7 +285,6 @@ lp_at(Lps *L, double level, double c, Py_ssize_t *probed)
                            L->exclude, L->W, L->basis, L->tol, L->per_dim,
                            &value, e + 3);
         if (status != OPTIMAL) {
-            L->kind = LP_FAILED;
             L->status = status;
             L->at = level;
             L->value = value;
@@ -326,8 +325,7 @@ search(Lps *L, double c, double alpha, int rescale, double h_tol,
         return i;
     *z = ENTRY(L, i)[1];
     if (*z <= L->tol) {
-        L->kind = DEGENERATE;
-        L->status = OPTIMAL;
+        L->status = DEGENERATE;
         L->at = ideal;
         L->value = *z;
         return -1;
@@ -402,14 +400,13 @@ mo_solve(PyObject *self, PyObject *args)
     L.basis = buf[4].buf;
     L.R = buf[1].shape[0];
     L.N = buf[1].shape[1];
-    L.kind = -1;
     if ((seq[0] = PySequence_Fast(cfgs, "cfgs must be a sequence")) == NULL ||
         (seq[1] = PySequence_Fast(levels, "levels must be a sequence")) ==
             NULL ||
         (found = PyList_New(0)) == NULL || (effs = PyList_New(0)) == NULL)
         goto done;
     n = PySequence_Fast_GET_SIZE(seq[0]);
-    for (c = 0; c < n && L.kind < 0; c++) {
+    for (c = 0; c < n && L.status == OPTIMAL; c++) {
         if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(seq[0], c),
                               "dpd:mo_solve config", &alpha, &rescale, &h_tol))
             goto done;
@@ -429,7 +426,7 @@ mo_solve(PyObject *self, PyObject *args)
         Py_DECREF(item);
     }
     n = PySequence_Fast_GET_SIZE(seq[1]);
-    for (c = 0; c < n && L.kind < 0; c++) {
+    for (c = 0; c < n && L.status == OPTIMAL; c++) {
         alpha = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(seq[1], c));
         if (alpha == -1.0 && PyErr_Occurred())
             goto done;
@@ -446,7 +443,8 @@ mo_solve(PyObject *self, PyObject *args)
         }
         Py_DECREF(item);
     }
-    n = L.n + (L.kind == LP_FAILED);
+    /* a failed LP's level too; a degenerate z*'s LP is solved and kept */
+    n = L.n + (L.status != OPTIMAL && L.status != DEGENERATE);
     if ((solved = PyTuple_New(n)) == NULL)
         goto done;
     for (i = 0; i < n; i++) {
@@ -455,13 +453,13 @@ mo_solve(PyObject *self, PyObject *args)
             goto done;
         PyTuple_SET_ITEM(solved, i, item);
     }
-    if (L.kind < 0)
+    if (L.status == OPTIMAL)
         out = Py_BuildValue("NNOO", PyList_AsTuple(found),
                             PyList_AsTuple(effs), solved, Py_None);
     else
-        out = Py_BuildValue("NNO(iidd)", PyList_AsTuple(found),
-                            PyList_AsTuple(effs), solved, L.kind, L.status,
-                            L.at, L.value);
+        out = Py_BuildValue("NNO(idd)", PyList_AsTuple(found),
+                            PyList_AsTuple(effs), solved, L.status, L.at,
+                            L.value);
 done:
     Py_XDECREF(solved);
     Py_XDECREF(effs);

@@ -15,9 +15,10 @@ __all__ = ["KERNEL_API", "pivot_loop", "mo_solve"]
 
 # mo_solve's interface; fast.c exports the same number, and a compiled
 # module with another is not used.  Raised whenever mo_solve changes.
-KERNEL_API = 5
+KERNEL_API = 6
 
-# status codes shared with the compiled kernel
+# status codes shared with the compiled kernel; mo_solve reports the
+# first that is not OPTIMAL, and ccr._raise turns it into an error
 OPTIMAL = 0
 UNBOUNDED = 1
 ITER_LIMIT = 2
@@ -25,10 +26,7 @@ INFEASIBLE = 3
 BAD_DATA = 4
 PHASE1_UNBOUNDED = 5
 PHASE1_ITER_LIMIT = 6
-# mo_solve's failure kinds: an LP that did not end OPTIMAL, and an ideal
-# score z* too small for the ratio target
-LP_FAILED = 0
-DEGENERATE = 1
+DEGENERATE = 7  # an ideal score z* too small for the ratio target
 
 
 def _run(T, basis, nrows, ncols, tol, max_iter):
@@ -190,7 +188,7 @@ def _beta(h, alpha, rescale):
 
 
 class _Failed(Exception):
-    """mo_solve's failure, its args (kind, status, level, value)."""
+    """mo_solve's failure, its args (status, level, value)."""
 
 
 def mo_solve(
@@ -229,9 +227,9 @@ def mo_solve(
     z*, u, v, iterations), u and v the output and input weights as
     tuples; per level (optimum, u, v); the level of every LP run, in
     order; and None or the first failure, which ends the call:
-    (LP_FAILED, status, level, value) for an LP that did not end
-    OPTIMAL, value the iteration cap of its last phase (0.0 for
-    BAD_DATA), or (DEGENERATE, OPTIMAL, level, z*) for z* <= tol.
+    (status, level, value) for an LP that did not end OPTIMAL, value the
+    iteration cap of its last phase (0.0 for BAD_DATA), or (DEGENERATE,
+    level, z*) for z* <= tol.  ccr._raise turns it into an error.
     Raises ValueError unless the shapes fit.
     """
     R, N = modal.shape if modal.ndim == 2 else (0, 0)
@@ -263,7 +261,7 @@ def mo_solve(
                 L, M, H, level, n_outputs, p, exclude, W, basis, tol, iters_per_dim
             )
             if status != OPTIMAL:
-                raise _Failed(LP_FAILED, status, level, value)
+                raise _Failed(status, level, value)
             cache[level] = value, tuple(x[:n_outputs]), tuple(x[n_outputs:])
         return cache[level]
 
@@ -272,7 +270,7 @@ def mo_solve(
         ideal = alpha if rescale else 0.0
         z = lp(ideal)[0]
         if z <= tol:
-            raise _Failed(DEGENERATE, OPTIMAL, ideal, z)
+            raise _Failed(DEGENERATE, ideal, z)
         probed = {ideal}  # the levels this config used
 
         def probe(h):

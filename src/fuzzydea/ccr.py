@@ -17,10 +17,12 @@ from typing import Tuple
 import numpy as np
 
 from ._speedups import default_mo_solve
-from ._speedups.pure import BAD_DATA
+from ._speedups.pure import (
+    BAD_DATA, DEGENERATE, INFEASIBLE, ITER_LIMIT, PHASE1_ITER_LIMIT, PHASE1_UNBOUNDED, UNBOUNDED,
+)
 from .dataio import FuzzyDataset
-from .errors import DataError, RangeError, SolverFailure
-from .linprog import ITERS_PER_DIM, LP_TOL, _lp_status
+from .errors import DataError, DegenerateZStar, RangeError, SolverFailure
+from .linprog import ITERS_PER_DIM, LP_TOL, LpStatus, _breakdown
 # Unused here; perfbench/tracing.py rebinds them by name in this module.
 from .linprog import LpProblem, solve  # noqa: F401
 
@@ -54,9 +56,12 @@ class CcrResult:
 def _check_index(data, p: int) -> int:
     """p as an int, or DataError unless it is an integer DMU index of data.
 
-    Numpy integers pass; a float is refused, not truncated.
+    Numpy integers pass; a float is refused, not truncated, and so is a
+    bool, though Python counts it an int.
     """
     try:
+        if isinstance(p, bool):
+            raise TypeError
         p = operator.index(p)
     except TypeError:
         raise DataError(f"DMU index must be an integer, got {p!r}") from None
@@ -108,7 +113,7 @@ class DataLps:
         _, effs, _, failure = _search(self, p, (), (level,))
         if failure is None:
             return CcrResult(self.names[p], *effs[0], self.policy)
-        _raise(failure[1], failure[3], level, self.names[p])
+        _raise(self.names[p], failure[0], level, failure[2])  # level as the caller gave it
 
 
 def _search(lps: DataLps, p: int, cfgs, levels=()):
@@ -122,18 +127,37 @@ def _search(lps: DataLps, p: int, cfgs, levels=()):
     )
 
 
-def _raise(status: int, value: float, level: float, name: str):
-    """Raise the error of the kernel's status and value other than
-    OPTIMAL for the DMU called name's LP at level: DataError when a data
-    cell at level is 0 or not finite (positive data reach neither at a
-    level in [0, 1]), SolverFailure when the LP is infeasible or
-    unbounded, NumericalBreakdown when a phase hits its iteration cap."""
+def _check_z(name: str, value: float) -> float:
+    """value, DMU name's ideal score z*; DegenerateZStar unless it is
+    positive, as the ratio target eff / z* needs."""
+    if value <= LP_TOL:
+        raise DegenerateZStar(
+            f"ideal score for DMU {name!r} is {value}; "
+            "the ratio target is undefined"
+        )
+    return value
+
+
+def _raise(name: str, status: int, level: float, value: float):
+    """Raise the error of the kernel's failure (status, level, value) for
+    the DMU called name; the one place a kernel status becomes an error.
+    DataError when a data cell at level is 0 or not finite (positive
+    data reach neither at a level in [0, 1]); DegenerateZStar for an
+    ideal score z* = value too small; NumericalBreakdown when phase 1
+    reports an unbounded tableau or a phase hits its iteration cap, the
+    value; SolverFailure when the LP is infeasible or unbounded."""
     if status == BAD_DATA:
         raise DataError(
             f"data at level {level} for DMU {name!r} "
             "must be finite and strictly positive"
         )
-    lp_status = _lp_status(status, value)  # raises NumericalBreakdown
+    if status == DEGENERATE:
+        _check_z(name, value)  # the kernel saw z* <= LP_TOL, so this raises
+    if status == PHASE1_UNBOUNDED:
+        raise _breakdown("phase 1")
+    if status in (PHASE1_ITER_LIMIT, ITER_LIMIT):
+        raise _breakdown("phase 1" if status == PHASE1_ITER_LIMIT else "phase 2", int(value))
+    lp_status = {INFEASIBLE: LpStatus.INFEASIBLE, UNBOUNDED: LpStatus.UNBOUNDED}[status]
     raise SolverFailure(
         f"CCR multiplier model for DMU {name!r} is {lp_status.value}",
         status=lp_status,

@@ -23,15 +23,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._speedups.pure import (
-    INFEASIBLE,
-    ITER_LIMIT,
-    OPTIMAL,
-    PHASE1_ITER_LIMIT,
-    PHASE1_UNBOUNDED,
-    UNBOUNDED,
-    pivot_loop as default_pivot_loop,
-)
+from ._speedups.pure import OPTIMAL, UNBOUNDED, pivot_loop as default_pivot_loop
 from .errors import NumericalBreakdown
 
 __all__ = [
@@ -124,28 +116,6 @@ def _breakdown(phase: str, cap: Optional[int] = None) -> NumericalBreakdown:
     if cap is None:
         return NumericalBreakdown(f"{phase} reported an unbounded tableau")
     return NumericalBreakdown(f"simplex hit the iteration cap ({cap}) in {phase}")
-
-
-def _lp_status(status: int, cap: float) -> LpStatus:
-    """The LpStatus of an LP status that the kernel's mo_solve reports.
-
-    The statuses of a phase that broke down raise _simplex's
-    NumericalBreakdown instead; cap is then that phase's iteration cap.
-    BAD_DATA has no LpStatus and raises ValueError.
-    """
-    if status == OPTIMAL:
-        return LpStatus.OPTIMAL
-    if status == INFEASIBLE:
-        return LpStatus.INFEASIBLE
-    if status == UNBOUNDED:
-        return LpStatus.UNBOUNDED
-    if status == PHASE1_UNBOUNDED:
-        raise _breakdown("phase 1")
-    if status in (PHASE1_ITER_LIMIT, ITER_LIMIT):
-        raise _breakdown(
-            "phase 1" if status == PHASE1_ITER_LIMIT else "phase 2", int(cap)
-        )
-    raise ValueError(f"kernel status {status} has no LpStatus")
 
 
 def _run(T: np.ndarray, basis: np.ndarray, phase: str):

@@ -36,13 +36,12 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import ccr
-from ._speedups.pure import DEGENERATE, _beta
+from ._speedups.pure import _beta
 from .alphacut import reduce_at
 from .ccr import MAX_BISECT, DataLps, SelfPolicy
-from .ccr import _check_index, _check_policy, _raise
+from .ccr import _check_index, _check_policy, _check_z, _raise
 from .dataio import FuzzyDataset
-from .errors import DataError, DegenerateZStar, RangeError
-from .linprog import LP_TOL
+from .errors import DataError, RangeError
 from .trifuzzy import check_alpha, is_finite_real
 # Unused here; perfbench/tracing.py rebinds it by name in this module.
 from .ccr import ccr_efficiency  # noqa: F401
@@ -139,17 +138,6 @@ def reduced_data(
     return reduce_at(data, p, beta_level(h, alpha, mode))
 
 
-def _check_z(name: str, value: float) -> float:
-    """value, DMU name's ideal score z*; DegenerateZStar unless it is
-    positive, as the ratio target eff / z* needs."""
-    if value <= LP_TOL:
-        raise DegenerateZStar(
-            f"ideal score for DMU {name!r} is {value}; "
-            "the ratio target is undefined"
-        )
-    return value
-
-
 def z_star(
     data: FuzzyDataset,
     p: int,
@@ -171,18 +159,14 @@ def z_star(
 
 
 def eff_at(data: FuzzyDataset, p: int, h: float, cfg: MoConfig = MoConfig()) -> float:
-    """Crisp CCR score of DMU p on reduced_data at satisfaction level h."""
+    """Crisp CCR score of DMU p on reduced_data at satisfaction level h.
+
+    A cfg that is not a MoConfig raises TypeError before any LP."""
+    if not isinstance(cfg, MoConfig):
+        raise TypeError(f"eff_at takes a MoConfig, got {cfg!r}")
     p = _check_index(data, p)
     lps = DataLps(data, cfg.policy)
     return lps.solve(p, beta_level(h, cfg.alpha, cfg.alpha_mode)).efficiency
-
-
-def _fail(name: str, failure):
-    """Raise the error of mo_solve's failure for DMU name."""
-    kind, status, level, value = failure
-    if kind == DEGENERATE:
-        _check_z(name, value)
-    _raise(status, value, level, name)
 
 
 def _triple(cfg: MoConfig):
@@ -216,7 +200,7 @@ def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult
     found, _, _, failure = ccr._search(DataLps(data, cfg.policy), p, (_triple(cfg),))
     name = data.dmu_names[p]
     if failure is not None:
-        _fail(name, failure)
+        _raise(name, *failure)
     return MoResult(name, *found[0], cfg.alpha, cfg.policy)
 
 
@@ -253,7 +237,7 @@ def _by_dmu(data: FuzzyDataset, cfgs: Sequence[MoConfig], cuts: bool = False):
                 n = len(got)
                 failures.append(((n == len(idx), idx[n if n < len(idx) else len(at)]), failure))
         if failures:
-            _fail(data.dmu_names[p], min(failures)[1])
+            _raise(data.dmu_names[p], *min(failures)[1])
         rows.append((found, effs))
     return cfgs, rows
 

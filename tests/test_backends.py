@@ -29,7 +29,6 @@ from fuzzydea._speedups.pure import (
     BAD_DATA,
     DEGENERATE,
     INFEASIBLE,
-    LP_FAILED,
     OPTIMAL,
     PHASE1_ITER_LIMIT,
     PHASE1_UNBOUNDED,
@@ -117,8 +116,8 @@ def run_ccr(kernel, lp, level, iters_per_dim=ITERS_PER_DIM):
     assert found == () and [x.hex() for x in solved] == [float(level).hex()]
     if failure is None:
         return (OPTIMAL, *effs[0]), work, basis
-    kind, status, at, value = failure
-    assert (effs, kind, at.hex()) == ((), LP_FAILED, float(level).hex())
+    status, at, value = failure
+    assert (effs, at.hex()) == ((), float(level).hex())
     return (status, value, None, None), work, basis
 
 
@@ -264,17 +263,17 @@ def mo_bits(out, work, basis):
         [(hexed((h, eff, z, *u, *v)), type(n), n) for h, eff, z, u, v, n in found],
         [hexed((value, *u, *v)) for value, u, v in effs],
         hexed(solved),
-        None if failure is None else (*failure[:2], *hexed(failure[2:])),
+        None if failure is None else (failure[0], *hexed(failure[1:])),
         work.tobytes(),
         basis.tobytes(),
     )
 
 
 def mo_cases():
-    """(name, lp, kwargs, failure kind or None, status, found, effs): the
+    """(name, lp, kwargs, failure status or None, found, effs): the
     mo_solve calls of the twin test, the failing ones with the number of
     configs and levels done before the failure."""
-    cases = [(name, lp, {}, None, OPTIMAL, 10, 5) for name, lp in ccr_lps(200)]
+    cases = [(name, lp, {}, None, 10, 5) for name, lp in ccr_lps(200)]
     tiny = SMALL.copy()  # p = 0's output: z* about 1e-12
     tiny[2, 0] = 1e-12
     solo = np.ones((2, 1))
@@ -283,28 +282,27 @@ def mo_cases():
     half = (lp[1] * 0.5, lp[1], lp[1] * 0.5, *lp[3:])
     ok, bad = (0.5, True, 1e-6), (-1.0, True, 1e-6)  # bad: z* at level -1
     return cases + [
-        ("degenerate z*", (tiny, tiny, tiny, 0, True, 1), {}, DEGENERATE, OPTIMAL, 0, 0),
-        ("no peer", (solo, solo, solo, 0, True, 1), {}, LP_FAILED, UNBOUNDED, 0, 0),
-        ("iteration cap", lp, {"iters_per_dim": 0}, LP_FAILED, PHASE1_ITER_LIMIT, 0, 0),
-        ("second config", half, {"cfgs": (ok, bad)}, LP_FAILED, BAD_DATA, 1, 0),
-        ("second level", half, {"cfgs": (ok,), "levels": (0.5, -1.0)},
-         LP_FAILED, BAD_DATA, 1, 1),
-        ("probe cap", lp, {"cfgs": ((0.3, False, 1e-300),), "max_probes": 2},
-         None, OPTIMAL, 1, 5),
-        ("no config", lp, {"cfgs": ()}, None, OPTIMAL, 0, 5),
+        ("degenerate z*", (tiny, tiny, tiny, 0, True, 1), {}, DEGENERATE, 0, 0),
+        ("no peer", (solo, solo, solo, 0, True, 1), {}, UNBOUNDED, 0, 0),
+        ("iteration cap", lp, {"iters_per_dim": 0}, PHASE1_ITER_LIMIT, 0, 0),
+        ("second config", half, {"cfgs": (ok, bad)}, BAD_DATA, 1, 0),
+        ("second level", half, {"cfgs": (ok,), "levels": (0.5, -1.0)}, BAD_DATA, 1, 1),
+        ("probe cap", lp, {"cfgs": ((0.3, False, 1e-300),), "max_probes": 2}, None, 1, 5),
+        ("no config", lp, {"cfgs": ()}, None, 0, 5),
     ]
 
 
 def assert_mo_twin(kernel):
     """kernel's mo_solve against the pure entry: the same bits, iterations
     and solved levels, and the same failure at the same place."""
-    for name, lp, kwargs, kind, status, n_found, n_effs in mo_cases():
+    for name, lp, kwargs, status, n_found, n_effs in mo_cases():
         got = run_mo(kernel, lp, **kwargs)
         assert mo_bits(*got) == mo_bits(*run_mo(pure_mo_solve, lp, **kwargs)), name
         found, effs, solved, failure = got[0]
         assert (len(found), len(effs)) == (n_found, n_effs), name
-        assert (None if failure is None else failure[:2]) == (
-            None if kind is None else (kind, status)), name
+        assert (None if failure is None else failure[0]) == status, name
+        # A failure's level is the last solved: the failed LP's, or z*'s.
+        assert failure is None or solved[-1] == failure[1], name
         assert len(set(solved)) == len(solved), name
     low, modal, high, p, exclude, s = lp
     work, basis = np.zeros((3, 3)), np.zeros(2, dtype=np.int64)

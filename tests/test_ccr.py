@@ -4,7 +4,7 @@ import pytest
 from _datagen import crisp_arrays, crisp_dataset, random_crisp_dataset
 from _oracles import ratio_efficiency, reference_lp
 from fuzzydea import ccr
-from fuzzydea._speedups.pure import LP_FAILED, PHASE1_ITER_LIMIT
+from fuzzydea._speedups.pure import PHASE1_ITER_LIMIT
 from fuzzydea.alphacut import modal_reduce
 from fuzzydea.ccr import DataLps, SelfPolicy, ccr_efficiency, ccr_scores
 from fuzzydea.errors import DataError, SolverFailure
@@ -156,5 +156,5 @@ class TestArrayPath:
                     lps.low, lps.modal, lps.high, p, policy is SelfPolicy.EXCLUDE_SELF,
                     work, basis, data.n_outputs, LP_TOL, 0, 0, (), (1.0,),
                 )
-                assert out[3] == (LP_FAILED, PHASE1_ITER_LIMIT, 1.0, 0.0)
+                assert out[3] == (PHASE1_ITER_LIMIT, 1.0, 0.0)
                 assert work.tobytes() == T.tobytes()

@@ -22,6 +22,28 @@ CRISP3 = """
           {"name": "c", "inputs": [1], "outputs": [1]}]}
 """
 
+# Data on which the kernel itself fails, and each failure's message.
+# solo: one unit, no peer under exclude-self, so the LP is unbounded.
+# tiny: U2's outputs are some 1e-12 of its peers', so its z* is 0.
+# vast: inputs 1e9 apart, which end phase 1 on an unbounded tableau.
+KERNEL_FAILURES = {
+    "solo": ("""
+{"name": "solo", "inputs": ["I1"], "outputs": ["O1"],
+ "dmus": [{"name": "A", "inputs": [1], "outputs": [1]}]}
+""", "CCR multiplier model for DMU 'A' is unbounded"),
+    "tiny": ("""
+{"name": "tiny", "inputs": ["I1"], "outputs": ["O1"],
+ "dmus": [{"name": "U1", "inputs": [[1, 2, 3]], "outputs": [[1, 2, 3]]},
+          {"name": "U2", "inputs": [[1, 2, 3]], "outputs": [[1e-12, 2e-12, 3e-12]]},
+          {"name": "U3", "inputs": [[1, 2, 3]], "outputs": [[1, 2, 3]]}]}
+""", "ideal score for DMU 'U2' is 0.0; the ratio target is undefined"),
+    "vast": ("""
+{"name": "vast", "inputs": ["I1", "I2"], "outputs": ["O1"],
+ "dmus": [{"name": "A", "inputs": [4.2e16, 2.2e7], "outputs": [6.7]},
+          {"name": "B", "inputs": [1.3e16, 1.7e7], "outputs": [9.9]}]}
+""", "phase 1 reported an unbounded tableau"),
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -242,6 +264,24 @@ class TestExitCodes:
         code, out, err = run(capsys, "eval", "--model", "ccr", "--data", str(f))
         assert code == 2
         assert out == "" and "solver" in err
+
+    @pytest.mark.parametrize("name,sub", [
+        ("solo", ("eval", "--model", "ccr")),
+        ("solo", ("eval", "--model", "alpha")),
+        ("solo", ("zstar",)),
+        ("tiny", ("eval", "--model", "mo")),
+        ("tiny", ("compare",)),
+        ("tiny", ("zstar",)),
+        ("vast", ("eval", "--model", "ccr")),
+        ("vast", ("eval", "--model", "mo")),
+    ])
+    def test_kernel_failure_bytes(self, capsys, tmp_path, name, sub):
+        # Each failure from real data, through the kernel and ccr._raise.
+        data, message = KERNEL_FAILURES[name]
+        f = tmp_path / f"{name}.json"
+        f.write_text(data)
+        assert run(capsys, *sub, "--data", str(f)) == (
+            2, "", f"fuzzydea: solver error: {message}\n")
 
     def test_single_dmu_mo_is_data_error(self, capsys, tmp_path):
         f = tmp_path / "solo.json"

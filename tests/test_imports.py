@@ -6,9 +6,10 @@ refactor left behind from lingering.  perfbench/tracing.py rebinds
 names by (module, attribute); an import that only the tracer needs is
 allowed for that module alone, and carries a comment saying so; the
 list of such imports may shrink but not grow.  It also checks that the
-package calls the kernel from ccr._search alone, that only the process
-entry, cli.run, freezes the collector, and that importing fuzzydea loads
-numpy, which the benchmark's set-up probe relies on.
+package calls the kernel from ccr._search alone and reads its failure
+statuses in ccr alone, that only the process entry, cli.run, freezes
+the collector, and that importing fuzzydea loads numpy, which the
+benchmark's set-up probe relies on.
 """
 
 import ast
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from fuzzydea import ccr, cli
+from fuzzydea._speedups import pure
 from test_trace_names import load_traced
 
 REPO = Path(__file__).resolve().parent.parent
@@ -111,6 +113,25 @@ def test_one_call_site_reaches_the_kernel():
     ]
     assert calls == ["ccr"]
     assert "default_mo_solve(" in inspect.getsource(ccr._search)
+
+
+def test_one_module_reads_the_kernel_failure_statuses():
+    # ccr._raise is the one place a kernel failure becomes an error, so a
+    # new failure status is a status in both kernels and a branch there.
+    # linprog's own simplex reads OPTIMAL and UNBOUNDED.
+    statuses = {name for name, value in vars(pure).items()
+                if name.isupper() and isinstance(value, int)} - {"KERNEL_API"}
+    imports = {
+        (_module_name(path), alias.name)
+        for path in MODULES
+        if not _module_name(path).startswith("_speedups")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("_speedups.pure")
+        for alias in node.names
+        if alias.name in statuses
+    }
+    outside = {(module, name) for module, name in imports if module != "ccr"}
+    assert outside <= {("linprog", "OPTIMAL"), ("linprog", "UNBOUNDED")}, sorted(outside)
 
 
 def test_only_the_process_entry_freezes_the_heap():

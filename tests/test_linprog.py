@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from _oracles import brute_force_lp
-from fuzzydea import linprog
-from fuzzydea.errors import NumericalBreakdown
+from fuzzydea import ccr, linprog
+from fuzzydea._speedups import pure
+from fuzzydea.errors import (
+    DataError,
+    DegenerateZStar,
+    FuzzyDeaError,
+    NumericalBreakdown,
+    SolverFailure,
+)
 from fuzzydea.linprog import LpOutcome, LpProblem, LpStatus, solve
 
 
@@ -198,30 +205,39 @@ class TestIterationCap:
 
 
 class TestKernelStatus:
-    """_lp_status reads the kernel's mo_solve statuses as _simplex would."""
+    """ccr._raise, the one place a failure status of the kernel's
+    mo_solve becomes an error: one row per status, with the message the
+    CLI prints, the breakdowns worded as _simplex words them."""
 
-    def test_outcomes(self):
-        from fuzzydea._speedups.pure import INFEASIBLE, OPTIMAL, UNBOUNDED
+    # (status, level, value, error type, message, SolverFailure.status)
+    ROWS = [
+        ("BAD_DATA", -1, 0.0, DataError,
+         "data at level -1 for DMU 'X' must be finite and strictly positive", None),
+        ("DEGENERATE", 0.5, 1e-12, DegenerateZStar,
+         "ideal score for DMU 'X' is 1e-12; the ratio target is undefined", None),
+        ("PHASE1_UNBOUNDED", 1.0, 750.0, NumericalBreakdown,
+         "phase 1 reported an unbounded tableau", None),
+        ("PHASE1_ITER_LIMIT", 1.0, 750.0, NumericalBreakdown,
+         "simplex hit the iteration cap (750) in phase 1", None),
+        ("ITER_LIMIT", 1.0, 650.0, NumericalBreakdown,
+         "simplex hit the iteration cap (650) in phase 2", None),
+        ("INFEASIBLE", 1.0, 750.0, SolverFailure,
+         "CCR multiplier model for DMU 'X' is infeasible", LpStatus.INFEASIBLE),
+        ("UNBOUNDED", 1.0, 650.0, SolverFailure,
+         "CCR multiplier model for DMU 'X' is unbounded", LpStatus.UNBOUNDED),
+    ]
 
-        assert linprog._lp_status(OPTIMAL, 1.0) is LpStatus.OPTIMAL
-        assert linprog._lp_status(INFEASIBLE, 0.0) is LpStatus.INFEASIBLE
-        assert linprog._lp_status(UNBOUNDED, 0.0) is LpStatus.UNBOUNDED
+    @pytest.mark.parametrize("status,level,value,error,message,lp_status", ROWS,
+                             ids=[row[0] for row in ROWS])
+    def test_each_status_raises_its_error(self, status, level, value, error, message,
+                                          lp_status):
+        with pytest.raises(FuzzyDeaError) as err:
+            ccr._raise("X", getattr(pure, status), level, value)
+        assert type(err.value) is error
+        assert str(err.value) == message
+        assert getattr(err.value, "status", None) is lp_status
 
-    def test_breakdowns_carry_simplex_messages(self):
-        from fuzzydea._speedups.pure import ITER_LIMIT, PHASE1_ITER_LIMIT, PHASE1_UNBOUNDED
-
-        cases = (
-            (PHASE1_UNBOUNDED, 0.0, "phase 1 reported an unbounded tableau"),
-            (PHASE1_ITER_LIMIT, 750.0, "simplex hit the iteration cap (750) in phase 1"),
-            (ITER_LIMIT, 650.0, "simplex hit the iteration cap (650) in phase 2"),
-        )
-        for status, cap, message in cases:
-            with pytest.raises(NumericalBreakdown) as err:
-                linprog._lp_status(status, cap)
-            assert str(err.value) == message
-
-    def test_bad_data_has_no_lp_status(self):
-        from fuzzydea._speedups.pure import BAD_DATA
-
-        with pytest.raises(ValueError):
-            linprog._lp_status(BAD_DATA, 0.0)
+    def test_every_failure_status_has_a_row(self):
+        statuses = {name for name, value in vars(pure).items()
+                    if name.isupper() and isinstance(value, int)}
+        assert statuses - {"KERNEL_API", "OPTIMAL"} == {row[0] for row in self.ROWS}

@@ -2,6 +2,7 @@ import collections
 import contextlib
 import io
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,7 @@ from fuzzydea.alphacut import (
 from fuzzydea.ccr import DataLps, SelfPolicy, ccr_efficiency, ccr_scores
 from fuzzydea.cli import DEFAULT_ALPHAS, main
 from fuzzydea.dataio import FuzzyDataset, FuzzyDmu, load_fixture
-from fuzzydea._speedups.pure import BAD_DATA, LP_FAILED
+from fuzzydea._speedups.pure import BAD_DATA
 from fuzzydea.errors import AlphaOutOfRange, DataError, DegenerateZStar, RangeError
 from fuzzydea.mofdea import (
     ALPHA_MODES,
@@ -193,6 +194,17 @@ class TestEffAt:
         for p in range(gt.n_dmus):
             want = ccr_efficiency(crisp, p, SelfPolicy.EXCLUDE_SELF).efficiency
             assert eff_at(gt, p, 1.0) == pytest.approx(want, abs=1e-12)
+
+    # A look-alike with MoConfig's fields would be scored with its fields
+    # unchecked, as solve_mo refuses to do.
+    LOOK_ALIKE = collections.namedtuple("MoConfig", "alpha policy h_tol alpha_mode")
+
+    @pytest.mark.parametrize("cfg", [None, LOOK_ALIKE(0.5, SelfPolicy.EXCLUDE_SELF, 1e-6, "rescale")])
+    def test_cfg_must_be_a_moconfig(self, gt, monkeypatch, cfg):
+        lps = _count_lps(monkeypatch)
+        with pytest.raises(TypeError, match="^eff_at takes a MoConfig, got "):
+            eff_at(gt, 0, 0.5, cfg)
+        assert not lps
 
     @pytest.mark.parametrize("mode", ["floor", "rescale"])
     def test_non_increasing_on_grid(self, gt, mode):
@@ -602,7 +614,7 @@ class TestFirstFailure:
             if lps.names[p] != "D2":
                 return found, effs, solved, None
             k = at[lps.policy]
-            failure = (LP_FAILED, BAD_DATA, tag[lps.policy], 0.0)
+            failure = (BAD_DATA, tag[lps.policy], 0.0)
             return found[:k], effs[:max(0, k - len(triples))], solved, failure
 
         monkeypatch.setattr(ccr, "_search", failing)
@@ -652,9 +664,11 @@ INDEX_ENTRIES = {
 @pytest.mark.parametrize("entry", list(INDEX_ENTRIES))
 class TestDmuIndex:
     # int() would truncate a float index and score another DMU.
-    @pytest.mark.parametrize("p", [1.7, 2.9, 0.5, 1.0, np.float64(1.0), "1", -1, 5])
+    # A bool is an int to Python, and would score D1 or D2.
+    @pytest.mark.parametrize("p", [1.7, 2.9, 0.5, 1.0, np.float64(1.0), "1", -1, 5, True, False])
     def test_bad_index_rejected(self, gt, entry, p):
-        with pytest.raises(DataError, match="DMU index"):
+        message = rf"^DMU index (must be an integer, got {re.escape(repr(p))}|{p} out of range )"
+        with pytest.raises(DataError, match=message):
             INDEX_ENTRIES[entry](gt, p)
 
     def test_numpy_integers_accepted(self, gt, entry):
