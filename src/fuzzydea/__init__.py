@@ -24,7 +24,6 @@ from .alphacut import (
 from .ccr import CcrResult, SelfPolicy, ccr_efficiency, ccr_scores
 from .dataio import (
     FuzzyDataset,
-    FuzzyDmu,
     Report,
     ReportRow,
     fixture_path,
@@ -49,7 +48,6 @@ from .mofdea import (
     solve_mo,
     z_star,
 )
-from .trifuzzy import Interval, TriFuzzy
 
 __version__ = "0.1.0"
 
@@ -57,9 +55,6 @@ __all__ = [
     "__version__",
     "BACKEND",
     "errors",
-    # trifuzzy
-    "TriFuzzy",
-    "Interval",
     # linprog
     "LpProblem",
     "LpOutcome",
@@ -90,7 +85,6 @@ __all__ = [
     "evaluate_all",
     # dataio
     "FuzzyDataset",
-    "FuzzyDmu",
     "load_dataset",
     "load_dataset_path",
     "write_dataset",

@@ -1,5 +1,8 @@
 """Datasets of triangular-fuzzy DMUs, serialization, and result reports.
 
+A dataset is its names and `bounds`, one buffer of every cell's lower,
+modal and upper value; the loaders and its constructor fill it.
+
 Formats:
   JSON  {"name": ..., "inputs": [...], "outputs": [...], "dmus":
          [{"name": ..., "inputs": [[l,m,u] | x, ...], "outputs": [...]}]}
@@ -21,11 +24,9 @@ from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DataError, OrderingViolation, ParseError, SchemaError
-from .trifuzzy import TriFuzzy
+from .errors import DataError, ParseError, SchemaError
 
 __all__ = [
-    "FuzzyDmu",
     "FuzzyDataset",
     "load_dataset",
     "load_dataset_path",
@@ -43,55 +44,65 @@ DATASET_FORMATS = ("json", "csv")
 REPORT_FORMATS = ("md", "csv", "json")
 
 
-@dataclass(frozen=True)
-class FuzzyDmu:
-    """One DMU: its name and its triangular inputs and outputs."""
-
-    name: str
-    inputs: Tuple[TriFuzzy, ...]
-    outputs: Tuple[TriFuzzy, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-
-
-@dataclass(frozen=True)
 class FuzzyDataset:
     """Named collection of DMUs sharing input/output coordinates.
 
-    Its cells are one buffer of doubles, `bounds`: the read-only,
-    C-contiguous lower, modal and upper values, shaped (3, inputs +
-    outputs, DMUs).  The loaders fill it straight from the parsed numbers;
-    a dataset they load builds `dmus`, its FuzzyDmu/TriFuzzy cells, from
-    it on first access.  `dmu_names` holds the DMUs' names in order.
+    FuzzyDataset(name, input_names, output_names, units) takes each unit
+    as (name, inputs, outputs), a cell as the JSON format holds it: an int
+    or a float, or an (l, m, u) list or tuple.  It checks them as the JSON
+    loader does, with its messages.  The cells are one buffer of doubles,
+    `bounds`: the read-only, C-contiguous lower, modal and upper values,
+    shaped (3, inputs + outputs, DMUs).  `dmu_names` holds the DMUs' names
+    in order.  Two datasets are equal when their names and cells are.
     """
 
-    name: str
-    input_names: Tuple[str, ...]
-    output_names: Tuple[str, ...]
-    dmus: Tuple[FuzzyDmu, ...]
+    def __init__(self, name, input_names, output_names, units):
+        if not isinstance(name, str):
+            raise SchemaError("'name' must be a string")
+        for key, columns in (("inputs", input_names), ("outputs", output_names)):
+            if not isinstance(columns, _ARRAY):
+                raise SchemaError(f"{key!r} must be an array")
+            if not all(isinstance(v, str) for v in columns):
+                raise SchemaError(f"{key!r} must be an array of strings")
+        names, shapes, cells = [], [], []
+        for k, (dname, inputs, outputs) in enumerate(units):
+            if not isinstance(dname, str):
+                raise SchemaError(f"dmus[{k}] needs a string 'name'")
+            for key, row in (("inputs", inputs), ("outputs", outputs)):
+                if not isinstance(row, _ARRAY):
+                    raise SchemaError(f"dmus[{k}] ({dname!r}) needs an array {key!r}")
+                _json_cells(row, dname, key, cells)
+            names.append(dname)
+            shapes.append((len(inputs), len(outputs)))
+        _fill(self, name, input_names, output_names, names, shapes, cells)
 
-    def __post_init__(self):
-        dmus = vars(self)["dmus"] = tuple(self.dmus)
-        _fill(self, self.name, self.input_names, self.output_names, [d.name for d in dmus],
-              [(len(d.inputs), len(d.outputs)) for d in dmus],
-              [x for d in dmus for t in d.inputs + d.outputs for x in (t.lower, t.modal, t.upper)])
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
 
-    def __getattr__(self, attr):
-        # Reached only for what the instance lacks: a loaded dataset's dmus.
-        if attr != "dmus" or "bounds" not in vars(self):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
-        m, coords = self.n_inputs, [list(map(TriFuzzy, *e)) for e in zip(*self.bounds.tolist())]
-        dmus = vars(self)["dmus"] = tuple(
-            FuzzyDmu(name, [c[j] for c in coords[:m]], [c[j] for c in coords[m:]])
-            for j, name in enumerate(self.dmu_names))
-        return dmus
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r}")
 
     def __setstate__(self, state):
         # pickle and copy.deepcopy rebuild bounds as a writeable array.
         vars(self).update(state)
         self.bounds.flags.writeable = False
+
+    def __repr__(self):
+        return (f"<FuzzyDataset {self.name!r}: DMUs {self.dmu_names!r}, inputs "
+                f"{self.input_names!r}, outputs {self.output_names!r}>")
+
+    def _key(self):
+        # Every cell is finite and > 0, so equal bytes are equal floats.
+        return (self.name, self.input_names, self.output_names, self.dmu_names,
+                self.bounds.tobytes())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n_dmus(self) -> int:
@@ -113,11 +124,11 @@ class FuzzyDataset:
 
 
 def _fill(data: FuzzyDataset, name, input_names, output_names, names, shapes, cells):
-    """data with every field but dmus set, and dmu_names and bounds, from
-    the DMUs called names, their (inputs, outputs) counts shapes and cells,
-    every cell's lower, modal and upper value in order, DMU by DMU.  The
-    cells are checked already; the dataset's rules are checked here, in
-    order.  A loader passes a bare FuzzyDataset and leaves dmus unset."""
+    """data with its names and bounds set, from the DMUs called names,
+    their (inputs, outputs) counts shapes and cells, every cell's lower,
+    modal and upper value in order, DMU by DMU.  The cells are checked
+    already; the dataset's rules are checked here, in order.  The CSV
+    loader and reduce_at pass a bare object.__new__(FuzzyDataset)."""
     vars(data).update(name=name, input_names=tuple(input_names),
                       output_names=tuple(output_names))
     m, s = data.n_inputs, data.n_outputs
@@ -147,6 +158,7 @@ def _fill(data: FuzzyDataset, name, input_names, output_names, names, shapes, ce
 
 
 _NUMBER = {int, float}
+_ARRAY = (list, tuple)
 _INF = float("inf")
 
 
@@ -161,10 +173,9 @@ def _floats(values, where):
     except ValueError:
         raise _not_a_number(values, where) from None
     if not -_INF < low <= mid <= up < _INF:
-        try:
-            TriFuzzy(low, mid, up)  # raises with the fault's message
-        except OrderingViolation as exc:
-            raise DataError(f"{where()}: {exc}") from None
+        fault = ("out of order:" if all(-_INF < x < _INF for x in (low, mid, up))
+                 else "must be finite, got")
+        raise DataError(f"{where()}: triangular bounds {fault} ({low}, {mid}, {up})")
     return low, mid, up
 
 
@@ -179,11 +190,11 @@ def _not_a_number(texts, where) -> ParseError:
 
 
 def _json_cells(row, dname, key, cells) -> None:
-    """Append the checked values of row, the JSON array of DMU dname's
-    key cells, each a number or [l, m, u], to cells."""
+    """Append the checked values of row, DMU dname's key cells, each a
+    number or an [l, m, u] list or tuple, to cells."""
     for i, value in enumerate(row):
         cell = [value] * 3 if type(value) in _NUMBER else value
-        if type(cell) is list and len(cell) == 3:
+        if isinstance(cell, _ARRAY) and len(cell) == 3:
             low, mid, up = cell
             if type(low) is type(mid) is type(up) is float and -_INF < low <= mid <= up < _INF:
                 cells += cell
@@ -191,7 +202,7 @@ def _json_cells(row, dname, key, cells) -> None:
             if set(map(type, cell)) <= _NUMBER:
                 cells += _floats(cell, lambda: f"DMU {dname!r} {key}[{i}]")
                 continue
-        got = "[l, m, u] numbers" if type(value) is list else "a number or [l, m, u]"
+        got = "[l, m, u] numbers" if isinstance(value, _ARRAY) else "a number or [l, m, u]"
         raise SchemaError(f"DMU {dname!r} {key}[{i}]: expected {got}, got {value!r}")
 
 
@@ -207,28 +218,14 @@ def _dataset_from_json(raw: str) -> FuzzyDataset:
             raise SchemaError(f"missing top-level key {key!r}")
         if not isinstance(doc[key], kind):
             raise SchemaError(f"{key!r} must be an array")
-    name = doc.get("name", "")
-    if not isinstance(name, str):
-        raise SchemaError("'name' must be a string")
-    for key in ("inputs", "outputs"):
-        if not all(isinstance(v, str) for v in doc[key]):
-            raise SchemaError(f"{key!r} must be an array of strings")
 
-    names, shapes, cells = [], [], []
-    for k, entry in enumerate(doc["dmus"]):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"dmus[{k}] must be an object")
-        if "name" not in entry or not isinstance(entry["name"], str):
-            raise SchemaError(f"dmus[{k}] needs a string 'name'")
-        dname = entry["name"]
-        for key in ("inputs", "outputs"):
-            if not isinstance(entry.get(key), list):
-                raise SchemaError(f"dmus[{k}] ({dname!r}) needs an array {key!r}")
-            _json_cells(entry[key], dname, key, cells)
-        names.append(dname)
-        shapes.append((len(entry["inputs"]), len(entry["outputs"])))
-    return _fill(object.__new__(FuzzyDataset), name, doc["inputs"], doc["outputs"],
-                 names, shapes, cells)
+    def units():
+        for k, entry in enumerate(doc["dmus"]):
+            if not isinstance(entry, dict):
+                raise SchemaError(f"dmus[{k}] must be an object")
+            yield entry.get("name"), entry.get("inputs"), entry.get("outputs")
+
+    return FuzzyDataset(doc.get("name", ""), doc["inputs"], doc["outputs"], units())
 
 
 def _csv_cell(text: str, where):
@@ -324,21 +321,22 @@ def load_dataset_path(path: Union[str, Path]) -> FuzzyDataset:
     return load_dataset(raw, suffix)
 
 
-def _cell_json(tri: TriFuzzy):
-    if tri.is_crisp:
-        return tri.modal
-    return [tri.lower, tri.modal, tri.upper]
+def _cell_json(cell):
+    """A crisp cell, lower == upper, as its modal value, else [l, m, u]."""
+    return cell[1] if cell[0] == cell[2] else cell
 
 
-def _cell_csv(tri: TriFuzzy) -> str:
-    if tri.is_crisp:
-        return repr(tri.modal)
-    return f"{tri.lower!r};{tri.modal!r};{tri.upper!r}"
+def _cell_csv(cell) -> str:
+    low, mid, up = cell
+    return repr(mid) if low == up else f"{low!r};{mid!r};{up!r}"
 
 
 def write_dataset(data: FuzzyDataset, format: str = "json") -> str:
     """Serialize a dataset; load_dataset(write_dataset(d), fmt) == d, or
     DataError for a name that CSV cannot hold."""
+    m = data.n_inputs
+    # Each DMU's [l, m, u] cells, inputs then outputs.
+    units = list(zip(data.dmu_names, data.bounds.T.tolist()))
     if format == "json":
         doc = {
             "name": data.name,
@@ -346,11 +344,11 @@ def write_dataset(data: FuzzyDataset, format: str = "json") -> str:
             "outputs": list(data.output_names),
             "dmus": [
                 {
-                    "name": d.name,
-                    "inputs": [_cell_json(t) for t in d.inputs],
-                    "outputs": [_cell_json(t) for t in d.outputs],
+                    "name": name,
+                    "inputs": [_cell_json(c) for c in cells[:m]],
+                    "outputs": [_cell_json(c) for c in cells[m:]],
                 }
-                for d in data.dmus
+                for name, cells in units
             ],
         }
         return json.dumps(doc, indent=2) + "\n"
@@ -369,8 +367,8 @@ def write_dataset(data: FuzzyDataset, format: str = "json") -> str:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["dmu"] + [f"in:{c}" for c in data.input_names]
                         + [f"out:{c}" for c in data.output_names])
-        for d in data.dmus:
-            writer.writerow([d.name] + [_cell_csv(t) for t in d.inputs + d.outputs])
+        for name, cells in units:
+            writer.writerow([name] + [_cell_csv(c) for c in cells])
         return out.getvalue()
     raise ParseError(f"unknown dataset format {format!r}; use one of {DATASET_FORMATS}")
 
@@ -421,10 +419,10 @@ class Report:
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(self.alphas))
         object.__setattr__(self, "rows", tuple(self.rows))
-        dmus = {r.dmu for r in self.rows}
-        if self.rows and len(self.rows) != len(dmus) * len(self.alphas):
+        units = {r.dmu for r in self.rows}
+        if self.rows and len(self.rows) != len(units) * len(self.alphas):
             raise DataError(f"report shape mismatch: {len(self.rows)} rows for "
-                            f"{len(dmus)} DMUs x {len(self.alphas)} alpha levels")
+                            f"{len(units)} DMUs x {len(self.alphas)} alpha levels")
 
     def row_for(self, dmu: str, alpha: float) -> ReportRow:
         for r in self.rows:

@@ -19,10 +19,6 @@ class AlphaOutOfRange(RangeError):
     """An alpha level lies outside [0, 1]."""
 
 
-class OrderingViolation(FuzzyDeaError, ValueError):
-    """Triangular number bounds are not ordered lower <= modal <= upper."""
-
-
 class DataError(FuzzyDeaError, ValueError):
     """Dataset values are unusable (non-positive, non-finite, mis-shaped)."""
 

@@ -1,16 +1,14 @@
-"""Triangular fuzzy numbers and their alpha-cuts."""
+"""Triangular cells, lower, modal and upper as a dataset's bounds holds
+them: the one reduction formula and the checks of a level."""
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, OrderingViolation
-
-__all__ = ["TriFuzzy", "Interval"]
+from .errors import AlphaOutOfRange
 
 
 def toward_modal(end, modal, level):
@@ -50,69 +48,3 @@ def check_alpha(alpha) -> float:
     if alpha < 0.0 or alpha > 1.0:
         raise AlphaOutOfRange(f"alpha must lie in [0, 1], got {alpha}")
     return float(alpha)
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed real interval [lo, hi]."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise OrderingViolation(f"interval bounds must be finite, got [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise OrderingViolation(f"interval bounds out of order: [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-
-@dataclass(frozen=True, slots=True)
-class TriFuzzy:
-    """Triangular fuzzy number with support [lower, upper] and peak at modal."""
-
-    lower: float
-    modal: float
-    upper: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.lower, self.modal, self.upper))):
-            raise OrderingViolation(f"triangular bounds must be finite, got {self!r}")
-        if not (self.lower <= self.modal <= self.upper):
-            raise OrderingViolation(
-                f"triangular bounds out of order: ({self.lower}, {self.modal}, {self.upper})"
-            )
-
-    @property
-    def is_crisp(self) -> bool:
-        return self.lower == self.upper
-
-    def membership(self, x: float) -> float:
-        """Hat-shaped membership degree of x, in [0, 1].
-
-        Degenerate sides (zero spread) behave as indicator steps, so a
-        crisp number has membership 1 exactly at its value.
-        """
-        if x < self.lower or x > self.upper:
-            return 0.0
-        if x == self.modal:
-            return 1.0
-        if x < self.modal:
-            return (x - self.lower) / (self.modal - self.lower)
-        return (self.upper - x) / (self.upper - self.modal)
-
-    def alpha_interval(self, alpha: float) -> Interval:
-        """Alpha-cut [lower + a*(modal-lower), upper - a*(upper-modal)].
-
-        Raises AlphaOutOfRange unless 0 <= alpha <= 1.
-        """
-        alpha = check_alpha(alpha)
-        # Convex-combination form: exact at alpha 0/1 and lo <= hi holds
-        # under rounding (the offset form can cross by one ulp at alpha=1).
-        return Interval(
-            float(toward_modal(self.lower, self.modal, alpha)),
-            float(toward_modal(self.upper, self.modal, alpha)),
-        )

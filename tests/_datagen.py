@@ -2,17 +2,18 @@
 
 import numpy as np
 
-from fuzzydea.dataio import FuzzyDataset, FuzzyDmu
-from fuzzydea.trifuzzy import TriFuzzy
+from fuzzydea.dataio import FuzzyDataset
 
 
 def random_tri(rng, crisp_prob=0.25):
+    """A cell as the dataset constructor takes it: a crisp modal value
+    with crisp_prob, else [l, m, u]."""
     modal = float(rng.uniform(1.0, 10.0))
     if rng.random() < crisp_prob:
-        return TriFuzzy(modal, modal, modal)
+        return modal
     left = float(rng.uniform(0.0, 0.4)) * modal
     right = float(rng.uniform(0.0, 0.4)) * modal
-    return TriFuzzy(modal - left, modal, modal + right)
+    return [modal - left, modal, modal + right]
 
 
 def random_dataset(rng, n_dmus=None, n_inputs=None, n_outputs=None, crisp_prob=0.25):
@@ -20,19 +21,19 @@ def random_dataset(rng, n_dmus=None, n_inputs=None, n_outputs=None, crisp_prob=0
     n = int(n_dmus if n_dmus is not None else rng.integers(3, 7))
     m = int(n_inputs if n_inputs is not None else rng.integers(1, 4))
     s = int(n_outputs if n_outputs is not None else rng.integers(1, 4))
-    dmus = tuple(
-        FuzzyDmu(
+    units = [
+        (
             f"U{j+1}",
-            tuple(random_tri(rng, crisp_prob) for _ in range(m)),
-            tuple(random_tri(rng, crisp_prob) for _ in range(s)),
+            [random_tri(rng, crisp_prob) for _ in range(m)],
+            [random_tri(rng, crisp_prob) for _ in range(s)],
         )
         for j in range(n)
-    )
+    ]
     return FuzzyDataset(
-        name="random",
-        input_names=tuple(f"I{i+1}" for i in range(m)),
-        output_names=tuple(f"O{r+1}" for r in range(s)),
-        dmus=dmus,
+        "random",
+        [f"I{i+1}" for i in range(m)],
+        [f"O{r+1}" for r in range(s)],
+        units,
     )
 
 
@@ -41,17 +42,21 @@ def crisp_dataset(names, inputs, outputs):
     one column per DMU of names, built through the public constructor."""
     inputs, outputs = np.atleast_2d(inputs), np.atleast_2d(outputs)
     assert inputs.shape[1] == outputs.shape[1] == len(names)
-
-    def cells(column):
-        return tuple(TriFuzzy(x, x, x) for x in map(float, column))
-
     return FuzzyDataset(
-        name="crisp",
-        input_names=tuple(f"I{i+1}" for i in range(len(inputs))),
-        output_names=tuple(f"O{r+1}" for r in range(len(outputs))),
-        dmus=tuple(FuzzyDmu(dmu, cells(inputs[:, j]), cells(outputs[:, j]))
-                   for j, dmu in enumerate(names)),
+        "crisp",
+        [f"I{i+1}" for i in range(len(inputs))],
+        [f"O{r+1}" for r in range(len(outputs))],
+        [(dmu, [float(x) for x in inputs[:, j]], [float(x) for x in outputs[:, j]])
+         for j, dmu in enumerate(names)],
     )
+
+
+def units(data):
+    """data's DMUs as the dataset constructor takes them: (name, inputs,
+    outputs), each cell an [l, m, u] list."""
+    m = data.n_inputs
+    return [(name, cells[:m], cells[m:])
+            for name, cells in zip(data.dmu_names, data.bounds.T.tolist())]
 
 
 def crisp_arrays(data):

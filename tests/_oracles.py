@@ -6,22 +6,22 @@ the h* oracle is a plain grid scan of the target function.  The exact
 CCR oracle solves the multiplier LP in rational arithmetic, so its
 optimum carries no rounding at all.  The dataset
 oracle is the per-cell loader that fuzzydea.dataio used before it filled
-one buffer of doubles: a TriFuzzy per cell, a FuzzyDmu per unit, then
-the dataset's rules checked on those cells.
+one buffer of doubles: an (l, m, u) triple checked per cell, a unit of
+such triples per DMU, then the dataset's rules checked on those cells.
 """
 
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from fuzzydea.dataio import FuzzyDataset, FuzzyDmu
-from fuzzydea.errors import DataError, OrderingViolation, ParseError, SchemaError
+from fuzzydea.dataio import FuzzyDataset
+from fuzzydea.errors import DataError, ParseError, SchemaError
 from fuzzydea.mofdea import MoConfig, eff_at, z_star
-from fuzzydea.trifuzzy import TriFuzzy
 
 BOX = 1e7  # artificial bound used to detect unbounded problems
 
@@ -196,32 +196,32 @@ def _dataset(name, input_names, output_names, dmus) -> FuzzyDataset:
         raise DataError("dataset needs at least one output coordinate")
     if not dmus:
         raise DataError("dataset has no DMUs")
-    names = [d.name for d in dmus]
+    names = [dname for dname, _, _ in dmus]
     if len(set(names)) != len(names):
         raise DataError("DMU names must be unique")
-    for d in dmus:
-        if len(d.inputs) != len(input_names):
+    for dname, inputs, outputs in dmus:
+        if len(inputs) != len(input_names):
             raise DataError(
-                f"DMU {d.name!r}: {len(d.inputs)} inputs, expected {len(input_names)}"
+                f"DMU {dname!r}: {len(inputs)} inputs, expected {len(input_names)}"
             )
-        if len(d.outputs) != len(output_names):
+        if len(outputs) != len(output_names):
             raise DataError(
-                f"DMU {d.name!r}: {len(d.outputs)} outputs, expected {len(output_names)}"
+                f"DMU {dname!r}: {len(outputs)} outputs, expected {len(output_names)}"
             )
         for label, items, coord_names in (
-            ("input", d.inputs, input_names),
-            ("output", d.outputs, output_names),
+            ("input", inputs, input_names),
+            ("output", outputs, output_names),
         ):
-            for coord, tri in zip(coord_names, items):
-                if tri.lower <= 0.0:
+            for coord, (lower, _, _) in zip(coord_names, items):
+                if lower <= 0.0:
                     raise DataError(
-                        f"DMU {d.name!r} {label} {coord!r}: bounds must be "
-                        f"strictly positive, got lower bound {tri.lower}"
+                        f"DMU {dname!r} {label} {coord!r}: bounds must be "
+                        f"strictly positive, got lower bound {lower}"
                     )
     return FuzzyDataset(name, input_names, output_names, dmus)
 
 
-def _tri_from_cell(value, where) -> TriFuzzy:
+def _tri_from_cell(value, where):
     number = {int, float}
     if type(value) in number:
         value = (value, value, value)
@@ -232,21 +232,25 @@ def _tri_from_cell(value, where) -> TriFuzzy:
     return _tri(value, where)
 
 
-def _tri(values, where) -> TriFuzzy:
-    """TriFuzzy of three numbers or number texts, or DataError or
-    ParseError naming the cell where()."""
+def _tri(values, where):
+    """(l, m, u), the floats of three numbers or number texts, or DataError
+    or ParseError naming the cell where() unless they are finite and in
+    order."""
     try:
-        return TriFuzzy(*map(float, values))
+        tri = tuple(map(float, values))
     except OverflowError:
         raise DataError(f"{where()}: integer too large for a float") from None
-    except OrderingViolation as exc:
-        raise DataError(f"{where()}: {exc}") from None
     except ValueError:  # a text that is not a number
         for text in values:
             try:
                 float(text)
             except ValueError:
                 raise ParseError(f"{where()}: not a number: {text!r}") from None
+    if not all(map(math.isfinite, tri)):
+        raise DataError(f"{where()}: triangular bounds must be finite, got {tri}")
+    if not tri[0] <= tri[1] <= tri[2]:
+        raise DataError(f"{where()}: triangular bounds out of order: {tri}")
+    return tri
 
 
 def _dataset_from_json(raw: str) -> FuzzyDataset:
@@ -283,11 +287,11 @@ def _dataset_from_json(raw: str) -> FuzzyDataset:
                 _tri_from_cell(v, lambda: f"DMU {dname!r} {key}[{i}]")
                 for i, v in enumerate(entry[key])
             )
-        dmus.append(FuzzyDmu(dname, cells["inputs"], cells["outputs"]))
+        dmus.append((dname, cells["inputs"], cells["outputs"]))
     return _dataset(name, tuple(doc["inputs"]), tuple(doc["outputs"]), tuple(dmus))
 
 
-def _tri_from_csv_cell(text: str, where) -> TriFuzzy:
+def _tri_from_csv_cell(text: str, where):
     text = text.strip()
     if not text:
         raise ParseError(f"{where()}: empty cell")
@@ -349,5 +353,5 @@ def _dataset_from_csv(raw: str) -> FuzzyDataset:
             for col, cell in zip(header[1:], row[1:])
         ]
         k = len(input_names)
-        dmus.append(FuzzyDmu(dname, tuple(tris[:k]), tuple(tris[k:])))
+        dmus.append((dname, tuple(tris[:k]), tuple(tris[k:])))
     return _dataset(name, tuple(input_names), tuple(output_names), tuple(dmus))

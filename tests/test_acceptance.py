@@ -20,7 +20,6 @@ from fuzzydea.cli import main
 from fuzzydea.dataio import read_report
 from fuzzydea.linprog import LpProblem, LpStatus, solve
 from fuzzydea.mofdea import MoConfig, eff_at, solve_mo, z_star
-from fuzzydea.trifuzzy import TriFuzzy
 
 from _datagen import (
     crisp_arrays,
@@ -39,6 +38,7 @@ from reference_values import (
     REF_CRISP_INCLUDE,
     REF_MO_TABLE,
 )
+from test_trifuzzy import alpha_cut, membership
 
 T0 = time.perf_counter()
 
@@ -297,26 +297,27 @@ def _suite_cut_nesting(rng, cases=120):
         modal = float(rng.uniform(1.0, 10.0))
         roll = rng.random()
         if roll < 0.15:
-            f = TriFuzzy(modal, modal, modal)
+            f = (modal, modal, modal)
         elif roll < 0.25:  # one degenerate side
             span = float(rng.uniform(0.01, 0.4)) * modal
-            f = (TriFuzzy(modal - span, modal, modal)
-                 if rng.random() < 0.5 else TriFuzzy(modal, modal, modal + span))
+            f = (modal - span, modal, modal) if rng.random() < 0.5 else (modal, modal, modal + span)
         else:
-            f = TriFuzzy(
+            f = (
                 modal - float(rng.uniform(0.01, 0.4)) * modal,
                 modal,
                 modal + float(rng.uniform(0.01, 0.4)) * modal,
             )
+        lower, _, upper = f
         a1, a2 = sorted(float(v) for v in rng.uniform(0.0, 1.0, size=2))
-        wide, tight = f.alpha_interval(a1), f.alpha_interval(a2)
-        if not (wide.lo <= tight.lo + 1e-12 and tight.hi <= wide.hi + 1e-12):
+        (wide_lo, wide_hi), (tight_lo, tight_hi) = alpha_cut(f, a1), alpha_cut(f, a2)
+        if not (wide_lo <= tight_lo + 1e-12 and tight_hi <= wide_hi + 1e-12
+                and wide_lo <= wide_hi and tight_lo <= tight_hi):
             fails.append(f"nesting violated, case {k}: {f}")
         a = float(rng.uniform(0.05, 1.0))
-        cut = f.alpha_interval(a)
-        if f.modal > f.lower and abs(f.membership(cut.lo) - a) > 1e-12:
+        lo, hi = alpha_cut(f, a)
+        if modal > lower and abs(membership(f, lo) - a) > 1e-12:
             fails.append(f"left endpoint membership != alpha, case {k}: {f}")
-        if f.upper > f.modal and abs(f.membership(cut.hi) - a) > 1e-12:
+        if upper > modal and abs(membership(f, hi) - a) > 1e-12:
             fails.append(f"right endpoint membership != alpha, case {k}: {f}")
     return fails
 

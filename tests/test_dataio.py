@@ -4,7 +4,6 @@ import math
 import pickle
 import random
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,6 @@ import pytest
 
 from fuzzydea.dataio import (
     FuzzyDataset,
-    FuzzyDmu,
     Report,
     ReportRow,
     fixture_path,
@@ -26,7 +24,8 @@ from fuzzydea.dataio import (
     _report_json,
 )
 from fuzzydea.errors import DataError, ParseError, SchemaError
-from fuzzydea.trifuzzy import TriFuzzy
+
+from _datagen import units
 
 GOOD_JSON = """
 {
@@ -53,8 +52,10 @@ class TestJsonLoading:
         assert ds.name == "toy"
         assert ds.dmu_names == ("a", "b")
         assert ds.n_inputs == 1 and ds.n_outputs == 2
-        assert ds.dmus[0].inputs[0] == TriFuzzy(1, 2, 3)
-        assert ds.dmus[0].outputs[0] == TriFuzzy(4, 4, 4)  # scalar shorthand
+        assert ds.bounds[:, 0, 0].tolist() == [1, 2, 3]
+        assert ds.bounds[:, 1, 0].tolist() == [4, 4, 4]  # scalar shorthand
+        assert repr(ds) == ("<FuzzyDataset 'toy': DMUs ('a', 'b'), inputs ('I1',), "
+                            "outputs ('O1', 'O2')>")
 
     def test_accepts_bytes(self):
         assert load_dataset(GOOD_JSON.encode(), "json").name == "toy"
@@ -166,13 +167,22 @@ class TestCsvLoading:
 class TestCellBuffer:
     """A dataset keeps its cells in one buffer of doubles."""
 
-    @pytest.mark.parametrize("fmt,raw", [("json", GOOD_JSON), ("csv", GOOD_CSV)])
-    def test_loaded_cells_are_built_on_first_access(self, fmt, raw):
-        ds = load_dataset(raw, fmt)
-        assert "dmus" not in vars(ds)
-        assert ds.n_dmus == 2 and ds.index_of("b") == 1
-        assert ds.dmus[0].inputs[0] == TriFuzzy(1, 2, 3)
-        assert "dmus" in vars(ds) and ds.dmus is ds.dmus
+    def test_datasets_differing_in_one_cell_are_unequal(self):
+        ds = load_dataset(GOOD_JSON, "json")
+        cells = units(ds)
+        cells[1][2][0] = [3.0, 4.0, 5.5]  # b's first output
+        other = FuzzyDataset(ds.name, ds.input_names, ds.output_names, cells)
+        assert other.dmu_names == ds.dmu_names and other != ds
+        assert other.bounds.tolist() != ds.bounds.tolist()
+
+    def test_attributes_are_read_only(self):
+        ds = load_dataset(GOOD_JSON, "json")
+        for attr in ("name", "bounds", "dmus"):
+            with pytest.raises(AttributeError):
+                setattr(ds, attr, None)
+        with pytest.raises(AttributeError):
+            del ds.name
+        assert ds == load_dataset(GOOD_JSON, "json")
 
     def test_bounds_is_the_read_only_buffer(self):
         ds = load_dataset(GOOD_JSON, "json")
@@ -186,7 +196,7 @@ class TestCellBuffer:
                                      copy.deepcopy, copy.copy],
                              ids=["pickle", "deepcopy", "copy"])
     def test_copies_keep_bounds_read_only(self, dup, gt):
-        built = FuzzyDataset(gt.name, gt.input_names, gt.output_names, gt.dmus)
+        built = FuzzyDataset(gt.name, gt.input_names, gt.output_names, units(gt))
         for ds in (load_fixture("aircraft"), built):
             again = dup(ds)
             assert not again.bounds.flags.writeable
@@ -195,8 +205,10 @@ class TestCellBuffer:
                 again.bounds[0, 0, 0] = 0.0
 
     def test_loaded_and_constructed_datasets_are_equal(self):
+        # The constructor takes the cells as GOOD_JSON holds them, or as tuples.
         ds = load_dataset(GOOD_JSON, "json")
-        built = FuzzyDataset(ds.name, ds.input_names, ds.output_names, ds.dmus)
+        built = FuzzyDataset("toy", ("I1",), ["O1", "O2"], [
+            ("a", [[1, 2, 3]], [4, (1, 1.5, 2)]), ("b", (2.5,), [[3, 4, 5], 6])])
         assert ds == built and hash(ds) == hash(built)
         assert built.dmu_names == ds.dmu_names
         assert (built.bounds == ds.bounds).all()
@@ -211,11 +223,11 @@ class TestCellBuffer:
     ("csv", GOOD_CSV.replace("b,2.5,", "b,inf,")),
 ])
 def test_non_finite_number_names_the_cell(fmt, raw):
-    with pytest.raises(DataError, match="triangular bounds must be finite") as err:
+    with pytest.raises(DataError) as err:
         load_dataset(raw, fmt)
-    assert str(err.value).startswith(
+    assert str(err.value) == (
         "DMU 'b' inputs[0]: " if fmt == "json" else "row 3 ('b') column 'in:I1': "
-    )
+    ) + "triangular bounds must be finite, got (inf, inf, inf)"
 
 
 class TestRoundTrip:
@@ -236,10 +248,12 @@ class TestRoundTrip:
     ])
     def test_csv_refuses_a_name_it_cannot_read_back(self, field, name):
         ds = load_dataset(GOOD_JSON, "json")
-        ds = replace(ds, **{
-            "dataset name": {"name": name},
-            "DMU name": {"dmus": (replace(ds.dmus[0], name=name), *ds.dmus[1:])},
-            "column name": {"input_names": (name,)},
+        (_, inputs, outputs), *rest = cells = units(ds)
+        ds = FuzzyDataset(*{
+            "dataset name": (name, ds.input_names, ds.output_names, cells),
+            "DMU name": (ds.name, ds.input_names, ds.output_names,
+                         [(name, inputs, outputs), *rest]),
+            "column name": (ds.name, (name,), ds.output_names, cells),
         }[field])
         with pytest.raises(DataError) as err:
             write_dataset(ds, "csv")
@@ -277,14 +291,14 @@ class TestFixtures:
 
     def test_guo_tanaka_shape(self, gt):
         assert gt.n_dmus == 5 and gt.n_inputs == 2 and gt.n_outputs == 2
-        assert gt.dmus[0].inputs[0] == TriFuzzy(3.5, 4.0, 4.5)
+        assert gt.bounds[:, 0, 0].tolist() == [3.5, 4.0, 4.5]
 
     def test_aircraft_shape(self, ac):
         assert ac.n_dmus == 5 and ac.n_inputs == 4 and ac.n_outputs == 2
-        b757 = ac.dmus[0]
-        assert b757.inputs[2] == TriFuzzy(5522, 5522, 5522)  # crisp I3
-        a321 = ac.dmus[1]
-        assert a321.inputs[1].is_crisp
+        assert ac.dmu_names[:2] == ("B757-200", "A-321")
+        assert ac.bounds[:, 2, 0].tolist() == [5522] * 3  # B757-200's crisp I3
+        lower, _, upper = ac.bounds[:, 1, 1]  # A-321's I2
+        assert lower == upper
 
     def test_unknown_fixture(self):
         with pytest.raises(DataError):
@@ -305,12 +319,7 @@ class TestFixtures:
 class TestValidationTotal:
     def test_count_mismatch(self):
         with pytest.raises(DataError):
-            FuzzyDataset(
-                "x",
-                ("I1", "I2"),
-                ("O1",),
-                (FuzzyDmu("a", (TriFuzzy(1, 1, 1),), (TriFuzzy(1, 1, 1),)),),
-            )
+            FuzzyDataset("x", ("I1", "I2"), ("O1",), [("a", [1], [1])])
 
     def test_no_dmus(self):
         with pytest.raises(DataError):
@@ -318,10 +327,23 @@ class TestValidationTotal:
 
     def test_empty_dmu_name(self):
         # Checked after "dataset has no DMUs" and before uniqueness.
-        one = (TriFuzzy(1, 1, 1),)
         for names in ([""], ["a", ""], ["", ""]):
             with pytest.raises(DataError, match="^DMU names must not be empty$"):
-                FuzzyDataset("x", ("I1",), ("O1",), tuple(FuzzyDmu(n, one, one) for n in names))
+                FuzzyDataset("x", ("I1",), ("O1",), [(n, [1], [1]) for n in names])
+
+    # Each would write a dataset that the loaders refuse, or not write at all.
+    @pytest.mark.parametrize("args,message", [
+        (("x", ["I"], ["O"], [(5, [1], [1])]), "dmus[0] needs a string 'name'"),
+        ((None, ["I"], ["O"], [("a", [1], [1])]), "'name' must be a string"),
+        (("x", [1], ["O"], [("a", [1], [1])]), "'inputs' must be an array of strings"),
+        (("x", "IJ", ["O"], [("a", [1, 2], [1])]), "'inputs' must be an array"),
+        (("x", ["I"], ["O"], [("a", [(True, True, True)], [1])]),
+         "DMU 'a' inputs[0]: expected [l, m, u] numbers, got (True, True, True)"),
+    ], ids=["unit name", "dataset name", "column name", "column string", "bool cell"])
+    def test_constructor_checks_what_the_json_loader_checks(self, args, message):
+        with pytest.raises(SchemaError) as err:
+            FuzzyDataset(*args)
+        assert type(err.value) is SchemaError and str(err.value) == message
 
 
 def sample_report():

@@ -12,13 +12,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _datagen import crisp_arrays, crisp_dataset
+from _datagen import crisp_arrays, crisp_dataset, units
 from _oracles import exact_ccr
 from fuzzydea import ccr
 from fuzzydea.alphacut import reduce_at
 from fuzzydea.ccr import DataLps, SelfPolicy, ccr_efficiency
-from fuzzydea.dataio import FuzzyDataset, FuzzyDmu, load_fixture
-from fuzzydea.trifuzzy import TriFuzzy
+from fuzzydea.dataio import FuzzyDataset, load_fixture
 from test_backends import KERNELS
 
 FIXTURES = ("guo_tanaka", "aircraft")
@@ -42,12 +41,9 @@ def assert_near(score, exact, where):
 
 def scaled_first_input(data, factor):
     """data with every bound of its first input multiplied by factor."""
-    def scale(t):
-        return TriFuzzy(t.lower * factor, t.modal * factor, t.upper * factor)
-
-    return FuzzyDataset(data.name, data.input_names, data.output_names, tuple(
-        FuzzyDmu(d.name, (scale(d.inputs[0]), *d.inputs[1:]), d.outputs)
-        for d in data.dmus))
+    return FuzzyDataset(data.name, data.input_names, data.output_names, [
+        (name, [[x * factor for x in inputs[0]], *inputs[1:]], outputs)
+        for name, inputs, outputs in units(data)])
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
@@ -133,13 +129,12 @@ def small_sets(draw, crisp):
     spread = st.one_of(st.just(0.0), st.floats(0.0, 0.4))
 
     def cell(modal):
-        return TriFuzzy(modal * (1.0 - draw(spread)), modal, modal * (1.0 + draw(spread)))
+        return [modal * (1.0 - draw(spread)), modal, modal * (1.0 + draw(spread))]
 
-    return FuzzyDataset("random", tuple(f"I{i+1}" for i in range(m)),
-                        tuple(f"O{r+1}" for r in range(s)), tuple(
-        FuzzyDmu(name, [cell(row[j]) for row in rows[:m]],
-                 [cell(row[j]) for row in rows[m:]])
-        for j, name in enumerate(names)))
+    return FuzzyDataset("random", [f"I{i+1}" for i in range(m)],
+                        [f"O{r+1}" for r in range(s)], [
+        (name, [cell(row[j]) for row in rows[:m]], [cell(row[j]) for row in rows[m:]])
+        for j, name in enumerate(names)])
 
 
 def with_kernel(kernel, solve):

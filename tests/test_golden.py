@@ -19,7 +19,6 @@ import pytest
 
 from fuzzydea import alphacut, mofdea
 from fuzzydea.cli import main
-from fuzzydea.trifuzzy import TriFuzzy
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURES = ("guo_tanaka", "aircraft")
@@ -88,17 +87,6 @@ def test_every_model_scores_through_the_lp_store(name, argv, monkeypatch):
 
     for module in (alphacut, mofdea):
         monkeypatch.setattr(module, "reduce_at", refuse)
-    assert render(argv) == (GOLDEN / name).read_bytes()
-
-
-@pytest.mark.parametrize("name,argv", STORE_CASES, ids=[c[0] for c in STORE_CASES])
-def test_no_command_builds_a_tri_fuzzy_cell(name, argv, monkeypatch):
-    # The loaders fill a dataset's buffer of doubles, and every command
-    # reads that buffer and dmu_names; none builds the dmus' TriFuzzy cells.
-    def refuse(self):
-        raise AssertionError("a command built a TriFuzzy")
-
-    monkeypatch.setattr(TriFuzzy, "__post_init__", refuse)
     assert render(argv) == (GOLDEN / name).read_bytes()
 
 

@@ -9,7 +9,8 @@ list of such imports may shrink but not grow.  It also checks that the
 package calls the kernel from ccr._search alone and reads its failure
 statuses in ccr alone, that only the process entry, cli.run, freezes
 the collector, and that importing fuzzydea loads numpy, which the
-benchmark's set-up probe relies on.
+benchmark's set-up probe relies on.  A ratchet keeps the dataset in one
+form, its names and bounds, and caps the package's dataclasses.
 """
 
 import ast
@@ -132,6 +133,36 @@ def test_one_module_reads_the_kernel_failure_statuses():
     }
     outside = {(module, name) for module, name in imports if module != "ccr"}
     assert outside <= {("linprog", "OPTIMAL"), ("linprog", "UNBOUNDED")}, sorted(outside)
+
+
+def test_a_dataset_is_its_names_and_bounds():
+    # A cell is (lower, modal, upper) in a dataset's bounds; no object form
+    # of a cell, a unit or an interval is left.  ROADMAP item 15 lowers the
+    # dataclass cap to 0.
+    trees = {_module_name(path): ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in MODULES}
+    assert not [n.name for n in ast.walk(trees["trifuzzy"]) if isinstance(n, ast.ClassDef)]
+    gone = {"FuzzyDmu", "TriFuzzy", "Interval", "OrderingViolation"}
+    found = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {name for alias in node.names for name in (alias.name, alias.asname)}
+            else:
+                continue
+            found |= {(module, name) for name in names & gone}
+    assert not found, sorted(found)
+    dataclasses = [
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        for deco in node.decorator_list
+        if "dataclass" in ast.unparse(deco)
+    ]
+    assert len(dataclasses) <= 6, dataclasses
 
 
 def test_only_the_process_entry_freezes_the_heap():

@@ -20,7 +20,7 @@ from fuzzydea.alphacut import (
 )
 from fuzzydea.ccr import DataLps, SelfPolicy, ccr_efficiency, ccr_scores
 from fuzzydea.cli import DEFAULT_ALPHAS, main
-from fuzzydea.dataio import FuzzyDataset, FuzzyDmu, load_fixture
+from fuzzydea.dataio import FuzzyDataset, load_fixture
 from fuzzydea._speedups.pure import BAD_DATA
 from fuzzydea.errors import AlphaOutOfRange, DataError, DegenerateZStar, RangeError
 from fuzzydea.mofdea import (
@@ -34,7 +34,6 @@ from fuzzydea.mofdea import (
     solve_mo,
     z_star,
 )
-from fuzzydea.trifuzzy import TriFuzzy
 
 
 class TestBetaLevel:
@@ -559,22 +558,13 @@ class TestEvaluateAll:
         assert ranked[0].dmu == "MD-82"
 
     def test_needs_two_dmus(self):
-        solo = FuzzyDataset(
-            "one",
-            ("I1",),
-            ("O1",),
-            (FuzzyDmu("only", (TriFuzzy(1, 2, 3),), (TriFuzzy(1, 2, 3),)),),
-        )
+        solo = FuzzyDataset("one", ["I1"], ["O1"], [("only", [[1, 2, 3]], [[1, 2, 3]])])
         with pytest.raises(DataError):
             evaluate_all(solo, [MoConfig()])
 
     def test_identical_dmus_tie_break_by_input_order(self):
-        tri_in = TriFuzzy(2.0, 3.0, 4.0)
-        tri_out = TriFuzzy(1.0, 1.5, 2.0)
-        dmus = tuple(
-            FuzzyDmu(f"U{j+1}", (tri_in,), (tri_out,)) for j in range(3)
-        )
-        data = FuzzyDataset("twins", ("I1",), ("O1",), dmus)
+        units = [(f"U{j+1}", [[2.0, 3.0, 4.0]], [[1.0, 1.5, 2.0]]) for j in range(3)]
+        data = FuzzyDataset("twins", ["I1"], ["O1"], units)
         (ranked,) = evaluate_all(data, [MoConfig()])
         assert [r.dmu for r in ranked] == ["U1", "U2", "U3"]
         assert len({r.efficiency for r in ranked}) == 1
@@ -625,10 +615,9 @@ class TestFirstFailure:
 
     def test_degenerate_z_star_of_the_first_cfg(self):
         # U2's outputs are some 1e-12 of its peers', so its z* is too.
-        big, tiny = TriFuzzy(1.0, 2.0, 3.0), TriFuzzy(1e-12, 2e-12, 3e-12)
-        data = FuzzyDataset("tiny", ("I1",), ("O1",), (
-            FuzzyDmu("U1", (big,), (big,)), FuzzyDmu("U2", (big,), (tiny,)),
-            FuzzyDmu("U3", (big,), (big,))))
+        big, tiny = [1.0, 2.0, 3.0], [1e-12, 2e-12, 3e-12]
+        data = FuzzyDataset("tiny", ["I1"], ["O1"], [
+            ("U1", [big], [big]), ("U2", [big], [tiny]), ("U3", [big], [big])])
         for pols in ((EX, IN), (IN, EX)):
             cfgs = [MoConfig(alpha=a, policy=pol) for a, pol in zip((0.5, 0.0), pols)]
             with pytest.raises(DegenerateZStar) as alone:
@@ -719,7 +708,6 @@ ALPHA_ENTRIES = {
     "pessimistic_reduce": lambda d, a: pessimistic_reduce(d, 1, a),
     "alphacut_scores": lambda d, a: alphacut_scores(d, a),
     "pessimistic_scores": lambda d, a: pessimistic_scores(d, a),
-    "TriFuzzy.alpha_interval": lambda d, a: TriFuzzy(1.0, 2.0, 4.0).alpha_interval(a),
 }
 
 
@@ -731,8 +719,6 @@ def _exact(out):
         return type(out.alpha), out.alpha.hex()
     if hasattr(out, "score"):
         return type(out.alpha), out.alpha.hex(), out.score.hex()
-    if hasattr(out, "lo"):
-        return out.lo.hex(), out.hi.hex()
     if isinstance(out, float):
         return type(out), out.hex()
     return _digest(out)

@@ -4,16 +4,17 @@ The heavier randomized suites (100+ cases each, shared tolerances) live in
 test_acceptance.py; these complement them with shrinkable generators.
 """
 
+import math
 import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzydea.ccr import SelfPolicy, ccr_scores
-from fuzzydea.dataio import FuzzyDataset, FuzzyDmu, load_dataset, write_dataset
+from fuzzydea.dataio import FuzzyDataset, load_dataset, write_dataset
+from fuzzydea.errors import DataError, SchemaError
 from fuzzydea.linprog import LpProblem, LpStatus, solve
 from fuzzydea.mofdea import beta_level
-from fuzzydea.trifuzzy import TriFuzzy
 
 from _datagen import crisp_dataset
 from _oracles import brute_force_lp
@@ -55,40 +56,61 @@ def test_lp_agrees_with_vertex_enumeration(prob):
         assert got.value == pytest.approx(oracle[1], abs=1e-6)
 
 
-name_st = st.text(string.ascii_letters + string.digits + "_-", min_size=1, max_size=8)
+def mostly(good, odd, n):
+    """A draw of good, but about one in n of odd."""
+    return st.integers(0, n - 1).flatmap(lambda k: odd if k == n // 2 else good)
+
+
+# Now and then a name of any text (white space, line breaks, quotes) or
+# a value that is not a name, and a cell that the constructor refuses.
+name_st = mostly(mostly(st.text(string.ascii_letters + string.digits + "_-", min_size=1,
+                                max_size=8), st.text(max_size=4), 5),
+                 st.sampled_from([5, None]), 60)
 tri_st = st.lists(
     st.floats(0.1, 50.0, allow_nan=False), min_size=3, max_size=3
-).map(lambda v: TriFuzzy(*sorted(v)))
+).map(sorted)
+cell_st = mostly(tri_st | tri_st.map(tuple) | st.floats(0.1, 50.0) | st.integers(1, 50),
+                 st.sampled_from([True, (1.0, 2.0), [3.0, 2.0, 1.0], "1", 0.0, math.inf]), 60)
 
 
 @st.composite
 def fuzzy_datasets(draw):
+    """The arguments of FuzzyDataset(...), mostly of one it accepts."""
     m = draw(st.integers(1, 3))
     s = draw(st.integers(1, 3))
     n = draw(st.integers(1, 4))
     names = draw(
         st.lists(name_st, min_size=n, max_size=n, unique=True)
     )
-    dmus = tuple(
-        FuzzyDmu(
+    units = [
+        (
             nm,
-            tuple(draw(tri_st) for _ in range(m)),
-            tuple(draw(tri_st) for _ in range(s)),
+            [draw(cell_st) for _ in range(m)],
+            [draw(cell_st) for _ in range(s)],
         )
         for nm in names
-    )
-    return FuzzyDataset(
-        draw(name_st),
-        tuple(f"i{k}" for k in range(m)),
-        tuple(f"o{k}" for k in range(s)),
-        dmus,
-    )
+    ]
+    columns = [[draw(name_st) for _ in range(k)] for k in (m, s)]
+    if draw(st.integers(0, 20)) == 10:
+        columns[0] = "".join(map(str, columns[0]))  # a string, not an array
+    return (draw(name_st), *columns, units)
 
 
-@settings(max_examples=60, **SETTINGS)
+@settings(max_examples=200, **SETTINGS)
 @given(fuzzy_datasets(), st.sampled_from(["json", "csv"]))
-def test_dataset_round_trip(ds, fmt):
-    assert load_dataset(write_dataset(ds, fmt), fmt) == ds
+def test_dataset_round_trip(args, fmt):
+    # Every dataset the constructor accepts reads back equal, or CSV
+    # refuses one of its names.
+    try:
+        ds = FuzzyDataset(*args)
+    except (SchemaError, DataError):
+        return
+    try:
+        text = write_dataset(ds, fmt)
+    except DataError as exc:
+        assert fmt == "csv" and str(exc).startswith("CSV cannot hold ")
+        return
+    assert load_dataset(text, fmt) == ds
 
 
 @settings(max_examples=60, **SETTINGS)

@@ -17,10 +17,9 @@ from fuzzydea import ccr
 from fuzzydea._speedups import fast_mo_solve, pure_mo_solve
 from fuzzydea.alphacut import reduce_at
 from fuzzydea.ccr import DataLps, SelfPolicy, ccr_efficiency
-from fuzzydea.dataio import FuzzyDataset, FuzzyDmu
+from fuzzydea.dataio import FuzzyDataset
 from fuzzydea.errors import DataError, NumericalBreakdown, SolverFailure
 from fuzzydea.mofdea import reduced_data
-from fuzzydea.trifuzzy import TriFuzzy
 from test_backends import KERNELS, level0, needs_fast
 
 
@@ -132,11 +131,8 @@ def test_low_and_high_give_reduce_ats_ends(favor_p):
 
 def _two_dmus(lower, modal):
     """Peer U2's only output moves from lower to modal."""
-    dmus = (
-        FuzzyDmu("U1", (TriFuzzy(1.0, 1.0, 1.0),), (TriFuzzy(1.0, 1.0, 1.0),)),
-        FuzzyDmu("U2", (TriFuzzy(1.0, 1.0, 1.0),), (TriFuzzy(lower, modal, modal),)),
-    )
-    return FuzzyDataset("two", ("I1",), ("O1",), dmus)
+    units = [("U1", [1.0], [1.0]), ("U2", [1.0], [[lower, modal, modal]])]
+    return FuzzyDataset("two", ["I1"], ["O1"], units)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -154,8 +150,7 @@ def test_probe_data_must_stay_positive_and_finite(lower, modal):
 
 
 def test_unbounded_probe_raises_like_ccr():
-    one = (TriFuzzy(1.0, 1.0, 1.0),)
-    solo = FuzzyDataset("solo", ("I1",), ("O1",), (FuzzyDmu("A", one, one),))
+    solo = FuzzyDataset("solo", ["I1"], ["O1"], [("A", [1.0], [1.0])])
     lps = DataLps(solo, SelfPolicy.EXCLUDE_SELF)
     with pytest.raises(SolverFailure) as got:
         lps.solve(0, 0.5)
