@@ -17,8 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from fuzzydea import alphacut, mofdea
+from fuzzydea import alphacut, cli, mofdea
 from fuzzydea.cli import main
+from fuzzydea.dataio import load_dataset_path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURES = ("guo_tanaka", "aircraft")
@@ -88,6 +89,24 @@ def test_every_model_scores_through_the_lp_store(name, argv, monkeypatch):
     for module in (alphacut, mofdea):
         monkeypatch.setattr(module, "reduce_at", refuse)
     assert render(argv) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name,argv", STORE_CASES, ids=[c[0] for c in STORE_CASES])
+def test_no_command_builds_a_tri_fuzzy_cell(name, argv, monkeypatch):
+    # A dataset is its names and its buffer of doubles; every command
+    # reads those, and none caches a second, per-cell form beside them.
+    loaded = []
+
+    def load(path):
+        loaded.append(load_dataset_path(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_dataset_path", load)
+    assert render(argv) == (GOLDEN / name).read_bytes()
+    (data,) = loaded
+    assert sorted(vars(data)) == [
+        "bounds", "dmu_names", "input_names", "name", "output_names"]
+    assert not data.bounds.flags.writeable
 
 
 if __name__ == "__main__":

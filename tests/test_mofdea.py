@@ -34,6 +34,7 @@ from fuzzydea.mofdea import (
     solve_mo,
     z_star,
 )
+from fuzzydea.trifuzzy import check_alpha, toward_modal
 
 
 class TestBetaLevel:
@@ -708,7 +709,16 @@ ALPHA_ENTRIES = {
     "pessimistic_reduce": lambda d, a: pessimistic_reduce(d, 1, a),
     "alphacut_scores": lambda d, a: alphacut_scores(d, a),
     "pessimistic_scores": lambda d, a: pessimistic_scores(d, a),
+    # The alpha-cut of the one triangular cell (1, 2, 4).
+    "TriFuzzy.alpha_interval": lambda d, a: _cell_cut((1.0, 2.0, 4.0), a),
 }
+
+
+def _cell_cut(cell, alpha):
+    """(lo, hi), the alpha-cut of cell as reduce_at takes it."""
+    lower, modal, upper = cell
+    alpha = check_alpha(alpha)
+    return float(toward_modal(lower, modal, alpha)), float(toward_modal(upper, modal, alpha))
 
 
 def _exact(out):

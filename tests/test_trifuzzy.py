@@ -1,5 +1,7 @@
-"""Alpha-cuts of a triangular cell through trifuzzy.toward_modal, the one
-blend that reduce_at and both kernels apply, and check_alpha."""
+"""Triangular cells: the checks a dataset's constructor makes of a cell,
+the hat membership the alpha-cut checks measure against, and alpha-cuts
+through trifuzzy.toward_modal, the one blend that reduce_at and both
+kernels apply, with check_alpha."""
 
 import math
 import random
@@ -7,7 +9,8 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fuzzydea.errors import AlphaOutOfRange
+from fuzzydea.dataio import FuzzyDataset
+from fuzzydea.errors import AlphaOutOfRange, DataError
 from fuzzydea.trifuzzy import check_alpha, toward_modal
 
 
@@ -40,7 +43,86 @@ def ordered_triple(min_value=0.01, max_value=100.0):
     return st.tuples(vals, vals, vals).map(sorted)
 
 
-class TestTowardModal:
+def stored(cell):
+    """(l, m, u) of cell as a one-DMU dataset's bounds holds it."""
+    data = FuzzyDataset("one", ["I1"], ["O1"], [("only", [cell], [1.0])])
+    return tuple(data.bounds[:, 0, 0].tolist())
+
+
+class TestConstruction:
+    def test_valid_triple(self):
+        lower, modal, upper = stored((3.5, 4.0, 4.5))
+        assert (lower, modal, upper) == (3.5, 4.0, 4.5)
+        assert lower < upper  # not crisp
+
+    def test_crisp_triple(self):
+        assert stored((2.0, 2.0, 2.0)) == (2.0, 2.0, 2.0)
+        assert stored(2.0) == (2.0, 2.0, 2.0)  # a number is a crisp cell
+
+    def test_reversed_ordering_rejected(self):
+        with pytest.raises(DataError, match=r"out of order: \(5.0, 4.0, 3.0\)"):
+            stored((5.0, 4.0, 3.0))
+
+    def test_modal_outside_bounds_rejected(self):
+        with pytest.raises(DataError, match=r"out of order: \(1.0, 3.0, 2.0\)"):
+            stored((1.0, 3.0, 2.0))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(DataError, match="must be finite, got"):
+            stored((1.0, math.nan, 2.0))
+        with pytest.raises(DataError, match=r"must be finite, got \(1.0, 2.0, inf\)"):
+            stored((1.0, 2.0, math.inf))
+
+    def test_interval_ordering(self):
+        # A cut's ends stay in order at every level; a zero-width cell
+        # is accepted, and its cut is that one point.
+        for alpha in (0.0, 0.25, 0.5, 1.0):
+            lo, hi = alpha_cut(stored((1.0, 1.5, 2.0)), alpha)
+            assert lo <= hi and hi - lo == 1.0 - alpha
+        assert alpha_cut(stored((1.0, 1.0, 1.0)), 0.0) == (1.0, 1.0)
+
+
+class TestMembership:
+    """The hat the alpha-cut checks measure against, and its agreement
+    with toward_modal where a side has no spread."""
+
+    def test_hat_shape(self):
+        f = (3.5, 4.0, 4.5)
+        assert membership(f, 3.5) == 0.0
+        assert membership(f, 4.0) == 1.0
+        assert membership(f, 4.5) == 0.0
+        assert membership(f, 3.75) == pytest.approx(0.5)
+        assert membership(f, 4.25) == pytest.approx(0.5)
+        assert membership(f, 3.0) == 0.0
+        assert membership(f, 5.0) == 0.0
+
+    def test_crisp_is_indicator(self):
+        f = (2.2, 2.2, 2.2)
+        assert membership(f, 2.2) == 1.0
+        assert membership(f, 2.1999) == 0.0
+        assert membership(f, 2.2001) == 0.0
+        assert alpha_cut(f, 0.3) == (2.2, 2.2)
+
+    def test_degenerate_left_side(self):
+        f = (2.0, 2.0, 3.0)
+        assert membership(f, 2.0) == 1.0
+        assert membership(f, 1.999) == 0.0
+        assert membership(f, 2.5) == pytest.approx(0.5)
+        assert alpha_cut(f, 0.5) == (2.0, 2.5)
+
+    def test_degenerate_right_side(self):
+        f = (1.0, 2.0, 2.0)
+        assert membership(f, 2.0) == 1.0
+        assert membership(f, 2.001) == 0.0
+        assert membership(f, 1.5) == pytest.approx(0.5)
+        assert alpha_cut(f, 0.5) == (1.5, 2.0)
+
+    @given(ordered_triple(), st.floats(-1e3, 1e3, allow_nan=False))
+    def test_membership_in_unit_range(self, triple, x):
+        assert 0.0 <= membership(triple, x) <= 1.0
+
+
+class TestAlphaInterval:
     def test_full_support(self):
         assert alpha_cut((3.5, 4.0, 4.5), 0.0) == (3.5, 4.5)
 
