@@ -17,7 +17,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple, Optional, Tuple, Union
@@ -42,6 +41,7 @@ __all__ = [
 
 DATASET_FORMATS = ("json", "csv")
 REPORT_FORMATS = ("md", "csv", "json")
+_FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class FuzzyDataset:
@@ -378,15 +378,11 @@ def fixture_path(name: str) -> Path:
     DataError for a name that list_fixtures() does not give."""
     if name not in (names := list_fixtures()):
         raise DataError(f"unknown fixture {name!r}; available: {', '.join(names)}")
-    with resources.as_file(resources.files(__package__) / "fixtures" / f"{name}.json") as p:
-        return Path(p)
+    return _FIXTURES / f"{name}.json"
 
 
 def list_fixtures() -> Tuple[str, ...]:
-    folder = resources.files(__package__) / "fixtures"
-    return tuple(
-        sorted(p.name[: -len(".json")] for p in folder.iterdir() if p.name.endswith(".json"))
-    )
+    return tuple(sorted(p.stem for p in _FIXTURES.glob("*.json")))
 
 
 def load_fixture(name: str) -> FuzzyDataset:

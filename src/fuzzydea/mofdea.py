@@ -204,40 +204,35 @@ def solve_mo(data: FuzzyDataset, p: int, cfg: MoConfig = MoConfig()) -> MoResult
     return MoResult(name, *found[0], cfg.alpha, cfg.policy)
 
 
-def _by_dmu(data: FuzzyDataset, cfgs: Sequence[MoConfig], cuts: bool = False):
-    """Check cfgs, then score the DMUs one at a time, one ccr._search per
-    self policy on its DataLps.  Returns cfgs as a tuple and, per DMU,
-    its mo_solve entry under each cfg and, with cuts, its (optimum, u, v)
-    at each cfg's alpha.  A DMU's failures raise as if each cfg were scored
-    alone in order and the cuts taken after: the first in order does."""
+def _by_dmu(data: FuzzyDataset, cfgs: Sequence[MoConfig], entry: str, cuts: bool = False):
+    """Check cfgs for entry, the public function called, then score the
+    DMUs one at a time: one ccr._search per DMU on one DataLps under the
+    cfgs' shared self policy.  Returns cfgs as a tuple and, per DMU, the
+    search's (found, effs): its mo_solve entry under each cfg and, with
+    cuts, its (optimum, u, v) at each cfg's alpha.  The kernel runs the
+    cfgs in order, then the cuts, and stops at the first failure, so the
+    error is the one that scoring each cfg alone in order, then taking
+    the cuts, would raise."""
     if data.n_dmus < 2:
         raise DataError("ranking needs at least two DMUs")
     cfgs = tuple(cfgs)
     for cfg in cfgs:
         if not isinstance(cfg, MoConfig):
-            raise TypeError(f"evaluate_all takes MoConfig items, got {cfg!r}")
-    groups = {}  # policy -> the indices of its cfgs
-    for i, cfg in enumerate(cfgs):
-        groups.setdefault(cfg.policy, []).append(i)
-    calls = [
-        (DataLps(data, policy), idx, tuple(_triple(cfgs[i]) for i in idx),
-         tuple(cfgs[i].alpha for i in idx) if cuts else ())
-        for policy, idx in groups.items()
-    ]
+            raise TypeError(f"{entry} takes MoConfig items, got {cfg!r}")
+    for cfg in cfgs:
+        if cfg.policy is not cfgs[0].policy:
+            raise RangeError(f"{entry} takes MoConfig items of one self policy, "
+                             f"got {cfgs[0].policy} and {cfg.policy}")
+    if not cfgs:
+        return cfgs, ()
+    lps = DataLps(data, cfgs[0].policy)
+    triples = tuple(map(_triple, cfgs))
+    levels = tuple(cfg.alpha for cfg in cfgs) if cuts else ()
     rows = []
     for p in range(data.n_dmus):
-        found, effs, failures = [None] * len(cfgs), [None] * len(cfgs), []
-        for lps, idx, triples, levels in calls:
-            got, at, _, failure = ccr._search(lps, p, triples, levels)
-            for i, out in zip(idx, got):
-                found[i] = out
-            for i, eff in zip(idx, at):
-                effs[i] = eff
-            if failure is not None:
-                n = len(got)
-                failures.append(((n == len(idx), idx[n if n < len(idx) else len(at)]), failure))
-        if failures:
-            _raise(data.dmu_names[p], *min(failures)[1])
+        found, effs, _, failure = ccr._search(lps, p, triples, levels)
+        if failure is not None:
+            _raise(data.dmu_names[p], *failure)
         rows.append((found, effs))
     return cfgs, rows
 
@@ -252,14 +247,14 @@ def evaluate_all(
     ranks are 1-based positions in that ordering.
 
     Every item is checked to be a MoConfig, which checks its own fields,
-    before any LP is solved.  The DMUs are then scored one at a time
-    from one DataLps per self policy used: each runs one kernel search
-    per policy, over all its configs under that policy, so a data level
-    that several alpha levels probe (h = 1 always, z* under floor) is
-    solved once per DMU.  The results equal standalone solve_mo calls
-    bit for bit.
+    before any LP is solved, and the configs must share one self policy
+    (RangeError otherwise; make one call per policy).  The DMUs are then
+    scored one at a time from one DataLps: one kernel search per DMU,
+    over all the configs, so a data level that several alpha levels
+    probe (h = 1 always, z* under floor) is solved once per DMU.  The
+    results equal standalone solve_mo calls bit for bit.
     """
-    cfgs, rows = _by_dmu(data, cfgs)
+    cfgs, rows = _by_dmu(data, cfgs, "evaluate_all")
     names = data.dmu_names
     rankings = []
     for i, cfg in enumerate(cfgs):  # a list per config: a zip(*...) transpose lifts peak RSS
@@ -272,9 +267,11 @@ def evaluate_all(
 
 def compare_all(data: FuzzyDataset, cfgs: Sequence[MoConfig]):
     """Per config, each DMU's (alpha-cut score, solve_mo result), in
-    dataset order: the cut is the LP at data level alpha in the kernel
-    search the mo score ran in, and equals alphacut_scores' bit for bit."""
-    cfgs, rows = _by_dmu(data, cfgs, cuts=True)
+    dataset order.  The configs are checked as evaluate_all checks them,
+    one self policy for all.  The cut is the LP at data level alpha in
+    the kernel search the mo score ran in, and equals alphacut_scores'
+    bit for bit."""
+    cfgs, rows = _by_dmu(data, cfgs, "compare_all", cuts=True)
     return tuple(
         tuple(
             (effs[i][0], MoResult(name, *found[i], cfg.alpha, cfg.policy))

@@ -197,6 +197,8 @@ def _dataset(name, input_names, output_names, dmus) -> FuzzyDataset:
     if not dmus:
         raise DataError("dataset has no DMUs")
     names = [dname for dname, _, _ in dmus]
+    if "" in names:
+        raise DataError("DMU names must not be empty")
     if len(set(names)) != len(names):
         raise DataError("DMU names must be unique")
     for dname, inputs, outputs in dmus:

@@ -7,6 +7,7 @@ running one DMU's whole mo root search on those LPs.  linprog's own
 pivot loop is the pure-Python pure.pivot_loop whatever the build.
 """
 
+import functools
 import importlib
 import importlib.util
 import os
@@ -355,16 +356,17 @@ class TestKernelTwins:
         # The models look the kernel up in ccr at call time, so swapping
         # ccr.default_mo_solve runs the whole pipeline on each.  repr
         # round-trips a float, so equal reprs are equal bits.
-        cfgs = [MoConfig(alpha=a, policy=policy, alpha_mode=mode)
-                for a in MO_ALPHAS for policy in SelfPolicy for mode in ALPHA_MODES]
-
-        def run_all(data):
-            cuts = [alphacut_scores(data, a, policy) for a in MO_ALPHAS for policy in SelfPolicy]
+        def run_all(data, policy):  # one ranking call per policy
+            cfgs = [MoConfig(alpha=a, policy=policy, alpha_mode=mode)
+                    for a in MO_ALPHAS for mode in ALPHA_MODES]
+            cuts = [alphacut_scores(data, a, policy) for a in MO_ALPHAS]
             return repr((cuts, evaluate_all(data, cfgs), compare_all(data, cfgs)))
 
         for data in (gt, ac):
-            pure = through_ccr_binding(pure_mo_solve, lambda: run_all(data), monkeypatch)
-            assert through_ccr_binding(fast_mo_solve, lambda: run_all(data), monkeypatch) == pure
+            for policy in SelfPolicy:
+                run = functools.partial(run_all, data, policy)
+                pure = through_ccr_binding(pure_mo_solve, run, monkeypatch)
+                assert through_ccr_binding(fast_mo_solve, run, monkeypatch) == pure
 
 
 def test_short_basis_raises():

@@ -9,6 +9,7 @@ from fuzzydea.cli import main
 from fuzzydea.dataio import read_report
 from fuzzydea.errors import NumericalBreakdown, SolverFailure
 from fuzzydea.mofdea import evaluate_all
+from test_backends import KERNELS
 
 SOLO = """
 {"name": "solo", "inputs": ["I1"], "outputs": ["O1"],
@@ -42,6 +43,24 @@ KERNEL_FAILURES = {
  "dmus": [{"name": "A", "inputs": [4.2e16, 2.2e7], "outputs": [6.7]},
           {"name": "B", "inputs": [1.3e16, 1.7e7], "outputs": [9.9]}]}
 """, "phase 1 reported an unbounded tableau"),
+}
+
+# Crisp data whose CCR score is not a double (ROADMAP item 13), and the
+# flags that score it.  overflow, exclude-self: A's score is 1e600 and
+# B's 1e-600, printed inf and 0.0.  nan, include-self: U1's score lies in
+# [1/3, 1], since v = (1e-300, 0) is feasible, and prints nan.
+NONFINITE_SCORES = {
+    "overflow": ("""
+{"name": "overflow", "inputs": ["x"], "outputs": ["y"],
+ "dmus": [{"name": "A", "inputs": [1], "outputs": [1e300]},
+          {"name": "B", "inputs": [1e300], "outputs": [1]}]}
+""", ()),
+    "nan": ("""
+{"name": "nan", "inputs": ["x1", "x2"], "outputs": ["y"],
+ "dmus": [{"name": "U0", "inputs": [1, 5e-324], "outputs": [1e-9]},
+          {"name": "U1", "inputs": [1e300, 1], "outputs": [1e300]},
+          {"name": "U2", "inputs": [1, 1e300], "outputs": [3]}]}
+""", ("--include-self",)),
 }
 
 
@@ -282,6 +301,21 @@ class TestExitCodes:
         f.write_text(data)
         assert run(capsys, *sub, "--data", str(f)) == (
             2, "", f"fuzzydea: solver error: {message}\n")
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 13: the kernel checks its data cells but not the optimum "
+        "it returns, so a score that is not a finite double exits 0"))
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("name", list(NONFINITE_SCORES))
+    def test_score_that_is_not_a_double_exits_2(self, capsys, tmp_path, monkeypatch,
+                                                  kernel, name):
+        monkeypatch.setattr(ccr, "default_mo_solve", kernel)
+        data, flags = NONFINITE_SCORES[name]
+        f = tmp_path / f"{name}.json"
+        f.write_text(data)
+        code, out, err = run(capsys, "eval", "--model", "ccr", "--data", str(f), *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("fuzzydea: ") and err.count("\n") == 1 and err.endswith("\n")
 
     def test_single_dmu_mo_is_data_error(self, capsys, tmp_path):
         f = tmp_path / "solo.json"

@@ -10,7 +10,8 @@ package calls the kernel from ccr._search alone and reads its failure
 statuses in ccr alone, that only the process entry, cli.run, freezes
 the collector, and that importing fuzzydea loads numpy, which the
 benchmark's set-up probe relies on.  A ratchet keeps the dataset in one
-form, its names and bounds, and caps the package's dataclasses.
+form, its names and bounds, and caps the package's dataclasses;
+another keeps importlib.resources out of the package.
 """
 
 import ast
@@ -163,6 +164,24 @@ def test_a_dataset_is_its_names_and_bounds():
         if "dataclass" in ast.unparse(deco)
     ]
     assert len(dataclasses) <= 6, dataclasses
+
+
+def test_no_module_imports_importlib_resources():
+    # The fixtures sit in the package directory, so their path needs no
+    # importlib.resources, which numpy does not import either: every
+    # process would load it for the package alone.
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(f"{name}.".startswith("importlib.resources.") for name in names):
+                found.append((_module_name(path), node.lineno))
+    assert not found, found
 
 
 def test_only_the_process_entry_freezes_the_heap():

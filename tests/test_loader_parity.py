@@ -117,6 +117,9 @@ COUNT_THEN_DUPLICATE = json.dumps({"inputs": ["I"], "outputs": ["O"], "dmus": [
     {"name": "a", "inputs": [1], "outputs": [1]}]})
 CELL_THEN_SHAPE = json.dumps({"inputs": ["I"], "outputs": ["O"], "dmus": [
     {"name": "a", "inputs": [[1, 2, math.nan]], "outputs": [1]}, {"name": "b"}]})
+EMPTY_THEN_DUPLICATE = json.dumps({"inputs": ["I"], "outputs": ["O"], "dmus": [
+    {"name": "", "inputs": [1], "outputs": [1]},
+    {"name": "", "inputs": [1], "outputs": [1]}]})
 
 
 @settings(**SETTINGS)
@@ -125,6 +128,7 @@ CELL_THEN_SHAPE = json.dumps({"inputs": ["I"], "outputs": ["O"], "dmus": [
 @example(POSITIVITY_THEN_COUNT)
 @example(COUNT_THEN_DUPLICATE)
 @example(CELL_THEN_SHAPE)
+@example(EMPTY_THEN_DUPLICATE)
 def test_json_loader_matches_the_per_cell_loader(raw):
     assert outcome(lambda r: load_dataset(r, "json"), raw) == outcome(
         _oracles._dataset_from_json, raw)

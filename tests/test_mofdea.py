@@ -21,6 +21,7 @@ from fuzzydea.alphacut import (
 from fuzzydea.ccr import DataLps, SelfPolicy, ccr_efficiency, ccr_scores
 from fuzzydea.cli import DEFAULT_ALPHAS, main
 from fuzzydea.dataio import FuzzyDataset, load_fixture
+from fuzzydea._speedups import pure, pure_mo_solve
 from fuzzydea._speedups.pure import BAD_DATA
 from fuzzydea.errors import AlphaOutOfRange, DataError, DegenerateZStar, RangeError
 from fuzzydea.mofdea import (
@@ -483,43 +484,36 @@ def _fields(r):
 class TestEvaluateAllEquivalence:
     @pytest.mark.parametrize("mode", ALPHA_MODES)
     def test_equals_standalone_solve_mo(self, gt, ac, mode):
-        # Both policies in one call, so the call keeps two DataLps.
-        cfgs = [
-            MoConfig(alpha=a, policy=policy, alpha_mode=mode)
-            for a in EQUIV_ALPHAS
-            for policy in SelfPolicy
-        ]
-        for data in (gt, ac, *EQUIV_SETS):
-            rankings = evaluate_all(data, cfgs)
-            assert len(rankings) == len(cfgs)
-            for cfg, ranked in zip(cfgs, rankings):
-                alone = [solve_mo(data, p, cfg) for p in range(data.n_dmus)]
-                order = sorted(
-                    range(data.n_dmus),
-                    key=lambda j: (-alone[j].efficiency, -alone[j].h_star, j),
-                )
-                want = [
-                    _fields(alone[j]._replace(rank=pos + 1))
-                    for pos, j in enumerate(order)
-                ]
-                assert [_fields(r) for r in ranked] == want, (data.name, cfg)
+        for policy in SelfPolicy:  # one call per policy
+            cfgs = [MoConfig(alpha=a, policy=policy, alpha_mode=mode) for a in EQUIV_ALPHAS]
+            for data in (gt, ac, *EQUIV_SETS):
+                rankings = evaluate_all(data, cfgs)
+                assert len(rankings) == len(cfgs)
+                for cfg, ranked in zip(cfgs, rankings):
+                    alone = [solve_mo(data, p, cfg) for p in range(data.n_dmus)]
+                    order = sorted(
+                        range(data.n_dmus),
+                        key=lambda j: (-alone[j].efficiency, -alone[j].h_star, j),
+                    )
+                    want = [
+                        _fields(alone[j]._replace(rank=pos + 1))
+                        for pos, j in enumerate(order)
+                    ]
+                    assert [_fields(r) for r in ranked] == want, (data.name, cfg)
 
     @pytest.mark.parametrize("mode", ALPHA_MODES)
     def test_compare_all_equals_alphacut_scores_and_evaluate_all(self, gt, ac, mode):
-        cfgs = [
-            MoConfig(alpha=a, policy=policy, alpha_mode=mode)
-            for a in EQUIV_ALPHAS
-            for policy in SelfPolicy
-        ]
-        for data in (gt, ac, *EQUIV_SETS):
-            ranked = evaluate_all(data, cfgs)
-            for cfg, pairs, mo in zip(cfgs, mofdea.compare_all(data, cfgs), ranked):
-                cut = alphacut_scores(data, cfg.alpha, cfg.policy)
-                assert [c.hex() for c, _ in pairs] == [sc.score.hex() for sc in cut]
-                by_name = {r.dmu: _fields(r._replace(rank=None)) for r in mo}
-                assert [_fields(r) for _, r in pairs] == [
-                    by_name[name] for name in data.dmu_names
-                ]
+        for policy in SelfPolicy:  # one call per policy
+            cfgs = [MoConfig(alpha=a, policy=policy, alpha_mode=mode) for a in EQUIV_ALPHAS]
+            for data in (gt, ac, *EQUIV_SETS):
+                ranked = evaluate_all(data, cfgs)
+                for cfg, pairs, mo in zip(cfgs, mofdea.compare_all(data, cfgs), ranked):
+                    cut = alphacut_scores(data, cfg.alpha, cfg.policy)
+                    assert [c.hex() for c, _ in pairs] == [sc.score.hex() for sc in cut]
+                    by_name = {r.dmu: _fields(r._replace(rank=None)) for r in mo}
+                    assert [_fields(r) for _, r in pairs] == [
+                        by_name[name] for name in data.dmu_names
+                    ]
 
     def test_modes_mixed_in_one_call(self, gt):
         cfgs = [
@@ -550,6 +544,9 @@ class TestDmuLps:
             DataLps(gt, "exclude-self")
 
 
+ENTRIES = ("evaluate_all", "compare_all")
+
+
 class TestEvaluateAll:
     def test_rank_order_and_fields(self, ac):
         (ranked,) = evaluate_all(ac, [MoConfig()])
@@ -570,57 +567,89 @@ class TestEvaluateAll:
         assert [r.dmu for r in ranked] == ["U1", "U2", "U3"]
         assert len({r.efficiency for r in ranked}) == 1
 
-    @pytest.mark.parametrize("cfgs", [MoConfig(), [MoConfig(), 0.5], [None]])
-    def test_every_config_checked_before_any_lp(self, gt, monkeypatch, cfgs):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("cfgs,got", [
+        pytest.param(MoConfig(), None, id="lone-config"),
+        pytest.param([MoConfig(), 0.5], "0.5", id="float-item"),
+        pytest.param([None], "None", id="none-item"),
+    ])
+    def test_every_config_checked_before_any_lp(self, gt, monkeypatch, entry, cfgs, got):
         lps = _count_lps(monkeypatch)
-        with pytest.raises(TypeError, match="MoConfig"):
-            evaluate_all(gt, cfgs)
+        # A lone MoConfig is not a sequence of them.
+        message = "MoConfig" if got is None else f"^{entry} takes MoConfig items, got {got}$"
+        with pytest.raises(TypeError, match=message):
+            getattr(mofdea, entry)(gt, cfgs)
         assert not lps
 
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_one_self_policy_one_data_lps_one_search_per_unit(self, gt, monkeypatch, entry):
+        lps = _count_lps(monkeypatch)
+        searched, search = [], ccr._search
+        monkeypatch.setattr(ccr, "_search", lambda store, p, *a: searched.append((store, p))
+                            or search(store, p, *a))
+        built, init = [], DataLps.__init__
+        monkeypatch.setattr(DataLps, "__init__", lambda store, *a: built.append(store)
+                            or init(store, *a))
+        run = getattr(mofdea, entry)
+        mixed = [MoConfig(alpha=0.5), MoConfig(alpha=0.5, policy=SelfPolicy.INCLUDE_SELF)]
+        with pytest.raises(RangeError, match=f"^{entry} takes MoConfig items of one self policy, "
+                           "got SelfPolicy.EXCLUDE_SELF and SelfPolicy.INCLUDE_SELF$"):
+            run(gt, mixed)
+        assert not lps and not built and not searched
+        for policy in SelfPolicy:
+            built.clear()
+            searched.clear()
+            run(gt, [MoConfig(alpha=a, policy=policy) for a in EQUIV_ALPHAS])
+            assert len(built) == 1 and built[0].policy is policy
+            assert searched == [(built[0], p) for p in range(gt.n_dmus)]
 
-EX, IN = SelfPolicy.EXCLUDE_SELF, SelfPolicy.INCLUDE_SELF
+
+# Crisp data: every level is the same LP, so a root search solves its z*
+# level and level 1 alone, and under floor z* is at level 0.
+CRISP = FuzzyDataset("crisp", ["I1"], ["O1"], [("U1", [2], [1]), ("U2", [3], [2]), ("U3", [4], [2])])
 
 
 class TestFirstFailure:
-    """A DMU's kernel searches run one per self policy, yet its error is
-    the one that scoring each config alone, in order, and then taking
-    the cuts would raise."""
+    """A DMU's configs, then its cuts, run in one kernel search, which
+    stops at the first failure: the error is the one that scoring each
+    config alone, in order, and then taking the cuts would raise."""
 
-    @pytest.mark.parametrize("order,at,cuts,level", [
-        # at: where each policy's search of D2 fails, counting its
-        # configs and then its cuts; level tags the policy that failed.
-        ((EX, IN, EX, IN), {EX: 1, IN: 1}, False, 0.25),
-        ((EX, IN, IN, EX), {EX: 1, IN: 1}, False, 0.75),
-        # at the first cut: cuts come in config order
-        ((IN, EX), {EX: 1, IN: 1}, True, 0.75),
-        # at the first cut and at a second config: the search's comes first
-        ((EX, IN, IN, EX), {EX: 2, IN: 1}, True, 0.75),
+    @pytest.mark.parametrize("policy", list(SelfPolicy))
+    @pytest.mark.parametrize("cfgs,at,level", [
+        # config 2 would fail too, at a lower level
+        pytest.param(((0.0, "rescale"), (0.5, "rescale"), (0.25, "rescale")), "cfg", 0.5,
+                     id="config-1-of-3"),
+        # every search succeeds
+        pytest.param(((0.5, "floor"), (0.25, "floor")), "cut", 0.5, id="first-cut"),
+        # config 0's cut would fail too, but the cuts come last
+        pytest.param(((0.25, "floor"), (0.5, "rescale")), "cfg", 0.5, id="config-before-cut"),
     ])
-    def test_first_in_cfg_order(self, gt, monkeypatch, order, at, cuts, level):
-        search = ccr._search
-        tag = {EX: 0.25, IN: 0.75}
+    def test_first_in_cfg_order(self, monkeypatch, policy, cfgs, at, level):
+        # The pure kernel finds U2's data bad at levels 0.25 and 0.5.
+        solve = pure._solve_ccr
 
-        def failing(lps, p, triples, cut_levels=()):
-            found, effs, solved, _ = search(lps, p, triples, cut_levels)
-            if lps.names[p] != "D2":
-                return found, effs, solved, None
-            k = at[lps.policy]
-            failure = (BAD_DATA, tag[lps.policy], 0.0)
-            return found[:k], effs[:max(0, k - len(triples))], solved, failure
+        def failing(L, M, H, lp_level, s, p, *args):
+            if p == 1 and lp_level in (0.25, 0.5):
+                return BAD_DATA, 0.0, None
+            return solve(L, M, H, lp_level, s, p, *args)
 
-        monkeypatch.setattr(ccr, "_search", failing)
-        cfgs = [MoConfig(alpha=0.5 * (i // 2), policy=pol) for i, pol in enumerate(order)]
-        run = mofdea.compare_all if cuts else evaluate_all
-        with pytest.raises(DataError, match=f"^data at level {level} for DMU 'D2' "):
-            run(gt, cfgs)
+        monkeypatch.setattr(pure, "_solve_ccr", failing)
+        monkeypatch.setattr(ccr, "default_mo_solve", pure_mo_solve)
+        cfgs = [MoConfig(alpha=a, policy=policy, alpha_mode=mode) for a, mode in cfgs]
+        if at == "cut":
+            evaluate_all(CRISP, cfgs)  # every search succeeds
+        runs = (mofdea.compare_all,) if at == "cut" else (evaluate_all, mofdea.compare_all)
+        for run in runs:
+            with pytest.raises(DataError, match=f"^data at level {level} for DMU 'U2' "):
+                run(CRISP, cfgs)
 
     def test_degenerate_z_star_of_the_first_cfg(self):
         # U2's outputs are some 1e-12 of its peers', so its z* is too.
         big, tiny = [1.0, 2.0, 3.0], [1e-12, 2e-12, 3e-12]
         data = FuzzyDataset("tiny", ["I1"], ["O1"], [
             ("U1", [big], [big]), ("U2", [big], [tiny]), ("U3", [big], [big])])
-        for pols in ((EX, IN), (IN, EX)):
-            cfgs = [MoConfig(alpha=a, policy=pol) for a, pol in zip((0.5, 0.0), pols)]
+        for policy in SelfPolicy:
+            cfgs = [MoConfig(alpha=a, policy=policy) for a in (0.5, 0.0)]
             with pytest.raises(DegenerateZStar) as alone:
                 solve_mo(data, 1, cfgs[0])
             for run in (evaluate_all, mofdea.compare_all):
